@@ -31,6 +31,7 @@ from .errors import (
     BudgetBelowMinimum,
     EqualBudgets,
     InfeasibleBudget,
+    InvalidSpec,
     NonIncreasingBudgets,
     NotOnSimplex,
     ShapeMismatch,
@@ -81,7 +82,7 @@ class AllocationProblem:
                 f"{risks.size}/{budgets.size}/{prior.size}"
             )
         if not np.all(np.isfinite(risks)) or risks.min() < 0.0 or risks.max() > 1.0:
-            raise ValueError("risks must be finite and lie in [0, 1]")
+            raise InvalidSpec("risks must be finite and lie in [0, 1]")
         if budgets[0] <= 0.0 or np.any(np.diff(budgets) <= 0.0):
             raise NonIncreasingBudgets(
                 "budgets must be positive and strictly increasing"
@@ -90,7 +91,7 @@ class AllocationProblem:
             raise NotOnSimplex("prior must be strictly positive and sum to 1")
         beta = float(self.beta)
         if not (beta > 0.0):
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+            raise InvalidSpec(f"beta must be > 0, got {self.beta}")
         bbar = float(self.mean_budget)
         if bbar < budgets[0] * (1.0 - _DEGENERATE_REL_TOL):
             raise InfeasibleBudget(

@@ -7,9 +7,10 @@ test split through a saved policy, `oracle` computes the offline
 optimal assignment, and `sweep` traces accuracy against budget for the
 policy, the oracle and every fixed head.
 
-Exit codes are stable: 0 success, 2 usage or invalid generator spec,
-3 unreadable/invalid data files, 4 infeasible budget, 5 policy/bank
-mismatch, 6 cost resolution too coarse.
+Exit codes are stable: 0 success, 2 usage or invalid argument or
+generator spec, 3 unreadable/invalid data files, 4 infeasible budget,
+5 policy/bank mismatch.  Code 6 (cost resolution too coarse) is retired:
+the oracle no longer rounds costs to a grid, and the code is not reused.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -40,11 +40,10 @@ from .errors import (
     InvalidSpec,
     LabelLengthMismatch,
     MissingLabels,
-    ResolutionTooCoarse,
     ScoreSpecMismatch,
 )
 from .inference import classify_batch, measure_budget
-from .oracle import OracleInstance, build_correctness, oracle_curve, oracle_exact, oracle_greedy
+from .oracle import OracleInstance, build_correctness, oracle_curve, oracle_exact
 from .scoring import SCORE_KINDS, DEFAULT_JITTER, ScoreSpec
 from .synth import SynthSpec, generate
 
@@ -55,7 +54,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INFEASIBLE = 4
 EXIT_MISMATCH = 5
-EXIT_RESOLUTION = 6
 
 
 def _resolve_seed(value: int | None, fallback: int = 0) -> int:
@@ -71,10 +69,7 @@ def _resolve_seed(value: int | None, fallback: int = 0) -> int:
 
 
 def _load_synth_spec(path: Path, seed_flag: int | None) -> SynthSpec:
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise
+    raw = path.read_text(encoding="utf-8")
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as e:
@@ -212,19 +207,17 @@ def cmd_oracle(args) -> int:
     test = dataset.split("test")
     if test.labels is None:
         raise MissingLabels("the oracle needs a labeled test split")
-    mode = "exact_budget" if args.mode == "exact" else "at_most_budget"
-    correctness = build_correctness(test.bank, test.labels)
     instance = OracleInstance(
-        correctness=correctness,
+        correctness=build_correctness(test.bank, test.labels),
         costs=test.bank.budgets,
         budget=args.budget,
-        mode=mode,
     )
-    result = oracle_greedy(instance) if args.fast else oracle_exact(instance, args.resolution)
-    eio.write_json_result(args.out, eio.oracle_result_to_dict(result, mode, args.budget))
-    kind = "greedy" if args.fast else "exact"
+    result = oracle_exact(instance)
+    eio.write_json_result(
+        args.out, eio.oracle_result_to_dict(result, instance.mode, args.budget)
+    )
     print(
-        f"{kind} oracle: accuracy {result.accuracy:.4f} at cost {result.cost:.6g} "
+        f"exact oracle: accuracy {result.accuracy:.4f} at cost {result.cost:.6g} "
         f"(budget {args.budget:.6g})"
     )
     print(f"wrote {args.out}")
@@ -287,11 +280,7 @@ def cmd_sweep(args) -> int:
             "source": "eero",
         }
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            eero_rows = list(pool.map(eero_point, budgets))
-    else:
-        eero_rows = [eero_point(b) for b in budgets]
+    eero_rows = [eero_point(b) for b in budgets]
 
     correctness = build_correctness(test.bank, test.labels)
     oracle_points = oracle_curve(correctness, test.bank.budgets, np.asarray(budgets))
@@ -371,9 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="offline optimal assignment under a budget")
     p.add_argument("--data", required=True)
     p.add_argument("--budget", type=float, required=True)
-    p.add_argument("--mode", choices=("at-most", "exact"), default="at-most")
-    p.add_argument("--fast", action="store_true", help="greedy baseline instead of DP")
-    p.add_argument("--resolution", type=float, default=None, help="cost unit override")
+    p.add_argument(
+        "--mode", choices=("at-most",), default="at-most", help="spend at most the budget"
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_oracle)
 
@@ -388,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--score", choices=SCORE_KINDS, default="breaking_ties")
     p.add_argument("--jitter", type=float, default=DEFAULT_JITTER)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1, help="parallel budget workers")
     p.add_argument("--out", required=True, help="sweep CSV path")
     p.set_defaults(func=cmd_sweep)
     return parser
@@ -408,9 +396,6 @@ def main(argv=None) -> int:
     except (HeadCountMismatch, ScoreSpecMismatch, LabelLengthMismatch) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MISMATCH
-    except ResolutionTooCoarse as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RESOLUTION
     except (EeroError, FileNotFoundError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO

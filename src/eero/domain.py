@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     InfeasibleBudget,
+    InvalidSpec,
     NonIncreasingBudgets,
     NotOnSimplex,
     RowNotNormalized,
@@ -185,9 +186,9 @@ class BudgetSpec:
 
     def __post_init__(self):
         if not (float(self.total_budget) > 0.0):
-            raise ValueError(f"total budget must be > 0, got {self.total_budget}")
+            raise InvalidSpec(f"total budget must be > 0, got {self.total_budget}")
         if int(self.batch_size) < 1:
-            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+            raise InvalidSpec(f"batch size must be >= 1, got {self.batch_size}")
         _set(self, "total_budget", float(self.total_budget))
         _set(self, "batch_size", int(self.batch_size))
 

@@ -54,10 +54,6 @@ class LabelLengthMismatch(EeroError):
     """Label vector length differs from the number of instances."""
 
 
-class ResolutionTooCoarse(EeroError):
-    """Cost rounding makes even the cheapest assignment infeasible."""
-
-
 class MissingLabels(EeroError):
     """An operation that needs ground-truth labels was given none."""
 
@@ -80,5 +76,9 @@ class ParseError(EeroError):
         super().__init__(f"{message}{where}")
 
 
-class InvalidSpec(EeroError):
-    """A generator or configuration record fails its own constraints."""
+class InvalidSpec(EeroError, ValueError):
+    """A generator or configuration record fails its own constraints.
+
+    Also a ValueError, so callers that catch ValueError from the
+    validators keep working.
+    """

@@ -21,7 +21,6 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -317,12 +316,8 @@ def load_manifest(path) -> Dataset:
                     f"head {idx} of split {name!r} needs probs_csv and budget_gflops",
                     file=str(path),
                 )
-        # independent files; read concurrently, check in head order
-        with ThreadPoolExecutor(max_workers=min(8, len(heads_meta))) as pool:
-            loaded = list(
-                pool.map(lambda m: read_probs_csv(base / m["probs_csv"]), heads_meta)
-            )
-        for idx, (meta, (ids, probs)) in enumerate(zip(heads_meta, loaded), start=1):
+        for idx, meta in enumerate(heads_meta, start=1):
+            ids, probs = read_probs_csv(base / meta["probs_csv"])
             if probs.shape[1] != k:
                 raise ParseError(
                     f"{meta['probs_csv']} has {probs.shape[1]} classes, "
@@ -336,16 +331,18 @@ def load_manifest(path) -> Dataset:
                     f"instance ids of split {name!r} differ between heads",
                     file=str(path),
                 )
-            budget = float(meta["budget_gflops"])
+            budget = _manifest_number(meta["budget_gflops"], path)
             budgets_here.append(budget)
             risk = meta.get("risk")
-            slices.append(
-                HeadSlice(
-                    probs=probs,
-                    budget_gflops=budget,
-                    risk=None if risk is None else float(risk),
-                )
-            )
+            if risk is not None:
+                risk = _manifest_number(risk, path)
+                if not (0.0 <= risk <= 1.0):
+                    raise ParseError(
+                        f"risk of head {idx} of split {name!r} must lie in [0, 1], "
+                        f"got {risk}",
+                        file=str(path),
+                    )
+            slices.append(HeadSlice(probs=probs, budget_gflops=budget, risk=risk))
         if budgets_seen is None:
             budgets_seen = budgets_here
         elif budgets_here != budgets_seen:
@@ -364,6 +361,13 @@ def load_manifest(path) -> Dataset:
                 )
         splits[name] = Split(bank=bank, labels=labels, instance_ids=split_ids)
     return Dataset(num_classes=k, splits=splits)
+
+
+def _manifest_number(value, path) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"expected a number, got {value!r}", file=str(path)) from None
 
 
 def write_dataset(data, out_dir) -> Path:

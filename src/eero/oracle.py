@@ -1,40 +1,37 @@
 """Offline upper bound: best possible head assignment under a budget.
 
 With labels in hand, assigning each instance to exactly one head and
-maximizing the number of correct predictions under a total-cost cap is
-a multiple-choice knapsack.  Costs are scaled to integer units and
-solved by dynamic programming over budget units, which is exact for the
-scaled costs; when costs are not exactly representable at any decimal
-resolution they are rounded *up*, so a returned assignment is always
-feasible for the true budget.
+maximizing the number of correct predictions under a total-cost cap
+looks like a multiple-choice knapsack, but correctness is 0/1 per
+instance, so it collapses.  Every instance starts at the cheapest head.
+One that some head gets right can be *raised* to its cheapest correct
+head, for that head's cost minus the cheapest cost, and every raise
+gains exactly one correct prediction.  Taking the smallest raises first
+until the spare budget runs out is therefore optimal, and it is a
+cheapest optimal assignment.
 
-The DP keeps one value column per cost unit and checkpoints columns
-every ~sqrt(T) instances, so assignment recovery costs one extra
-forward pass instead of a T-by-units table.  Sweeps over many budgets
-reuse a single DP frontier via `oracle_curve`.
+Ties are canonical: heads are ordered by (cost, index), and among equal
+raises the earliest instances are raised.  `oracle_curve` serves many
+budgets from one sort, with a single `searchsorted` over the raises'
+running total.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import HeadBank, _frozen, _set
-from .errors import (
-    InfeasibleBudget,
-    LabelLengthMismatch,
-    ResolutionTooCoarse,
-    ShapeMismatch,
-)
+from .errors import InfeasibleBudget, InvalidSpec, LabelLengthMismatch, ShapeMismatch
 from .scoring import TEST_KEY_BASE, ScoreSpec, jitter_matrix, predict_matrix
 
-ORACLE_MODES = ("at_most_budget", "exact_budget")
+ORACLE_MODES = ("at_most_budget",)
 
-# unit counts beyond this force the coarse fallback resolution
-MAX_UNITS = 10**6
-_FALLBACK_UNITS = 10**5
+# relative slack on the budget, so that a total which meets the budget
+# exactly in decimal arithmetic is not lost to binary rounding
+_BUDGET_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,13 +53,13 @@ class OracleInstance:
                 f"{costs.size} costs for {corr.shape[1]} heads"
             )
         if not np.all(np.isfinite(costs)) or costs.min() <= 0.0:
-            raise ValueError("costs must be finite and positive")
+            raise InvalidSpec("costs must be finite and positive")
         if self.mode not in ORACLE_MODES:
-            raise ValueError(
+            raise InvalidSpec(
                 f"unknown mode {self.mode!r}, expected one of {ORACLE_MODES}"
             )
         if not (float(self.budget) > 0.0):
-            raise ValueError(f"budget must be positive, got {self.budget}")
+            raise InvalidSpec(f"budget must be positive, got {self.budget}")
         _set(self, "correctness", _frozen(corr != 0, dtype=np.bool_))
         _set(self, "costs", _frozen(costs))
         _set(self, "budget", float(self.budget))
@@ -80,10 +77,8 @@ class OracleInstance:
 class OracleResult:
     """An assignment (1-based head per instance) with its value and cost.
 
-    `cost` is measured on the integer cost grid the solver ran on.
-    Units round costs up, so it upper-bounds the assignment's true
-    declared cost and still never exceeds the budget (at_most mode).
-    When cost scaling is exact (decimal costs), it equals the true cost.
+    `cost` is the exactly rounded sum (`math.fsum`) of the declared
+    costs of the assigned heads.
     """
 
     assignment: np.ndarray
@@ -124,284 +119,59 @@ def build_correctness(
     return out
 
 
-def scale_costs(
-    costs: np.ndarray, budget: float, resolution: float | None = None
-) -> tuple[np.ndarray, int, float]:
-    """Express costs in integer units of a resolution; budget in whole units.
+def _solve(instance: OracleInstance, budgets: np.ndarray):
+    """Sort the raises once; count how many fit each budget.
 
-    Tries decimal scalings (then a gcd reduction) that represent the
-    declared costs exactly; if none exists within 1e6 budget units, falls
-    back to resolution = budget / 1e5 with costs rounded up, keeping any
-    unit-feasible assignment feasible for the true budget.  Returns
-    (unit costs, budget in units, resolution).
+    Returns (cheapest head, cheapest correct head per instance, raisable
+    instances in raise order, number of raises that fit per budget).
     """
-    costs = np.asarray(costs, dtype=np.float64)
-    if resolution is None:
-        for k in range(10):
-            scaled = costs * 10.0**k
-            ints = np.rint(scaled)
-            if np.all(np.abs(scaled - ints) <= 1e-6) and ints.min() >= 1.0:
-                ints = ints.astype(np.int64)
-                g = int(np.gcd.reduce(ints))
-                units = ints // g
-                budget_units = int(np.floor(budget * 10.0**k / g + 1e-9))
-                if budget_units <= MAX_UNITS:
-                    return units, budget_units, g / 10.0**k
-                break
-        resolution = budget / _FALLBACK_UNITS
-        units = np.ceil(costs / resolution - 1e-12).astype(np.int64)
-        return np.maximum(units, 1), _FALLBACK_UNITS, resolution
-    res = float(resolution)
-    if not (res > 0.0):
-        raise ValueError(f"resolution must be positive, got {resolution}")
-    units = np.ceil(costs / res - 1e-12).astype(np.int64)
-    budget_units = int(np.floor(budget / res + 1e-9))
-    if budget_units > MAX_UNITS:
-        raise ResolutionTooCoarse(
-            f"budget spans {budget_units} units at resolution {res:.6g}; "
-            f"the solver caps at {MAX_UNITS}"
-        )
-    return np.maximum(units, 1), budget_units, res
-
-
-def _check_feasible(instance: OracleInstance, units: np.ndarray, budget_units: int):
+    costs = instance.costs
     t = instance.num_instances
-    if t * float(instance.costs.min()) > instance.budget * (1.0 + 1e-12):
+    order = np.argsort(costs, kind="stable")  # heads by (cost, index)
+    base = int(order[0])
+    ordered = instance.correctness[:, order]
+    target = order[np.argmax(ordered, axis=1)]
+    raises = costs[target] - costs[base]
+    raisable = np.flatnonzero(ordered.any(axis=1))
+    ranked = raisable[np.argsort(raises[raisable], kind="stable")]
+    spare = budgets * (1.0 + _BUDGET_RTOL) - t * costs[base]
+    if np.any(spare < 0.0):
+        short = float(budgets[np.argmax(spare < 0.0)])
         raise InfeasibleBudget(
-            f"budget {instance.budget:.6g} cannot cover the cheapest head for "
-            f"all {t} instances (needs {t * instance.costs.min():.6g})"
+            f"budget {short:.6g} cannot cover the cheapest head for all {t} "
+            f"instances (needs {t * costs[base]:.6g})"
         )
-    if t * int(units.min()) > budget_units:
-        raise ResolutionTooCoarse(
-            "cost rounding makes the cheapest assignment infeasible; "
-            "use a finer resolution"
-        )
+    counts = np.searchsorted(np.cumsum(raises[ranked]), spare, side="right")
+    return base, target, ranked, counts
 
 
-def _forward_dp(
-    corr: np.ndarray, units: np.ndarray, cap: int, keep_every: int | None = None
-):
-    """Exact-cost DP over budget units.
-
-    dp[b] = max #correct over assignments of the processed instances with
-    total unit cost exactly b (-1 when b is not attainable).  Optionally
-    returns checkpoint columns every `keep_every` instances for later
-    backtracking.
-    """
-    t, m = corr.shape
-    dp = np.full(cap + 1, -1, dtype=np.int32)
-    dp[0] = 0
-    checkpoints = {0: dp.copy()} if keep_every else None
-    for i in range(t):
-        new = np.full(cap + 1, -1, dtype=np.int32)
-        for head in range(m):
-            u = int(units[head])
-            if u > cap:
-                continue
-            src = dp[: cap + 1 - u]
-            # adding (src >= 0) bumps attainable cells by the unit gain
-            # while leaving -1 sentinels untouched
-            cand = src + (src >= 0) if corr[i, head] else src
-            np.maximum(new[u:], cand, out=new[u:])
-        dp = new
-        if keep_every and (i + 1) % keep_every == 0:
-            checkpoints[i + 1] = dp.copy()
-    return dp, checkpoints
-
-
-def _backtrack(
-    corr: np.ndarray,
-    units: np.ndarray,
-    cap: int,
-    final_units: int,
-    dp_final: np.ndarray,
-    checkpoints: dict[int, np.ndarray],
-    keep_every: int,
-) -> np.ndarray:
-    """Recover one optimal assignment from checkpointed DP columns.
-
-    Within a tie the walk prefers the cheaper head, then the lower head
-    index, giving a deterministic canonical assignment.
-    """
-    t, m = corr.shape
-    order = sorted(range(m), key=lambda h: (int(units[h]), h))
-    assignment = np.empty(t, dtype=np.int64)
-    b = final_units
-    value = int(dp_final[b])
-    i = t
-    block_tables: dict[int, np.ndarray] = {}
-    while i > 0:
-        start = ((i - 1) // keep_every) * keep_every
-        if not block_tables or min(block_tables) != start + 1:
-            block_tables = {}
-            dp = checkpoints[start].copy()
-            for j in range(start, min(start + keep_every, t)):
-                new = np.full(cap + 1, -1, dtype=np.int32)
-                for head in range(m):
-                    u = int(units[head])
-                    if u > cap:
-                        continue
-                    src = dp[: cap + 1 - u]
-                    cand = src + (src >= 0) if corr[j, head] else src
-                    np.maximum(new[u:], cand, out=new[u:])
-                dp = new
-                block_tables[j + 1] = dp
-        prev = checkpoints[start] if i - 1 == start else block_tables[i - 1]
-        for head in order:
-            u = int(units[head])
-            if u <= b and prev[b - u] >= 0 and prev[b - u] + int(corr[i - 1, head]) == value:
-                assignment[i - 1] = head
-                b -= u
-                value -= int(corr[i - 1, head])
-                break
-        else:  # pragma: no cover - would indicate DP corruption
-            raise AssertionError("backtrack failed to find a consistent head")
-        i -= 1
-        if i == start:
-            block_tables = {}
-    return assignment
-
-
-def oracle_exact(
-    instance: OracleInstance, resolution: float | None = None
-) -> OracleResult:
-    """Optimal assignment under the instance's budget and mode.
-
-    `at_most_budget` maximizes correct predictions with cost <= budget
-    and, among maximizers, returns a cheapest assignment.  `exact_budget`
-    requires the scaled cost to hit the budget exactly and raises
-    InfeasibleBudget when no assignment does.
-    """
-    units, budget_units, res = scale_costs(instance.costs, instance.budget, resolution)
-    _check_feasible(instance, units, budget_units)
-    corr = instance.correctness
-    t = instance.num_instances
-    cap = min(budget_units, t * int(units.max()))
-    keep_every = max(1, int(np.sqrt(t)))
-    dp, checkpoints = _forward_dp(corr, units, cap, keep_every)
-
-    if instance.mode == "exact_budget":
-        # a budget off the unit grid cannot be hit exactly: every
-        # assignment cost is an integer multiple of the resolution
-        on_grid = abs(budget_units * res - instance.budget) <= 1e-9 * max(
-            1.0, instance.budget
-        )
-        if not on_grid or budget_units > cap or dp[budget_units] < 0:
-            raise InfeasibleBudget(
-                f"no assignment consumes exactly {instance.budget:.6g} "
-                f"({budget_units} units at resolution {res:.6g})"
-            )
-        final_units = budget_units
-    else:
-        best = int(dp.max())
-        final_units = int(np.argmax(dp == best))  # cheapest optimum
-    assignment = _backtrack(
-        corr, units, cap, final_units, dp, checkpoints, keep_every
-    )
-    correct = int(corr[np.arange(t), assignment].sum())
+def _result(instance: OracleInstance, base, target, raised) -> OracleResult:
+    assignment = np.full(instance.num_instances, base, dtype=np.int64)
+    assignment[raised] = target[raised]
     return OracleResult(
         assignment=assignment + 1,
-        accuracy=correct / t,
-        cost=final_units * res,
+        accuracy=raised.size / instance.num_instances,
+        cost=math.fsum(instance.costs[assignment]),
     )
+
+
+def oracle_exact(instance: OracleInstance) -> OracleResult:
+    """Cheapest assignment maximizing correct predictions with cost <= budget."""
+    base, target, ranked, counts = _solve(instance, np.array([instance.budget]))
+    return _result(instance, base, target, ranked[: counts[0]])
 
 
 def oracle_curve(
     correctness: np.ndarray, costs: np.ndarray, budgets: np.ndarray
 ) -> list[tuple[float, float]]:
-    """(accuracy, consumed cost) of the at-most oracle at several budgets.
-
-    One DP pass at the largest budget serves every requested budget, so a
-    sweep costs the same as a single solve.  Consumed cost is that of a
-    cheapest optimal assignment.
-    """
+    """(accuracy, consumed cost) of `oracle_exact` at several budgets."""
     budgets = np.asarray(budgets, dtype=np.float64)
-    top = float(budgets.max())
-    base = OracleInstance(correctness=correctness, costs=costs, budget=top)
-    units, top_units, res = scale_costs(base.costs, top)
-    _check_feasible(base, units, top_units)
-    t = base.num_instances
-    cap = min(top_units, t * int(units.max()))
-    dp, _ = _forward_dp(base.correctness, units, cap)
-    running = np.maximum.accumulate(dp)
-    out = []
-    for b in budgets:
-        bu = min(int(np.floor(b / res + 1e-9)), cap)
-        if t * int(units.min()) > bu:
-            raise InfeasibleBudget(
-                f"budget {b:.6g} cannot cover the cheapest head for all instances"
-            )
-        best = int(running[bu])
-        first = int(np.searchsorted(running, best, side="left"))
-        out.append((best / t, first * res))
-    return out
-
-
-def oracle_greedy(instance: OracleInstance) -> OracleResult:
-    """Cheapest-start greedy: apply the best gain-per-cost upgrade while it fits.
-
-    A baseline, not an optimum: its accuracy is at most `oracle_exact`'s.
-    Uses at-most semantics regardless of the instance's mode.
-    """
-    costs = instance.costs
-    corr = instance.correctness
-    t, m = corr.shape
-    start = int(np.argmin(costs))
-    remaining = instance.budget - t * float(costs[start])
-    if remaining < -1e-12 * max(1.0, instance.budget):
-        raise InfeasibleBudget(
-            f"budget {instance.budget:.6g} cannot cover the cheapest head for "
-            f"all {t} instances"
-        )
-    current = np.full(t, start, dtype=np.int64)
-
-    def best_option(i: int, max_cost: float):
-        cur = current[i]
-        best = None
-        for head in range(m):
-            dc = float(costs[head] - costs[cur])
-            gain = int(corr[i, head]) - int(corr[i, cur])
-            if dc <= 0.0 or gain <= 0 or dc > max_cost:
-                continue
-            key = (-gain / dc, dc, i, head)
-            if best is None or key < best:
-                best = key
-        return best
-
-    heap = []
-    for i in range(t):
-        opt = best_option(i, np.inf)
-        if opt is not None:
-            heap.append(opt)
-    heapq.heapify(heap)
-    while heap:
-        neg_ratio, dc, i, head = heapq.heappop(heap)
-        cur = current[i]
-        if head <= cur or costs[head] <= costs[cur]:
-            continue  # stale: the instance moved past this option
-        real_dc = float(costs[head] - costs[cur])
-        gain = int(corr[i, head]) - int(corr[i, cur])
-        if gain <= 0:
-            continue
-        if abs(real_dc - dc) > 1e-12 * max(1.0, real_dc):
-            opt = best_option(i, remaining)
-            if opt is not None:
-                heapq.heappush(heap, opt)
-            continue
-        if real_dc > remaining:
-            opt = best_option(i, remaining)
-            if opt is not None and opt != (neg_ratio, dc, i, head):
-                heapq.heappush(heap, opt)
-            continue
-        remaining -= real_dc
-        current[i] = head
-        opt = best_option(i, remaining)
-        if opt is not None:
-            heapq.heappush(heap, opt)
-
-    correct = int(corr[np.arange(t), current].sum())
-    return OracleResult(
-        assignment=current + 1,
-        accuracy=correct / t,
-        cost=float(costs[current].sum()),
+    instance = OracleInstance(
+        correctness=correctness, costs=costs, budget=float(budgets.max())
     )
+    base, target, ranked, counts = _solve(instance, budgets)
+    out = []
+    for k in counts:
+        res = _result(instance, base, target, ranked[:k])
+        out.append((res.accuracy, res.cost))
+    return out

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .errors import InvalidSpec
 
 SCORE_KINDS = ("max_prob", "breaking_ties", "neg_entropy")
 
@@ -43,11 +44,11 @@ class ScoreSpec:
 
     def __post_init__(self):
         if self.kind not in SCORE_KINDS:
-            raise ValueError(
+            raise InvalidSpec(
                 f"unknown score kind {self.kind!r}, expected one of {SCORE_KINDS}"
             )
         if not (float(self.jitter_u) >= 0.0):
-            raise ValueError(f"jitter width must be >= 0, got {self.jitter_u}")
+            raise InvalidSpec(f"jitter width must be >= 0, got {self.jitter_u}")
         object.__setattr__(self, "jitter_u", float(self.jitter_u))
         object.__setattr__(self, "seed", int(self.seed))
 

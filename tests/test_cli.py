@@ -1,11 +1,14 @@
 """Command line behavior: pipeline wiring, exit codes, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from eero.cli import main
+from eero.io import load_manifest
+from eero.oracle import build_correctness
 
 SPEC = {
     "seed": 3,
@@ -130,24 +133,37 @@ def test_oracle_exit_codes(dataset, tmp_path):
     rc = main(["oracle", "--data", str(dataset), "--budget", "10", "--out", str(out)])
     assert rc == 4
 
-    rc = main([
-        "oracle", "--data", str(dataset), "--budget", "800",
-        "--resolution", "1e-9", "--out", str(out),
-    ])
-    assert rc == 6
+    rc = main(["oracle", "--data", str(dataset), "--budget", "800",
+               "--mode", "at-most", "--out", str(out)])
+    assert rc == 0
+
+    # at-most is the only mode, and these flags are not options
+    for extra in (["--mode", "exact"], ["--fast"], ["--resolution", "1e-9"]):
+        with pytest.raises(SystemExit) as e:
+            main(["oracle", "--data", str(dataset), "--budget", "800",
+                  "--out", str(out)] + extra)
+        assert e.value.code == 2
 
 
-def test_oracle_fast_never_beats_exact(dataset, tmp_path):
-    exact = tmp_path / "e.json"
-    fast = tmp_path / "f.json"
+def test_oracle_cli_matches_sort_reference(dataset, tmp_path):
+    # cheapest correct head per instance, smallest raises first
+    ds = load_manifest(dataset)
+    test = ds.split("test")
+    corr = build_correctness(test.bank, test.labels)
+    costs = test.bank.budgets
+    t = corr.shape[0]
+    raisable = corr.any(axis=1)
+    raises = np.sort(costs[np.argmax(corr[raisable], axis=1)] - costs[0])
+    out = tmp_path / "o.json"
     for budget in ("500", "900", "1200"):
         assert main(["oracle", "--data", str(dataset), "--budget", budget,
-                     "--out", str(exact)]) == 0
-        assert main(["oracle", "--data", str(dataset), "--budget", budget,
-                     "--fast", "--out", str(fast)]) == 0
-        e = json.loads(exact.read_text())
-        f = json.loads(fast.read_text())
-        assert f["accuracy"] <= e["accuracy"] + 1e-12
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        k = int(np.sum(t * costs[0] + np.cumsum(raises) <= float(budget)))
+        assert doc["accuracy"] == k / t
+        assignment = np.asarray(doc["assignment"]) - 1
+        assert doc["consumed_budget"] == math.fsum(costs[assignment])
+        assert doc["consumed_budget"] <= float(budget)
 
 
 def test_policy_bytes_deterministic(dataset, tmp_path):
@@ -184,7 +200,7 @@ def test_sweep_schema_and_sources(dataset, tmp_path):
     out = tmp_path / "sweep.csv"
     rc = main([
         "sweep", "--data", str(dataset), "--budgets", "500,800,1200",
-        "--out", str(out), "--jobs", "2",
+        "--out", str(out),
     ])
     assert rc == 0
     lines = out.read_text().splitlines()
@@ -235,3 +251,27 @@ def test_help_lists_flags(capsys):
         assert e.value.code == 0
         text = capsys.readouterr().out
         assert "--out" in text
+
+
+@pytest.mark.parametrize(
+    "argv, risk, code",
+    [
+        (["oracle", "--budget", "-3"], None, 2),
+        (["sweep", "--budgets", "500,800", "--jitter", "-1"], None, 2),
+        (["calibrate", "--budget", "800", "--beta", "-1"], None, 2),
+        (["calibrate", "--budget", "-800"], None, 2),
+        (["calibrate", "--budget", "800"], 2.0, 3),
+        (["calibrate", "--budget", "800"], "high", 3),
+    ],
+)
+def test_invalid_input_exits_with_one_line_error(dataset, tmp_path, capsys, argv, risk, code):
+    if risk is not None:  # a manifest risk outside [0, 1] or not a number
+        manifest = dataset / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["splits"]["train"]["heads"][0]["risk"] = risk
+        manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(argv[:1] + ["--data", str(dataset), "--out", str(tmp_path / "out")] + argv[1:])
+    assert rc == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,25 +1,25 @@
 """Budget-constrained optimal head assignment.
 
 The reference oracle enumerates every assignment (base-M integer
-decoding), so it shares no code with the dynamic program under test."""
+decoding), so it shares no code with the sort-based solver under test."""
+
+import math
 
 import numpy as np
 import pytest
 
-from eero.errors import InfeasibleBudget, ResolutionTooCoarse
+from eero.errors import InfeasibleBudget, InvalidSpec
 from eero.oracle import (
     OracleInstance,
     build_correctness,
     oracle_curve,
     oracle_exact,
-    oracle_greedy,
-    scale_costs,
 )
 from eero.scoring import ScoreSpec
 from conftest import random_bank
 
 
-def enumerate_best(correctness, costs, budget, mode="at_most_budget", tol=1e-9):
+def enumerate_best(correctness, costs, budget):
     """Try all M^T assignments; return (best accuracy, its minimal cost)."""
     t, m = correctness.shape
     best_correct = -1
@@ -33,16 +33,25 @@ def enumerate_best(correctness, costs, budget, mode="at_most_budget", tol=1e-9):
             c //= m
             correct += int(correctness[i, h])
             cost += costs[h]
-        if mode == "exact_budget":
-            feasible = abs(cost - budget) <= tol * max(1.0, budget)
-        else:
-            feasible = cost <= budget * (1.0 + 1e-12)
+        feasible = cost <= budget * (1.0 + 1e-12)
         if feasible and (correct > best_correct or (correct == best_correct and cost < best_cost)):
             best_correct = correct
             best_cost = cost
     if best_correct < 0:
         return None
     return best_correct / t, best_cost
+
+
+def assert_matches_enumeration(corr, costs, budget):
+    res = oracle_exact(OracleInstance(correctness=corr, costs=costs, budget=budget))
+    expect = enumerate_best(corr, costs, budget)
+    assert res.accuracy == pytest.approx(expect[0], abs=1e-12)
+    assert res.cost == pytest.approx(expect[1], rel=1e-9)
+    # the assignment recomputes to the reported numbers
+    a = res.assignment - 1
+    assert np.mean(corr[np.arange(corr.shape[0]), a]) == res.accuracy
+    assert math.fsum(costs[a]) == res.cost
+    return res
 
 
 def test_hand_case_two_instances():
@@ -85,115 +94,90 @@ def test_infeasible_budget():
         oracle_exact(OracleInstance(correctness=corr, costs=np.array([1.0, 2.0]),
                                     budget=2.5, mode="at_most_budget"))
     with pytest.raises(InfeasibleBudget):
-        oracle_greedy(OracleInstance(correctness=corr, costs=np.array([1.0, 2.0]),
-                                     budget=2.5, mode="at_most_budget"))
+        oracle_curve(corr, np.array([1.0, 2.0]), np.array([2.5, 6.0]))
 
 
-def test_exact_mode_requires_attainable_total():
+def test_only_at_most_mode_and_positive_inputs():
     corr = np.array([[1, 0], [0, 1]], dtype=bool)
     costs = np.array([1.0, 2.0])
-    # attainable totals: 2, 3, 4
-    res = oracle_exact(OracleInstance(correctness=corr, costs=costs, budget=3.0,
-                                      mode="exact_budget"))
-    assert res.cost == 3.0
-    with pytest.raises(InfeasibleBudget):
-        oracle_exact(OracleInstance(correctness=corr, costs=costs, budget=3.5,
-                                    mode="exact_budget"))
+    with pytest.raises(InvalidSpec):
+        OracleInstance(correctness=corr, costs=costs, budget=3.0, mode="exact_budget")
+    with pytest.raises(ValueError):  # InvalidSpec is also a ValueError
+        OracleInstance(correctness=corr, costs=costs, budget=-3.0)
+    with pytest.raises(InvalidSpec):
+        OracleInstance(correctness=corr, costs=np.array([0.0, 2.0]), budget=3.0)
 
 
-def test_exact_mode_matches_enumeration(rng):
-    for _ in range(40):
-        t = int(rng.integers(1, 7))
-        m = int(rng.integers(2, 4))
-        corr = rng.random((t, m)) < 0.5
-        costs = np.cumsum(rng.integers(1, 4, size=m)).astype(float)
-        # pick an attainable total so feasibility is guaranteed
-        target = float(costs[rng.integers(0, m, size=t)].sum())
-        inst = OracleInstance(correctness=corr, costs=costs, budget=target,
-                              mode="exact_budget")
-        res = oracle_exact(inst)
-        expect = enumerate_best(corr, costs, target, mode="exact_budget")
-        assert expect is not None
-        assert res.accuracy == pytest.approx(expect[0], abs=1e-12)
-        assert res.cost == pytest.approx(target, rel=1e-9)
+def test_decimal_costs_report_exact_cost():
+    # 3 * 1.6 + 2 * 1.0 is 6.8 in decimal but rounds above 6.8 in binary;
+    # the budget still admits it, and the cost is the assignment's fsum
+    corr = np.array([[0, 1, 1], [0, 1, 0], [0, 1, 0], [1, 0, 0], [1, 1, 1]], dtype=bool)
+    costs = np.array([1.0, 1.6, 2.4])
+    res = assert_matches_enumeration(corr, costs, 6.8)
+    assert res.accuracy == 1.0
+    assert np.array_equal(res.assignment, [2, 2, 2, 1, 1])
+    assert res.cost == math.fsum([1.6, 1.6, 1.6, 1.0, 1.0])
 
 
-def test_scale_costs_decimal_exact():
-    units, budget_units, res = scale_costs(np.array([1.0, 1.6, 2.4]), 10.0)
-    assert np.array_equal(units, [5, 8, 12])
-    assert res == pytest.approx(0.2, rel=1e-12)
-    assert budget_units == 50
-    # integer costs stay as they are
-    units, budget_units, res = scale_costs(np.array([2.0, 4.0, 6.0]), 9.0)
-    assert np.array_equal(units, [1, 2, 3])
-    assert res == pytest.approx(2.0, rel=1e-12)
-    assert budget_units == 4  # floor(9/2)
-
-
-def test_scale_costs_fallback_for_irrational():
-    costs = np.array([np.pi, 2 * np.pi])
-    units, budget_units, res = scale_costs(costs, 100.0)
-    assert res == pytest.approx(100.0 / 10**5, rel=1e-12)
-    # rounding up preserves feasibility: unit costs never understate
-    assert np.all(units * res >= costs - 1e-9)
-
-
-def test_explicit_resolution_too_coarse():
-    costs = np.array([1.0, 2.0])
-    with pytest.raises(ResolutionTooCoarse):
-        scale_costs(costs, 10.0, resolution=1e-7)  # over the unit cap
-
-
-def test_resolution_rounding_keeps_feasibility():
-    costs = np.array([1.05, 2.0])
-    units, budget_units, res = scale_costs(costs, 4.2, resolution=0.5)
-    # 1.05 rounds UP to 3 units of 0.5
-    assert np.array_equal(units, [3, 4])
-    assert budget_units == 8
+def test_fine_cost_gaps_need_no_grid():
+    # a 1e-9 cost gap would need 1e9 units on any decimal cost grid
+    corr = np.array([[0, 1, 1], [0, 1, 1], [0, 1, 1], [0, 0, 1]], dtype=bool)
+    costs = np.array([1.0, 1.0 + 1e-9, 5.0])
+    res = assert_matches_enumeration(corr, costs, 4.0 + 2.5e-9)
+    assert np.array_equal(res.assignment, [2, 2, 1, 1])
+    assert res.accuracy == 0.5
 
 
 def test_dp_matches_enumeration_random(rng):
-    for _ in range(60):
+    for trial in range(90):
         t = int(rng.integers(1, 8))
         m = int(rng.integers(2, 5))
         corr = rng.random((t, m)) < rng.uniform(0.2, 0.8)
-        costs = np.sort(rng.uniform(0.5, 3.0, size=m))
-        costs += np.arange(m) * 1e-3  # enforce strict increase
-        budget = float(rng.uniform(t * costs[0], t * costs[-1] * 1.1))
-        inst = OracleInstance(correctness=corr, costs=costs, budget=budget,
-                              mode="at_most_budget")
-        res = oracle_exact(inst)
-        expect = enumerate_best(corr, costs, budget)
-        assert res.accuracy == pytest.approx(expect[0], abs=1e-12)
+        steps = np.cumsum(rng.integers(1, 5, size=m)).astype(float)
+        if trial % 3 == 0:
+            costs = np.sort(rng.uniform(0.5, 3.0, size=m))
+            costs += np.arange(m) * 1e-3  # enforce strict increase
+        elif trial % 3 == 1:
+            costs = steps
+        else:
+            # non-decimal costs: no decimal grid represents them exactly
+            costs = np.pi * steps
+        if trial % 2:
+            # a total some assignment attains exactly
+            budget = float(costs[rng.integers(0, m, size=t)].sum())
+        else:
+            budget = float(rng.uniform(t * costs[0], t * costs[-1] * 1.1))
+        res = assert_matches_enumeration(corr, costs, budget)
         assert res.cost <= budget * (1.0 + 1e-9)
-        # assignment recomputes to the reported numbers; reported cost
-        # sits on the rounding grid, at or above the true cost
-        a = res.assignment - 1
-        assert np.mean(corr[np.arange(t), a]) == pytest.approx(res.accuracy)
-        true_cost = costs[a].sum()
-        assert true_cost <= res.cost * (1.0 + 1e-12) + 1e-12
-        assert res.cost - true_cost <= t * 1e-4 * max(1.0, budget)
 
 
-def test_greedy_never_beats_exact(rng):
-    for _ in range(60):
-        t = int(rng.integers(1, 10))
-        m = int(rng.integers(2, 5))
-        corr = rng.random((t, m)) < 0.5
-        costs = np.sort(rng.uniform(0.5, 3.0, size=m))
-        costs += np.arange(m) * 1e-3
-        budget = float(rng.uniform(t * costs[0], t * costs[-1]))
-        inst = OracleInstance(correctness=corr, costs=costs, budget=budget,
-                              mode="at_most_budget")
-        g = oracle_greedy(inst)
-        e = oracle_exact(inst)
-        assert g.accuracy <= e.accuracy + 1e-12
-        assert g.cost <= budget * (1.0 + 1e-9)
+def test_canonical_tie_break():
+    # heads 2 and 3 tie on cost; instances 0-2 all have raise 1.0
+    corr = np.array(
+        [
+            [0, 0, 1, 0],
+            [0, 1, 1, 0],
+            [0, 0, 1, 1],
+            [0, 0, 0, 1],
+            [0, 0, 0, 0],
+        ],
+        dtype=bool,
+    )
+    costs = np.array([1.0, 2.0, 2.0, 3.0])
+    res = assert_matches_enumeration(corr, costs, 7.0)
+    # the earliest equal raises win; in the cost tie the lower index wins
+    assert np.array_equal(res.assignment, [3, 2, 1, 1, 1])
+    assert res.cost == 7.0
+    # a cost tie at the cheapest head: a correct twin costs no raise, and
+    # an instance no head gets right stays at the lower index
+    corr = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 1]], dtype=bool)
+    costs = np.array([1.0, 1.0, 2.0])
+    res = assert_matches_enumeration(corr, costs, 3.0)
+    assert np.array_equal(res.assignment, [2, 1, 1])
 
 
-def test_greedy_suboptimal_on_crafted_case():
-    # ratio-greedy prefers the cheap +1 upgrade on instance 0 and strands
-    # the budget needed for the big joint gain on instances 1 and 2
+def test_crafted_case_matches_enumeration():
+    # a cheap +1 raise on instance 0 next to dearer raises on 1 and 2
     corr = np.array(
         [
             [0, 1, 1],
@@ -203,14 +187,23 @@ def test_greedy_suboptimal_on_crafted_case():
         dtype=bool,
     )
     costs = np.array([1.0, 1.5, 4.0])
-    budget = 9.0
-    inst = OracleInstance(correctness=corr, costs=costs, budget=budget,
-                          mode="at_most_budget")
-    e = oracle_exact(inst)
-    g = oracle_greedy(inst)
-    expect = enumerate_best(corr, costs, budget)
-    assert e.accuracy == pytest.approx(expect[0])
-    assert g.accuracy <= e.accuracy
+    res = assert_matches_enumeration(corr, costs, 9.0)
+    assert np.array_equal(res.assignment, [2, 3, 1])
+    assert res.accuracy == pytest.approx(2 / 3)
+    assert res.cost == 6.5
+
+
+def test_curve_matches_enumeration(rng):
+    for _ in range(20):
+        t = int(rng.integers(1, 6))
+        m = int(rng.integers(2, 4))
+        corr = rng.random((t, m)) < 0.5
+        costs = np.pi * np.cumsum(rng.integers(1, 4, size=m))
+        budgets = np.linspace(t * costs[0], t * costs[-1], 7)
+        for (acc, consumed), b in zip(oracle_curve(corr, costs, budgets), budgets):
+            expect = enumerate_best(corr, costs, b)
+            assert acc == pytest.approx(expect[0], abs=1e-12)
+            assert consumed == pytest.approx(expect[1], rel=1e-9)
 
 
 def test_oracle_monotone_in_budget(rng):
@@ -257,17 +250,27 @@ def test_build_correctness_conventions(rng):
     assert np.mean(corr_j != corr) < 0.05
 
 
-def test_checkpointed_backtrack_long_instance(rng):
-    # large T exercises the checkpoint replay path
+def test_long_instance_exchange_optimal(rng):
+    # too large to enumerate: check the exchange argument instead
     t, m = 5_000, 4
     corr = rng.random((t, m)) < np.linspace(0.5, 0.85, m)
     costs = np.array([1.0, 1.6, 2.4, 3.4])
     budget = t * 2.0
-    inst = OracleInstance(correctness=corr, costs=costs, budget=budget,
-                          mode="at_most_budget")
-    res = oracle_exact(inst)
+    res = oracle_exact(OracleInstance(correctness=corr, costs=costs, budget=budget))
     a = res.assignment - 1
-    assert costs[a].sum() <= budget * (1.0 + 1e-9)
-    assert np.mean(corr[np.arange(t), a]) == pytest.approx(res.accuracy)
-    g = oracle_greedy(inst)
-    assert g.accuracy <= res.accuracy + 1e-12
+    raisable = corr.any(axis=1)
+    first = np.argmax(corr, axis=1)
+    raises = costs[first] - costs[0]
+    raised = a != 0
+    # raised instances go to their cheapest correct head, the rest stay cheap
+    assert np.array_equal(a[raised], first[raised])
+    correct_here = corr[np.arange(t), a]
+    assert np.array_equal(correct_here, raised | corr[:, 0])
+    left = raisable & ~correct_here
+    # no cheaper raise was skipped, and the next one does not fit
+    if left.any() and raised.any():
+        assert raises[raised].max() <= raises[left].min()
+    assert res.cost <= budget
+    if left.any():
+        assert res.cost + raises[left].min() > budget
+    assert res.accuracy == np.mean(correct_here)
