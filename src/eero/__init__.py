@@ -74,10 +74,7 @@ from .scoring import (
     DEFAULT_JITTER,
     SCORE_KINDS,
     ScoreSpec,
-    head_predict,
-    head_score,
     jitter_matrix,
-    jitter_row,
     predict_matrix,
     score_matrix,
 )
@@ -134,11 +131,8 @@ __all__ = [
     "default_spec",
     "generate",
     "gibbs_epsilons",
-    "head_predict",
-    "head_score",
     "iter_classify",
     "jitter_matrix",
-    "jitter_row",
     "load_manifest",
     "load_policy",
     "measure_budget",

@@ -8,7 +8,7 @@ optimal assignment, and `sweep` traces accuracy against budget for the
 policy, the oracle and every fixed head.
 
 Exit codes are stable: 0 success, 2 usage or invalid argument or
-generator spec, 3 unreadable/invalid data files, 4 infeasible budget,
+generator spec, 3 unreadable/invalid data or policy files, 4 infeasible budget,
 5 policy/bank mismatch.  Code 6 (cost resolution too coarse) is retired:
 the oracle no longer rounds costs to a grid, and the code is not reused.
 """
@@ -43,7 +43,13 @@ from .errors import (
     ScoreSpecMismatch,
 )
 from .inference import classify_batch, measure_budget
-from .oracle import OracleInstance, build_correctness, oracle_curve, oracle_exact
+from .oracle import (
+    BUDGET_RTOL,
+    OracleInstance,
+    build_correctness,
+    oracle_curve,
+    oracle_exact,
+)
 from .scoring import SCORE_KINDS, DEFAULT_JITTER, ScoreSpec
 from .synth import SynthSpec, generate
 
@@ -297,7 +303,8 @@ def cmd_sweep(args) -> int:
                 "budget": total,
                 "accuracy": acc,
                 "consumed": consumed,
-                "within_budget": consumed <= total,
+                # the oracle's own admission test: decimal-exact totals count
+                "within_budget": consumed <= total * (1.0 + BUDGET_RTOL),
                 "source": "oracle",
             }
         )

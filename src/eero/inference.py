@@ -7,11 +7,14 @@ charged the exit head's cumulative budget and nothing else: costs of
 the heads it merely passed through are already inside that cumulative
 number, and heads it never reached cost nothing.
 
-`classify_batch` evaluates all heads vectorized and scans precomputed
-scores, which is semantically identical to the lazy per-head loop that
-`iter_classify` keeps for streaming use.  Scores are counter-based, so
-both paths (and any parallel split of the batch) produce bit-identical
-results.
+One cascade kernel, `_route`, does all routing, and its work follows the
+same cost model: head l is jittered and scored only on the instances
+still alive after heads 1..l-1, and argmax predictions are taken only
+for the instances that leave at head l.  `classify_batch` runs it once
+over the whole bank; `iter_classify` runs it over one-instance windows
+so each decision is ready as soon as its own heads are scored.  Jitter
+is counter-based, keyed by instance and head, so any window of the bank
+gets bit-identical decisions.
 """
 
 from __future__ import annotations
@@ -22,16 +25,7 @@ import numpy as np
 
 from .domain import BatchResult, BudgetSpec, ExitPolicy, HeadBank, _set
 from .errors import HeadCountMismatch, LabelLengthMismatch, ScoreSpecMismatch
-from .scoring import (
-    TEST_KEY_BASE,
-    ScoreSpec,
-    head_predict,
-    head_score,
-    jitter_matrix,
-    jitter_row,
-    predict_matrix,
-    score_matrix,
-)
+from .scoring import TEST_KEY_BASE, ScoreSpec, jitter_matrix, predict_matrix, score_matrix
 
 
 def _resolve_spec(policy: ExitPolicy, spec: ScoreSpec | None) -> ScoreSpec:
@@ -43,6 +37,37 @@ def _resolve_spec(policy: ExitPolicy, spec: ScoreSpec | None) -> ScoreSpec:
             f"scoring config {spec} differs from the calibrated one {pinned}"
         )
     return pinned
+
+
+def _route(
+    bank: HeadBank, policy: ExitPolicy, spec: ScoreSpec, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cascade rows [lo, hi) of a bank through the policy.
+
+    Returns the 0-based exit head and 0-based prediction of each row.
+    `alive` holds the window offsets of the rows that no head has
+    classified yet; the walk stops as soon as it is empty.
+    """
+    m = bank.num_heads
+    exits = np.empty(hi - lo, dtype=np.int64)
+    preds = np.empty(hi - lo, dtype=np.int64)
+    alive = np.arange(hi - lo)
+    for head in range(m):
+        rows = lo + alive
+        jittered = jitter_matrix(bank.heads[head].probs[rows], head, TEST_KEY_BASE + rows, spec)
+        if head == m - 1:  # final head takes whatever remains
+            exits[alive] = head
+            preds[alive] = predict_matrix(jittered)
+            break
+        leave = score_matrix(jittered, spec.kind) >= policy.thresholds[head]
+        out = alive[leave]
+        if out.size:
+            exits[out] = head
+            preds[out] = predict_matrix(jittered[leave])
+            alive = alive[~leave]
+            if alive.size == 0:
+                break
+    return exits, preds
 
 
 def classify_batch(
@@ -72,20 +97,7 @@ def classify_batch(
                 f"{labels.shape[0] if labels.ndim else 'scalar'} labels for {n} instances"
             )
 
-    keys = TEST_KEY_BASE + np.arange(n, dtype=np.uint64)
-    scores = np.empty((n, m), dtype=np.float64)
-    preds = np.empty((n, m), dtype=np.int64)
-    for head in range(m):
-        jittered = jitter_matrix(bank.heads[head].probs, head, keys, spec)
-        scores[:, head] = score_matrix(jittered, spec.kind)
-        preds[:, head] = predict_matrix(jittered)
-
-    classify = scores >= policy.thresholds[None, :]
-    classify[:, m - 1] = True  # final head takes whatever remains
-    exit_head = np.argmax(classify, axis=1)  # first head clearing its threshold
-
-    rows = np.arange(n)
-    chosen = preds[rows, exit_head]
+    exit_head, chosen = _route(bank, policy, spec, 0, n)
     costs = bank.budgets[exit_head]
     proportions = np.bincount(exit_head, minlength=m).astype(np.float64) / n
     accuracy = None if labels is None else float(np.mean(chosen == labels))
@@ -102,24 +114,18 @@ def classify_batch(
 def iter_classify(bank: HeadBank, policy: ExitPolicy, spec: ScoreSpec | None = None):
     """Lazy per-instance routing; yields (exit_head, prediction, cost).
 
-    Head and class indices are 1-based, matching `BatchResult`.  Later
-    heads of an instance are never scored once it exits, which is the
-    behaviour wanted when head outputs are produced on demand.
+    Head and class indices are 1-based, matching `BatchResult`.  Each
+    decision is the cascade kernel on a one-instance window, so later
+    heads of an instance are never scored once it exits.
     """
     if policy.num_heads != bank.num_heads:
         raise HeadCountMismatch(
             f"policy built for {policy.num_heads} heads, bank has {bank.num_heads}"
         )
     spec = _resolve_spec(policy, spec)
-    m = bank.num_heads
     for i in range(bank.num_instances):
-        key = TEST_KEY_BASE + i
-        for head in range(m):
-            row = jitter_row(bank.heads[head].probs[i], head, key, spec)
-            last = head == m - 1
-            if last or head_score(row, spec.kind) >= policy.thresholds[head]:
-                yield head + 1, head_predict(row) + 1, bank.heads[head].budget_gflops
-                break
+        (head,), (pred,) = _route(bank, policy, spec, i, i + 1)
+        yield int(head) + 1, int(pred) + 1, bank.heads[head].budget_gflops
 
 
 @dataclass(frozen=True)

@@ -34,10 +34,10 @@ from .domain import (
     HeadBank,
     HeadSlice,
 )
-from .errors import MissingLabels, ParseError
+from .errors import MissingLabels, ParseError, ShapeMismatch
 from .inference import BudgetReport
 from .oracle import OracleResult
-from .scoring import predict_matrix
+from .scoring import ScoreSpec, predict_matrix
 from .synth import SynthData
 
 MANIFEST_NAME = "manifest.json"
@@ -487,7 +487,7 @@ def policy_to_dict(
 
 
 def policy_from_dict(doc: dict) -> ExitPolicy:
-    return ExitPolicy(
+    policy = ExitPolicy(
         score_kind=doc["score_kind"],
         jitter_u=float(doc["jitter_u"]),
         seed=int(doc["seed"]),
@@ -495,6 +495,9 @@ def policy_from_dict(doc: dict) -> ExitPolicy:
         thresholds=np.asarray(doc["thresholds"], dtype=np.float64),
         calibration_size=int(doc["calibration_size"]),
     )
+    # the pinned scoring configuration must itself be valid
+    ScoreSpec(kind=policy.score_kind, jitter_u=policy.jitter_u, seed=policy.seed)
+    return policy
 
 
 def save_policy(
@@ -514,7 +517,8 @@ def load_policy(path) -> tuple[ExitPolicy, dict]:
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
         policy = policy_from_dict(doc)
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError, ShapeMismatch) as e:
+        # ValueError covers bad JSON and the policy's own validators
         raise ParseError(f"not a policy document: {e}", file=str(path)) from None
     return policy, doc
 

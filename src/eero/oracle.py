@@ -31,7 +31,7 @@ ORACLE_MODES = ("at_most_budget",)
 
 # relative slack on the budget, so that a total which meets the budget
 # exactly in decimal arithmetic is not lost to binary rounding
-_BUDGET_RTOL = 1e-12
+BUDGET_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def _solve(instance: OracleInstance, budgets: np.ndarray):
     raises = costs[target] - costs[base]
     raisable = np.flatnonzero(ordered.any(axis=1))
     ranked = raisable[np.argsort(raises[raisable], kind="stable")]
-    spare = budgets * (1.0 + _BUDGET_RTOL) - t * costs[base]
+    spare = budgets * (1.0 + BUDGET_RTOL) - t * costs[base]
     if np.any(spare < 0.0):
         short = float(budgets[np.argmax(spare < 0.0)])
         raise InfeasibleBudget(

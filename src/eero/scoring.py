@@ -72,16 +72,6 @@ def jitter_matrix(
     return probs + spec.jitter_u * u
 
 
-def jitter_row(
-    probs: np.ndarray, head: int, instance: int, spec: ScoreSpec
-) -> np.ndarray:
-    """Row form of `jitter_matrix`; identical draws for identical keys."""
-    row = np.asarray(probs, dtype=np.float64)
-    if row.ndim != 1:
-        raise ValueError("jitter_row expects a K-vector")
-    return jitter_matrix(row[None, :], head, np.array([instance]), spec)[0]
-
-
 def score_matrix(jittered: np.ndarray, kind: str) -> np.ndarray:
     """Per-row confidence score; higher always means more confident."""
     q = np.asarray(jittered, dtype=np.float64)
@@ -98,16 +88,7 @@ def score_matrix(jittered: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown score kind {kind!r}")
 
 
-def head_score(jittered: np.ndarray, kind: str) -> float:
-    """Confidence score of one (jittered) probability row."""
-    return float(score_matrix(np.asarray(jittered)[None, :], kind)[0])
-
-
 def predict_matrix(jittered: np.ndarray) -> np.ndarray:
     """Per-row argmax class (0-based); ties go to the lowest index."""
     return np.argmax(np.asarray(jittered), axis=1)
 
-
-def head_predict(jittered: np.ndarray) -> int:
-    """Argmax class (0-based) of one row; ties go to the lowest index."""
-    return int(np.argmax(np.asarray(jittered)))

@@ -194,7 +194,7 @@ def test_criterion_4_single_head_identity(capsys):
     )
 
 
-def _enumerate_accuracy(corr, unit_costs, budget_units, chunk=1 << 20):
+def _decode_accuracy(corr, unit_costs, budget_units, chunk=1 << 20):
     """Best fraction correct over all assignments, by base-M decoding."""
     t, m = corr.shape
     corr_i = corr.astype(np.int32)
@@ -214,6 +214,52 @@ def _enumerate_accuracy(corr, unit_costs, budget_units, chunk=1 << 20):
         if feas.any():
             best = max(best, int(n_correct[feas].max()))
     return None if best < 0 else best / t
+
+
+def _all_assignments(corr, unit_costs):
+    """Cost and number correct of every assignment of `corr`'s rows."""
+    cost = np.zeros(1, dtype=np.int64)
+    n_correct = np.zeros(1, dtype=np.int32)
+    for row in corr.astype(np.int32):
+        cost = (cost[:, None] + unit_costs[None, :]).ravel()
+        n_correct = (n_correct[:, None] + row[None, :]).ravel()
+    return cost, n_correct
+
+
+def _enumerate_accuracy(corr, unit_costs, budget_units):
+    """Best fraction correct over all assignments, by meet in the middle.
+
+    Every assignment of the first half of the instances is paired with
+    the best-scoring assignment of the second half that fits the rest of
+    the budget: the second half's assignments are sorted by cost with a
+    running maximum of correct answers, and one `searchsorted` finds the
+    dearest one that fits.  Exact, and m**(t/2) work instead of m**t.
+    """
+    t = corr.shape[0]
+    cost_a, correct_a = _all_assignments(corr[: t // 2], unit_costs)
+    cost_b, correct_b = _all_assignments(corr[t // 2 :], unit_costs)
+    order = np.argsort(cost_b, kind="stable")
+    cost_b = cost_b[order]
+    best_b = np.maximum.accumulate(correct_b[order])
+    k = np.searchsorted(cost_b, budget_units - cost_a, side="right") - 1
+    fits = k >= 0
+    if not fits.any():
+        return None
+    return int((correct_a[fits] + best_b[k[fits]]).max()) / t
+
+
+def test_meet_in_the_middle_equals_full_decode():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        t = int(rng.integers(1, 9))
+        m = int(rng.integers(2, 5))
+        corr = rng.random((t, m)) < rng.uniform(0.1, 0.9)
+        unit_costs = np.cumsum(rng.integers(1, 5, size=m)).astype(np.int64)
+        # from below the cheapest total (infeasible) to above the dearest
+        budget = int(rng.integers(t * unit_costs[0] - 2, t * unit_costs[-1] + 2))
+        assert _enumerate_accuracy(corr, unit_costs, budget) == _decode_accuracy(
+            corr, unit_costs, budget
+        )
 
 
 def test_criterion_5_oracle_exactness(capsys):

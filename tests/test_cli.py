@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from eero.cli import main
-from eero.io import load_manifest
+from eero.domain import HeadBank, HeadSlice
+from eero.io import Dataset, Split, load_manifest, write_dataset
 from eero.oracle import build_correctness
 
 SPEC = {
@@ -122,6 +123,35 @@ def test_infer_mismatched_policy_exit_5(dataset, tmp_path):
     assert rc == 5
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seq_rates", lambda v: [1.5] + v[1:]),  # rates must be non-decreasing in [0, 1]
+        ("thresholds", lambda v: v[:1]),  # one threshold for three heads
+        ("score_kind", lambda v: "softmax_margin"),
+    ],
+    ids=["bad_seq_rates", "short_thresholds", "unknown_score_kind"],
+)
+def test_infer_malformed_policy_exit_3(dataset, tmp_path, capsys, field, value):
+    policy = tmp_path / "policy.json"
+    assert main([
+        "calibrate", "--data", str(dataset), "--budget", "800", "--out", str(policy),
+    ]) == 0
+    doc = json.loads(policy.read_text())
+    doc[field] = value(doc[field])
+    policy.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main([
+        "infer", "--data", str(dataset), "--policy", str(policy),
+        "--out", str(tmp_path / "r.json"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: not a policy document") and err.count("\n") == 1
+    assert str(policy) in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_oracle_exit_codes(dataset, tmp_path):
     out = tmp_path / "oracle.json"
     rc = main(["oracle", "--data", str(dataset), "--budget", "800", "--out", str(out)])
@@ -211,12 +241,38 @@ def test_sweep_schema_and_sources(dataset, tmp_path):
     assert sources[: m + 2] == ["eero", "oracle"] + [f"head_{i+1}" for i in range(m)]
     for ln in lines[1:]:
         budget, accuracy, consumed, within, source = ln.split(",")
-        assert within == ("true" if float(consumed) <= float(budget) else "false")
         if source == "oracle":
+            # the oracle admits totals within a relative 1e-12 of the budget
             assert within == "true"
+            assert float(consumed) <= float(budget) * (1.0 + 1e-12)
+        else:
+            assert within == ("true" if float(consumed) <= float(budget) else "false")
         if source == "eero":
             # small calibration set here: allow the 1/sqrt(N) fluctuation band
             assert float(consumed) <= float(budget) * 1.05
+
+
+def test_sweep_oracle_spending_decimal_budget_is_within(tmp_path):
+    # 3 * 1.6 + 2 * 1.0 is 6.8 in decimal, but its fsum is 6.800000000000001
+    fast = [[0.9, 0.1]] * 5  # head 1 says class 0
+    slow = [[0.1, 0.9]] * 5  # head 2 says class 1
+    labels = np.array([1, 1, 1, 0, 0])
+    bank = HeadBank(heads=(
+        HeadSlice(probs=np.array(fast), budget_gflops=1.0),
+        HeadSlice(probs=np.array(slow), budget_gflops=1.6),
+    ))
+    split = Split(bank=bank, labels=labels)
+    write_dataset(
+        Dataset(num_classes=2, splits={"train": split, "calib": Split(bank=bank), "test": split}),
+        tmp_path / "data",
+    )
+    out = tmp_path / "sweep.csv"
+    rc = main([
+        "sweep", "--data", str(tmp_path / "data"), "--budgets", "6.8", "--out", str(out),
+    ])
+    assert rc == 0
+    oracle = [ln.split(",") for ln in out.read_text().splitlines() if ln.endswith(",oracle")]
+    assert oracle == [["6.7999999999999998", "1.0", "6.8000000000000007", "true", "oracle"]]
 
 
 def test_sweep_linspace_and_bad_forms(dataset, tmp_path):

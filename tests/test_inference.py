@@ -8,10 +8,18 @@ import numpy as np
 import pytest
 
 from eero.calibration import ScoreCdf, build_cdf, build_policy, cdf_eval
-from eero.domain import BudgetSpec, ExitPolicy
+from eero.domain import BudgetSpec, ExitPolicy, HeadBank, HeadSlice
 from eero.errors import HeadCountMismatch, LabelLengthMismatch, ScoreSpecMismatch
+from eero import inference
 from eero.inference import classify_batch, iter_classify, measure_budget
-from eero.scoring import TEST_KEY_BASE, ScoreSpec, jitter_matrix, predict_matrix, score_matrix
+from eero.scoring import (
+    SCORE_KINDS,
+    TEST_KEY_BASE,
+    ScoreSpec,
+    jitter_matrix,
+    predict_matrix,
+    score_matrix,
+)
 from eero.allocation import AllocationResult
 from conftest import make_bank, random_bank
 
@@ -140,6 +148,117 @@ def test_iter_classify_matches_batch(rng):
     assert np.array_equal([r[0] for r in rows], res.exits)
     assert np.array_equal([r[1] for r in rows], res.predictions)
     assert np.allclose([r[2] for r in rows], res.per_instance_cost, rtol=0, atol=0)
+
+
+def _route_dense(bank, policy):
+    """Reference router: score every head for every instance, then scan."""
+    spec = ScoreSpec(kind=policy.score_kind, jitter_u=policy.jitter_u, seed=policy.seed)
+    n, m = bank.num_instances, bank.num_heads
+    keys = TEST_KEY_BASE + np.arange(n, dtype=np.uint64)
+    scores = np.empty((n, m))
+    preds = np.empty((n, m), dtype=np.int64)
+    for head in range(m):
+        jittered = jitter_matrix(bank.heads[head].probs, head, keys, spec)
+        scores[:, head] = score_matrix(jittered, spec.kind)
+        preds[:, head] = predict_matrix(jittered)
+    classify = scores >= policy.thresholds[None, :]
+    classify[:, m - 1] = True
+    exit_head = np.argmax(classify, axis=1)
+    return exit_head + 1, preds[np.arange(n), exit_head] + 1
+
+
+def _mid_thresholds(bank, spec, quantiles):
+    """Thresholds at given quantiles of each head's own test scores."""
+    keys = TEST_KEY_BASE + np.arange(bank.num_instances, dtype=np.uint64)
+    thr = [
+        np.quantile(score_matrix(jitter_matrix(h.probs, l, keys, spec), spec.kind), q)
+        for l, (h, q) in enumerate(zip(bank.heads[:-1], quantiles))
+    ]
+    return np.array(thr + [-np.inf])
+
+
+@pytest.mark.parametrize("kind", SCORE_KINDS)
+@pytest.mark.parametrize("jitter", [0.0, 1e-5])
+@pytest.mark.parametrize("mode", ["mixed", "all_first", "all_last"])
+def test_cascade_equals_dense_scan(rng, kind, jitter, mode):
+    bank = random_bank(rng, n=400, m=4, k=5, budgets=[1.0, 2.0, 3.5, 5.0])
+    # ties in the raw rows, so that zero jitter leaves exact score ties
+    tied = bank.heads[1].probs.copy()
+    tied[:40] = 1.0 / 5
+    heads = list(bank.heads)
+    heads[1] = HeadSlice(probs=tied, budget_gflops=2.0)
+    bank = HeadBank(heads=tuple(heads))
+    spec = ScoreSpec(kind=kind, jitter_u=jitter, seed=11)
+    if mode == "mixed":
+        thresholds = _mid_thresholds(bank, spec, [0.7, 0.5, 0.3])
+    elif mode == "all_first":
+        thresholds = np.full(4, -np.inf)
+    else:
+        thresholds = np.array([np.inf, np.inf, np.inf, -np.inf])
+    policy = _policy(thresholds, seq_rates=[0.3, 0.6, 0.8, 1.0], kind=kind, jitter=jitter, seed=11)
+    labels = rng.integers(0, 5, size=400)
+    res = classify_batch(bank, policy, labels=labels)
+    exits, preds = _route_dense(bank, policy)
+    assert np.array_equal(res.exits, exits)
+    assert np.array_equal(res.predictions, preds)
+    assert np.array_equal(res.per_instance_cost, bank.budgets[exits - 1])
+    assert res.consumed_budget == float(bank.budgets[exits - 1].sum())
+    assert np.array_equal(res.exit_proportions, np.bincount(exits - 1, minlength=4) / 400)
+    assert res.accuracy == float(np.mean(preds - 1 == labels))
+    if mode == "all_first":
+        assert np.all(res.exits == 1)
+    elif mode == "all_last":
+        assert np.all(res.exits == 4)
+    else:
+        assert np.all(np.bincount(res.exits, minlength=5)[1:] > 0)
+
+
+def test_route_windows_equal_whole_bank(rng):
+    bank = random_bank(rng, n=301, m=3, k=4, budgets=[1.0, 2.0, 4.0])
+    # exact ties: only the jitter, keyed by the global row, picks these classes
+    bank = HeadBank(heads=tuple(
+        HeadSlice(probs=np.where(np.arange(301)[:, None] % 3 == 0, 0.25, h.probs),
+                  budget_gflops=h.budget_gflops)
+        for h in bank.heads
+    ))
+    policy = _policy([0.3, 0.15, -np.inf], seq_rates=[0.4, 0.8, 1.0], jitter=1e-5, seed=6)
+    spec = ScoreSpec(kind=policy.score_kind, jitter_u=policy.jitter_u, seed=policy.seed)
+    exits, preds = inference._route(bank, policy, spec, 0, 301)
+    assert np.bincount(exits, minlength=3).min() > 0
+    cuts = [0, 1, 2, 50, 51, 200, 301]
+    parts = [inference._route(bank, policy, spec, a, b) for a, b in zip(cuts, cuts[1:])]
+    assert np.array_equal(np.concatenate([p[0] for p in parts]), exits)
+    assert np.array_equal(np.concatenate([p[1] for p in parts]), preds)
+    rows = list(iter_classify(bank, policy))
+    assert [r[:2] for r in rows] == [(int(e) + 1, int(p) + 1) for e, p in zip(exits, preds)]
+
+
+def test_each_head_scores_only_rows_that_reach_it(rng, monkeypatch):
+    n, m = 500, 4
+    bank = random_bank(rng, n=n, m=m, k=5, budgets=[1.0, 2.0, 3.0, 4.0])
+    policy = _policy([0.5, 0.3, 0.1, -np.inf], seq_rates=[0.3, 0.6, 0.8, 1.0], jitter=1e-5, seed=8)
+    calls = {"jitter": [], "score": [], "predict": []}
+
+    def counting(name, fn):
+        def wrapped(x, *args, **kwargs):
+            calls[name].append(len(x))
+            return fn(x, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(inference, "jitter_matrix", counting("jitter", jitter_matrix))
+    monkeypatch.setattr(inference, "score_matrix", counting("score", score_matrix))
+    monkeypatch.setattr(inference, "predict_matrix", counting("predict", predict_matrix))
+    res = classify_batch(bank, policy)
+    alive = [int(np.sum(res.exits > head)) for head in range(m)]
+    reached = [a for a in alive if a > 0]
+    assert calls["jitter"] == reached  # head l sees only the rows alive after l-1 heads
+    assert sum(calls["jitter"]) == int(res.exits.sum()) < n * m
+    assert calls["score"] == reached[: m - 1]  # the last head needs no score
+    assert sum(calls["predict"]) == n  # argmax only for the rows that leave
+    calls = {"jitter": [], "score": [], "predict": []}
+    first = _policy(np.full(m, -np.inf), seq_rates=[1.0] * m)
+    classify_batch(bank, first)
+    assert calls["jitter"] == [n]  # nobody survives head 1: the walk stops there
 
 
 def test_monotone_thresholds_reduce_exits(rng):

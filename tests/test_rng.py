@@ -41,6 +41,45 @@ def test_hash_matches_scalar_reference():
         assert int(got) == _hash_ref(seed, *words)
 
 
+def _hash_numpy_fold(seed, *words):
+    # every word, the seed included, folded through numpy uint64 arithmetic
+    def mix(z):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    with np.errstate(over="ignore"):
+        h = mix(np.asarray(np.uint64(seed & MASK)) + np.uint64(GOLDEN))
+        for w in words:
+            h = mix((h ^ np.asarray(w).astype(np.uint64)) + np.uint64(GOLDEN))
+    return h
+
+
+def test_scalar_word_fold_equals_numpy_fold():
+    keys = (1 << 32) + np.arange(7, dtype=np.uint64)
+    classes = np.arange(5, dtype=np.uint64)
+    word_lists = [
+        (),
+        (0,),
+        (0x4A49, 3),
+        (2**64 - 1, 2**63 + 5, 0),
+        (0x4A49, 3, keys[:, None], classes[None, :]),
+        (0x4A49, np.int64(3), keys[:, None], classes[None, :]),  # numpy scalar word
+        (keys, 9, classes[:, None]),  # scalar word after an array word
+        (True, -3, keys),  # bool, then a negative int that numpy wraps
+        (keys[:1, None], classes[None, :]),  # one row
+        (np.arange(4, dtype=np.int64), 2**40),
+    ]
+    for seed in (0, 2**63 + 5, -1):
+        for words in word_lists:
+            got = rng.hash_words(seed, *words)
+            expect = _hash_numpy_fold(seed, *words)
+            assert type(got) is type(expect)
+            assert np.asarray(got).dtype == np.uint64
+            assert np.shape(got) == np.shape(expect)
+            assert np.array_equal(got, expect)
+
+
 def test_hash_vectorizes_over_word_arrays():
     seeds = 7
     keys = np.arange(13, dtype=np.uint64)

@@ -9,47 +9,46 @@ from eero.scoring import (
     CALIBRATION_KEY_BASE,
     TEST_KEY_BASE,
     ScoreSpec,
-    head_predict,
-    head_score,
     jitter_matrix,
-    jitter_row,
     predict_matrix,
     score_matrix,
 )
 
 
 def test_score_kind_values():
-    row = np.array([0.1, 0.7, 0.2])
-    assert head_score(row, "max_prob") == 0.7
-    assert head_score(row, "breaking_ties") == pytest.approx(0.5, abs=1e-15)
+    rows = np.array([[0.1, 0.7, 0.2], [0.2, 0.1, 0.7]])
+    assert score_matrix(rows, "max_prob").tolist() == [0.7, 0.7]
+    assert score_matrix(rows, "breaking_ties") == pytest.approx([0.5, 0.5], abs=1e-15)
     k = 4
-    uniform = np.full(k, 1.0 / k)
-    assert head_score(uniform, "neg_entropy") == pytest.approx(-np.log(k), rel=1e-14)
+    uniform = np.full((1, k), 1.0 / k)
+    assert score_matrix(uniform, "neg_entropy")[0] == pytest.approx(-np.log(k), rel=1e-14)
 
 
 def test_neg_entropy_orders_by_confidence():
-    confident = np.array([0.97, 0.01, 0.02])
-    vague = np.array([0.4, 0.3, 0.3])
-    assert head_score(confident, "neg_entropy") > head_score(vague, "neg_entropy")
+    confident, vague = score_matrix(
+        np.array([[0.97, 0.01, 0.02], [0.4, 0.3, 0.3]]), "neg_entropy"
+    )
+    assert confident > vague
 
 
 def test_neg_entropy_handles_one_hot():
-    row = np.array([1.0, 0.0, 0.0])
-    v = head_score(row, "neg_entropy")
+    v = score_matrix(np.array([[1.0, 0.0, 0.0]]), "neg_entropy")[0]
     assert np.isfinite(v)
     assert v == pytest.approx(0.0, abs=1e-9)
 
 
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
-        head_score(np.array([0.5, 0.5]), "softmax_margin")
+        score_matrix(np.array([[0.5, 0.5]]), "softmax_margin")
     with pytest.raises(ValueError):
         ScoreSpec(kind="nope")
+    with pytest.raises(ValueError):
+        score_matrix(np.array([0.5, 0.5]), "max_prob")  # a bare row is not a matrix
 
 
 def test_predict_unique_argmax_and_tie_break():
-    assert head_predict(np.array([0.1, 0.7, 0.2])) == 1
-    assert head_predict(np.array([0.5, 0.5])) == 0
+    assert predict_matrix(np.array([[0.1, 0.7, 0.2]])).tolist() == [1]
+    assert predict_matrix(np.array([[0.5, 0.5]])).tolist() == [0]
     m = np.array([[0.2, 0.5, 0.3], [0.4, 0.4, 0.2]])
     assert predict_matrix(m).tolist() == [1, 0]
 
@@ -75,13 +74,16 @@ def test_jitter_determinism_and_bounds():
 
 
 def test_jitter_row_agrees_with_matrix():
+    # one-row windows and arbitrary row subsets get the full matrix's draws
     spec = ScoreSpec(jitter_u=1e-5, seed=21)
     probs = np.random.default_rng(1).dirichlet(np.ones(4), size=8)
-    keys = np.arange(8, dtype=np.uint64)
+    keys = TEST_KEY_BASE + np.arange(8, dtype=np.uint64)
     full = jitter_matrix(probs, 1, keys, spec)
     for i in range(8):
-        row = jitter_row(probs[i], 1, int(keys[i]), spec)
-        assert np.array_equal(row, full[i])
+        row = jitter_matrix(probs[i : i + 1], 1, keys[i : i + 1], spec)
+        assert np.array_equal(row, full[i : i + 1])
+    subset = np.array([6, 1, 3])
+    assert np.array_equal(jitter_matrix(probs[subset], 1, keys[subset], spec), full[subset])
 
 
 def test_jitter_breaks_exact_ties():
@@ -142,7 +144,7 @@ def test_jitter_bounded_score_shift():
 )
 def test_score_matches_row_scan(weights, kind):
     row = np.array(weights) / np.sum(weights)
-    got = head_score(row, kind)
+    got = float(score_matrix(row[None, :], kind)[0])
     srt = np.sort(row)[::-1]
     if kind == "max_prob":
         expect = srt[0]
@@ -152,4 +154,4 @@ def test_score_matches_row_scan(weights, kind):
         q = np.clip(row, 1e-12, None)
         expect = float(np.sum(q * np.log(q)))
     assert got == pytest.approx(expect, rel=1e-12, abs=1e-15)
-    assert head_predict(row) == int(np.argmax(row))
+    assert predict_matrix(row[None, :]).tolist() == [int(np.argmax(row))]
