@@ -32,7 +32,6 @@ from .domain import (
     ExitPolicy,
     HeadBank,
     HeadSlice,
-    validate_head_bank,
 )
 from .errors import (
     BudgetBelowMinimum,
@@ -48,7 +47,6 @@ from .errors import (
     NotOnSimplex,
     ParseError,
     RowNotNormalized,
-    ScoreSpecMismatch,
     ShapeMismatch,
 )
 from .inference import BudgetReport, classify_batch, iter_classify, measure_budget
@@ -115,7 +113,6 @@ __all__ = [
     "SCORE_KINDS",
     "ScoreCdf",
     "ScoreSpec",
-    "ScoreSpecMismatch",
     "ShapeMismatch",
     "SynthData",
     "SynthSpec",
@@ -145,6 +142,5 @@ __all__ = [
     "single_head_rate",
     "solve_allocation",
     "threshold_for_rate",
-    "validate_head_bank",
     "write_dataset",
 ]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AllocationResult, _frozen, _set
+from .domain import BUDGET_REL_TOL, AllocationResult, _frozen, _set
 from .errors import (
     BudgetBelowMinimum,
     EqualBudgets,
@@ -39,8 +39,6 @@ from .errors import (
 
 DEFAULT_BETA = 0.1
 
-# relative slack when comparing the mean budget against the cheapest head
-_DEGENERATE_REL_TOL = 1e-9
 # bisection stops at |expected - target| <= _ROOT_TOL * target budget
 _ROOT_TOL = 1e-10
 _WIDTH_TOL = 1e-12
@@ -90,10 +88,10 @@ class AllocationProblem:
         if prior.min() <= 0.0 or abs(prior.sum() - 1.0) > 1e-9:
             raise NotOnSimplex("prior must be strictly positive and sum to 1")
         beta = float(self.beta)
-        if not (beta > 0.0):
-            raise InvalidSpec(f"beta must be > 0, got {self.beta}")
+        if not (0.0 < beta < np.inf):
+            raise InvalidSpec(f"beta must be finite and > 0, got {self.beta}")
         bbar = float(self.mean_budget)
-        if bbar < budgets[0] * (1.0 - _DEGENERATE_REL_TOL):
+        if bbar < budgets[0] * (1.0 - BUDGET_REL_TOL):
             raise InfeasibleBudget(
                 f"mean budget {bbar:.6g} is below the cheapest head {budgets[0]:.6g}"
             )
@@ -123,14 +121,22 @@ def default_prior(budgets: np.ndarray) -> np.ndarray:
     return inv / inv.sum()
 
 
+def _gibbs(problem: AllocationProblem, energy: np.ndarray) -> np.ndarray:
+    """Normalized prior * exp(-energy / beta), computed in log space."""
+    with np.errstate(over="ignore"):  # a tiny beta sends weights to exp(-inf) = 0
+        logw = np.log(problem.prior) - energy / problem.beta
+        if logw.max() == -np.inf:  # all of them: shift the energies first
+            logw = np.log(problem.prior) - (energy - energy.min()) / problem.beta
+    logw -= logw.max()
+    w = np.exp(logw)
+    return w / w.sum()
+
+
 def gibbs_epsilons(problem: AllocationProblem, mu: float) -> np.ndarray:
     """Gibbs allocation at a fixed budget multiplier, in log space."""
     if not (mu >= 0.0):
         raise ValueError(f"multiplier must be >= 0, got {mu}")
-    logw = np.log(problem.prior) - (problem.risks + mu * problem.budgets) / problem.beta
-    logw -= logw.max()
-    w = np.exp(logw)
-    return w / w.sum()
+    return _gibbs(problem, problem.risks + mu * problem.budgets)
 
 
 def allocation_objective(problem: AllocationProblem, epsilons: np.ndarray) -> float:
@@ -175,13 +181,9 @@ def solve_allocation(problem: AllocationProblem) -> AllocationResult:
     budgets = problem.budgets
     target = problem.mean_budget
 
-    if target <= budgets[0] * (1.0 + _DEGENERATE_REL_TOL):
-        cheapest = budgets <= budgets[0] * (1.0 + _DEGENERATE_REL_TOL)
-        logw = np.log(problem.prior) - problem.risks / problem.beta
-        logw[~cheapest] = -np.inf
-        logw -= logw.max()
-        eps = np.exp(logw)
-        eps /= eps.sum()
+    if target <= budgets[0] * (1.0 + BUDGET_REL_TOL):
+        cheapest = budgets <= budgets[0] * (1.0 + BUDGET_REL_TOL)
+        eps = _gibbs(problem, np.where(cheapest, problem.risks, np.inf))
         return _result(problem, eps, np.inf)
 
     eps0 = gibbs_epsilons(problem, 0.0)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import ExitPolicy, HeadBank, _frozen, _set
-from .errors import EmptyCalibration, HeadCountMismatch, NotOnSimplex
+from .errors import EmptyCalibration, HeadCountMismatch, InvalidSpec, NotOnSimplex
 from .scoring import CALIBRATION_KEY_BASE, ScoreSpec, jitter_matrix, score_matrix
 
 CORRECTION_MODES = ("epsilon", "off")
@@ -39,7 +39,7 @@ class ScoreCdf:
         if scores.ndim != 1 or scores.size == 0:
             raise EmptyCalibration("need at least one calibration score")
         if not np.all(np.isfinite(scores)):
-            raise ValueError("calibration scores must be finite")
+            raise InvalidSpec("calibration scores must be finite")
         if np.any(np.diff(scores) < 0.0):
             scores = np.sort(scores)
         _set(self, "sorted_scores", _frozen(scores))
@@ -63,7 +63,9 @@ def build_cdf(calib_bank: HeadBank, head: int, spec: ScoreSpec) -> ScoreCdf:
     probs = calib_bank.heads[head].probs
     keys = CALIBRATION_KEY_BASE + np.arange(probs.shape[0], dtype=np.uint64)
     jittered = jitter_matrix(probs, head, keys, spec)
-    return ScoreCdf(sorted_scores=np.sort(score_matrix(jittered, spec.kind)), head=head)
+    with np.errstate(over="ignore"):  # ScoreCdf rejects the overflowed scores
+        scores = score_matrix(jittered, spec.kind)
+    return ScoreCdf(sorted_scores=np.sort(scores), head=head)
 
 
 def cdf_eval(cdf: ScoreCdf, t: float) -> float:

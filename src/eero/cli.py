@@ -9,7 +9,8 @@ policy, the oracle and every fixed head.
 
 Exit codes are stable: 0 success, 2 usage or invalid argument or
 generator spec, 3 unreadable/invalid data or policy files, 4 infeasible budget,
-5 policy/bank mismatch.  Code 6 (cost resolution too coarse) is retired:
+5 policy/bank mismatch.  Each library error class declares its own code
+(`EeroError.exit_code`); an OSError exits 3.  Code 6 (cost resolution too coarse) is retired:
 the oracle no longer rounds costs to a grid, and the code is not reused.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -31,24 +33,15 @@ from .allocation import (
     solve_allocation,
 )
 from .calibration import build_policy
-from .domain import BudgetSpec
-from .errors import (
-    BudgetBelowMinimum,
-    EeroError,
-    HeadCountMismatch,
-    InfeasibleBudget,
-    InvalidSpec,
-    LabelLengthMismatch,
-    MissingLabels,
-    ScoreSpecMismatch,
-)
+from .domain import BudgetSpec, HeadBank
+from .errors import EeroError, InvalidSpec, MissingLabels
 from .inference import classify_batch, measure_budget
 from .oracle import (
-    BUDGET_RTOL,
     OracleInstance,
     build_correctness,
     oracle_curve,
     oracle_exact,
+    within_budget,
 )
 from .scoring import SCORE_KINDS, DEFAULT_JITTER, ScoreSpec
 from .synth import SynthSpec, generate
@@ -56,10 +49,7 @@ from .synth import SynthSpec, generate
 SEED_ENV = "EERO_SEED"
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_IO = 3
-EXIT_INFEASIBLE = 4
-EXIT_MISMATCH = 5
 
 
 def _resolve_seed(value: int | None, fallback: int = 0) -> int:
@@ -132,6 +122,23 @@ def _risks_for(dataset: eio.Dataset) -> np.ndarray:
     return eio.compute_risks(train.bank, train.labels)
 
 
+def _fit_policy(
+    calib_bank: HeadBank, risks: np.ndarray, budget: BudgetSpec, beta: float, spec: ScoreSpec
+):
+    """Allocation and calibrated exit policy for one budget."""
+    budget.validate_for(calib_bank)
+    budgets = calib_bank.budgets
+    problem = AllocationProblem(
+        risks=risks,
+        budgets=budgets,
+        prior=default_prior(budgets),
+        beta=beta,
+        mean_budget=budget.mean_budget,
+    )
+    allocation = solve_allocation(problem)
+    return allocation, build_policy(calib_bank, allocation, spec)
+
+
 def cmd_calibrate(args) -> int:
     dataset = eio.load_manifest(args.data)
     calib = dataset.split("calib")
@@ -142,24 +149,15 @@ def cmd_calibrate(args) -> int:
             raise InvalidSpec("--batch-size is required when there is no test split")
         batch_size = dataset.split("test").bank.num_instances
     budget = BudgetSpec(total_budget=args.budget, batch_size=batch_size)
-    budget.validate_for(calib.bank)
-    budgets = calib.bank.budgets
-    problem = AllocationProblem(
-        risks=risks,
-        budgets=budgets,
-        prior=default_prior(budgets),
-        beta=args.beta,
-        mean_budget=budget.mean_budget,
-    )
-    allocation = solve_allocation(problem)
     spec = ScoreSpec(kind=args.score, jitter_u=args.jitter, seed=_resolve_seed(args.seed))
-    policy = build_policy(calib.bank, allocation, spec)
+    allocation, policy = _fit_policy(calib.bank, risks, budget, args.beta, spec)
     eio.save_policy(args.out, policy, allocation, budget)
 
+    prior = default_prior(calib.bank.budgets)
     print("head  risk    prior   epsilon")
-    for i in range(len(budgets)):
+    for i in range(prior.size):
         print(
-            f"{i + 1:<5d} {risks[i]:<7.4f} {problem.prior[i]:<7.4f} "
+            f"{i + 1:<5d} {risks[i]:<7.4f} {prior[i]:<7.4f} "
             f"{allocation.epsilons[i]:.4f}"
         )
     state = "saturated" if allocation.saturated else "slack"
@@ -239,8 +237,8 @@ def _parse_budgets(text: str) -> list[float]:
             lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
         except ValueError:
             raise InvalidSpec(f"malformed --budgets {text!r}") from None
-        if n < 2 or hi <= lo:
-            raise InvalidSpec("--budgets linspace needs hi > lo and n >= 2")
+        if n < 2 or not (hi > lo and math.isfinite(hi - lo)):
+            raise InvalidSpec("--budgets linspace needs finite lo < hi and n >= 2")
         return [float(b) for b in np.linspace(lo, hi, n)]
     try:
         budgets = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -258,31 +256,19 @@ def cmd_sweep(args) -> int:
     if test.labels is None:
         raise MissingLabels("a sweep needs a labeled test split")
     risks = _risks_for(dataset)
-    budgets_vec = calib.bank.budgets
-    prior = default_prior(budgets_vec)
     t = test.bank.num_instances
     budgets = _parse_budgets(args.budgets)
-    seed = _resolve_seed(args.seed)
-    spec = ScoreSpec(kind=args.score, jitter_u=args.jitter, seed=seed)
+    spec = ScoreSpec(kind=args.score, jitter_u=args.jitter, seed=_resolve_seed(args.seed))
 
     def eero_point(total: float):
         bspec = BudgetSpec(total_budget=total, batch_size=t)
-        bspec.validate_for(calib.bank)
-        problem = AllocationProblem(
-            risks=risks,
-            budgets=budgets_vec,
-            prior=prior,
-            beta=args.beta,
-            mean_budget=bspec.mean_budget,
-        )
-        allocation = solve_allocation(problem)
-        policy = build_policy(calib.bank, allocation, spec)
+        _, policy = _fit_policy(calib.bank, risks, bspec, args.beta, spec)
         result = classify_batch(test.bank, policy, labels=test.labels)
         return {
             "budget": total,
             "accuracy": result.accuracy,
             "consumed": result.consumed_budget,
-            "within_budget": result.consumed_budget <= total,
+            "within_budget": within_budget(result.consumed_budget, total),
             "source": "eero",
         }
 
@@ -303,8 +289,7 @@ def cmd_sweep(args) -> int:
                 "budget": total,
                 "accuracy": acc,
                 "consumed": consumed,
-                # the oracle's own admission test: decimal-exact totals count
-                "within_budget": consumed <= total * (1.0 + BUDGET_RTOL),
+                "within_budget": within_budget(consumed, total),
                 "source": "oracle",
             }
         )
@@ -314,7 +299,7 @@ def cmd_sweep(args) -> int:
                     "budget": total,
                     "accuracy": float(head_accuracy[head]),
                     "consumed": float(head_cost[head]),
-                    "within_budget": float(head_cost[head]) <= total,
+                    "within_budget": within_budget(float(head_cost[head]), total),
                     "source": f"head_{head + 1}",
                 }
             )
@@ -394,16 +379,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidSpec as e:
+    except EeroError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InfeasibleBudget, BudgetBelowMinimum) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (HeadCountMismatch, ScoreSpecMismatch, LabelLengthMismatch) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except (EeroError, FileNotFoundError, OSError) as e:
+        return e.exit_code
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
 

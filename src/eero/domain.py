@@ -28,6 +28,7 @@ from .errors import (
 
 ROW_SUM_TOL = 1e-6
 SIMPLEX_TOL = 1e-9
+# relative slack when comparing a mean budget against the cheapest head
 BUDGET_REL_TOL = 1e-9
 
 
@@ -159,19 +160,6 @@ class HeadBank:
         return np.array(rs, dtype=np.float64)
 
 
-def validate_head_bank(bank: HeadBank) -> HeadBank:
-    """Re-run every bank invariant and hand the bank back.
-
-    Construction already validates, so this is mainly useful after
-    assembling a bank from raw parsed matrices, or as an explicit
-    checkpoint in a pipeline.
-    """
-    if not isinstance(bank, HeadBank):
-        raise ShapeMismatch(f"expected HeadBank, got {type(bank).__name__}")
-    HeadBank(heads=bank.heads)
-    return bank
-
-
 @dataclass(frozen=True)
 class BudgetSpec:
     """Total computation budget for a batch of a known size.
@@ -227,7 +215,7 @@ class AllocationResult:
         eps = np.asarray(self.epsilons, dtype=np.float64)
         if eps.ndim != 1 or eps.size < 1:
             raise ShapeMismatch("epsilons must be a 1-d vector")
-        if eps.min() < -SIMPLEX_TOL or abs(eps.sum() - 1.0) > SIMPLEX_TOL:
+        if not (eps.min() >= -SIMPLEX_TOL and abs(eps.sum() - 1.0) <= SIMPLEX_TOL):
             raise NotOnSimplex(
                 f"epsilons must lie on the simplex (sum {eps.sum():.3e})"
             )

@@ -2,12 +2,17 @@
 
 Every rejected input maps to exactly one of these, so callers (and the
 command line front end) can branch on the failure class instead of
-parsing messages.
+parsing messages.  Each class declares the process exit code the
+command line reports for it: 2 invalid argument or spec, 3 unreadable
+or invalid data (the default), 4 infeasible budget, 5 policy/bank or
+label mismatch.
 """
 
 
 class EeroError(Exception):
     """Base class for all library-specific failures."""
+
+    exit_code = 3
 
 
 class ShapeMismatch(EeroError):
@@ -33,6 +38,8 @@ class NotOnSimplex(EeroError):
 class InfeasibleBudget(EeroError):
     """The budget cannot be met even by the cheapest head everywhere."""
 
+    exit_code = 4
+
 
 class EqualBudgets(EeroError):
     """Two-head closed form requires distinct head budgets."""
@@ -41,17 +48,19 @@ class EqualBudgets(EeroError):
 class BudgetBelowMinimum(EeroError):
     """Total budget is below the cost of running the first head alone."""
 
+    exit_code = 4
+
 
 class HeadCountMismatch(EeroError):
     """A policy or allocation was built for a different number of heads."""
 
-
-class ScoreSpecMismatch(EeroError):
-    """Scoring configuration disagrees with the one used at calibration."""
+    exit_code = 5
 
 
 class LabelLengthMismatch(EeroError):
     """Label vector length differs from the number of instances."""
+
+    exit_code = 5
 
 
 class MissingLabels(EeroError):
@@ -82,3 +91,5 @@ class InvalidSpec(EeroError, ValueError):
     Also a ValueError, so callers that catch ValueError from the
     validators keep working.
     """
+
+    exit_code = 2

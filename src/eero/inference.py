@@ -24,19 +24,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import BatchResult, BudgetSpec, ExitPolicy, HeadBank, _set
-from .errors import HeadCountMismatch, LabelLengthMismatch, ScoreSpecMismatch
+from .errors import HeadCountMismatch, LabelLengthMismatch
+from .oracle import within_budget
 from .scoring import TEST_KEY_BASE, ScoreSpec, jitter_matrix, predict_matrix, score_matrix
 
 
-def _resolve_spec(policy: ExitPolicy, spec: ScoreSpec | None) -> ScoreSpec:
-    pinned = ScoreSpec(kind=policy.score_kind, jitter_u=policy.jitter_u, seed=policy.seed)
-    if spec is None:
-        return pinned
-    if spec != pinned:
-        raise ScoreSpecMismatch(
-            f"scoring config {spec} differs from the calibrated one {pinned}"
+def _pinned_spec(bank: HeadBank, policy: ExitPolicy) -> ScoreSpec:
+    """The scoring configuration the policy was calibrated with."""
+    if policy.num_heads != bank.num_heads:
+        raise HeadCountMismatch(
+            f"policy built for {policy.num_heads} heads, bank has {bank.num_heads}"
         )
-    return pinned
+    return ScoreSpec(kind=policy.score_kind, jitter_u=policy.jitter_u, seed=policy.seed)
 
 
 def _route(
@@ -71,23 +70,15 @@ def _route(
 
 
 def classify_batch(
-    bank: HeadBank,
-    policy: ExitPolicy,
-    spec: ScoreSpec | None = None,
-    labels: np.ndarray | None = None,
+    bank: HeadBank, policy: ExitPolicy, labels: np.ndarray | None = None
 ) -> BatchResult:
     """Route every instance of a test bank and aggregate the outcome.
 
-    `labels` (0-based classes) are optional; when present the result
-    carries batch accuracy.  Omitting `spec` uses the scoring
-    configuration pinned inside the policy, which is always correct;
-    passing one asserts it matches.
+    Scoring uses the configuration pinned inside the policy.  `labels`
+    (0-based classes) are optional; when present the result carries
+    batch accuracy.
     """
-    if policy.num_heads != bank.num_heads:
-        raise HeadCountMismatch(
-            f"policy built for {policy.num_heads} heads, bank has {bank.num_heads}"
-        )
-    spec = _resolve_spec(policy, spec)
+    spec = _pinned_spec(bank, policy)
     n = bank.num_instances
     m = bank.num_heads
     if labels is not None:
@@ -111,18 +102,14 @@ def classify_batch(
     )
 
 
-def iter_classify(bank: HeadBank, policy: ExitPolicy, spec: ScoreSpec | None = None):
+def iter_classify(bank: HeadBank, policy: ExitPolicy):
     """Lazy per-instance routing; yields (exit_head, prediction, cost).
 
     Head and class indices are 1-based, matching `BatchResult`.  Each
     decision is the cascade kernel on a one-instance window, so later
     heads of an instance are never scored once it exits.
     """
-    if policy.num_heads != bank.num_heads:
-        raise HeadCountMismatch(
-            f"policy built for {policy.num_heads} heads, bank has {bank.num_heads}"
-        )
-    spec = _resolve_spec(policy, spec)
+    spec = _pinned_spec(bank, policy)
     for i in range(bank.num_instances):
         (head,), (pred,) = _route(bank, policy, spec, i, i + 1)
         yield int(head) + 1, int(pred) + 1, bank.heads[head].budget_gflops
@@ -145,12 +132,16 @@ class BudgetReport:
 
 
 def measure_budget(result: BatchResult, budget: BudgetSpec) -> BudgetReport:
-    """Compare a batch's consumption against its allowance."""
+    """Compare a batch's consumption against its allowance.
+
+    A total within a relative `oracle.BUDGET_RTOL` of the allowance is
+    within it, the admission test the oracle uses.
+    """
     allowed = budget.mean_budget * result.batch_size
     consumed = result.consumed_budget
     return BudgetReport(
         consumed_budget=consumed,
         allowed_budget=allowed,
         utilization=consumed / allowed,
-        within_budget=consumed <= allowed,
+        within_budget=within_budget(consumed, allowed),
     )

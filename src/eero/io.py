@@ -36,8 +36,8 @@ from .domain import (
 )
 from .errors import MissingLabels, ParseError, ShapeMismatch
 from .inference import BudgetReport
-from .oracle import OracleResult
-from .scoring import ScoreSpec, predict_matrix
+from .oracle import OracleResult, build_correctness
+from .scoring import ScoreSpec
 from .synth import SynthData
 
 MANIFEST_NAME = "manifest.json"
@@ -158,27 +158,25 @@ def _open_text(path):
     return open(path, "r", encoding="utf-8", newline="")
 
 
-def read_probs_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse one head's probability rows; returns (ids, probs).
+def _read_rows(path, header_ok, header_text: str, parse_row) -> tuple[np.ndarray, list]:
+    """The row loop shared by the CSV readers; returns (ids, parsed rows).
 
-    Enforces the exact header, rectangular float rows and strictly
-    increasing instance ids.  Raises ParseError with file/row/column
-    context on the first violation.
+    Checks the header with `header_ok`, skips blank lines, and requires
+    every row to have the header's width and an integer instance id in
+    column 1.  `parse_row(cells)` returns the row's value; it reports a
+    bad cell by raising ParseError with `col` set, and the row and file
+    are added here.
     """
     path = Path(path)
     ids: list[int] = []
-    rows: list[list[float]] = []
+    rows: list = []
     with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ParseError("empty file", file=str(path), row=1)
-        if len(header) < 2 or header[0] != "instance_id" or header[1:] != [
-            f"p_{j}" for j in range(1, len(header))
-        ]:
-            raise ParseError(
-                "header must be instance_id,p_1,...,p_K", file=str(path), row=1
-            )
+        if not header_ok(header):
+            raise ParseError(f"header must be {header_text}", file=str(path), row=1)
         width = len(header)
         for rownum, cells in enumerate(reader, start=2):
             if not cells:
@@ -199,26 +197,28 @@ def read_probs_csv(path) -> tuple[np.ndarray, np.ndarray]:
                     col=1,
                 ) from None
             try:
-                rows.append([float(c) for c in cells[1:]])
-            except ValueError:
-                bad = next(
-                    j for j, c in enumerate(cells[1:], start=2) if not _is_float(c)
-                )
-                raise ParseError(
-                    f"cell {cells[bad - 1]!r} is not a number",
-                    file=str(path),
-                    row=rownum,
-                    col=bad,
-                ) from None
+                rows.append(parse_row(cells))
+            except ParseError as e:
+                raise ParseError(e.args[0], file=str(path), row=rownum, col=e.col) from None
     if not rows:
         raise ParseError("no data rows", file=str(path), row=1)
-    id_arr = np.asarray(ids, dtype=np.int64)
-    if np.any(np.diff(id_arr) <= 0):
-        where = int(np.argmax(np.diff(id_arr) <= 0)) + 3  # header + 1-based + next row
-        raise ParseError(
-            "instance ids must be strictly increasing", file=str(path), row=where
-        )
-    return id_arr, np.asarray(rows, dtype=np.float64)
+    return np.asarray(ids, dtype=np.int64), rows
+
+
+def _probs_header_ok(header: list[str]) -> bool:
+    return (
+        len(header) >= 2
+        and header[0] == "instance_id"
+        and header[1:] == [f"p_{j}" for j in range(1, len(header))]
+    )
+
+
+def _parse_probs(cells: list[str]) -> list[float]:
+    try:
+        return [float(c) for c in cells[1:]]
+    except ValueError:
+        bad = next(j for j, c in enumerate(cells[1:], start=2) if not _is_float(c))
+        raise ParseError(f"cell {cells[bad - 1]!r} is not a number", col=bad) from None
 
 
 def _is_float(cell: str) -> bool:
@@ -229,41 +229,38 @@ def _is_float(cell: str) -> bool:
         return False
 
 
+def read_probs_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse one head's probability rows; returns (ids, probs).
+
+    Enforces the exact header, rectangular float rows and strictly
+    increasing instance ids.  Raises ParseError with file/row/column
+    context on the first violation.
+    """
+    id_arr, rows = _read_rows(path, _probs_header_ok, "instance_id,p_1,...,p_K", _parse_probs)
+    if np.any(np.diff(id_arr) <= 0):
+        where = int(np.argmax(np.diff(id_arr) <= 0)) + 3  # header + 1-based + next row
+        raise ParseError(
+            "instance ids must be strictly increasing", file=str(path), row=where
+        )
+    return id_arr, np.asarray(rows, dtype=np.float64)
+
+
 def read_labels_csv(path, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """Parse labels; returns (ids, labels) with labels shifted to 0-based."""
-    path = Path(path)
-    ids: list[int] = []
-    labels: list[int] = []
-    with _open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["instance_id", "label"]:
-            raise ParseError("header must be instance_id,label", file=str(path), row=1)
-        for rownum, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != 2:
-                raise ParseError(
-                    f"expected 2 columns, got {len(cells)}", file=str(path), row=rownum
-                )
-            try:
-                ids.append(int(cells[0]))
-                lab = int(cells[1])
-            except ValueError:
-                raise ParseError(
-                    "ids and labels must be integers", file=str(path), row=rownum
-                ) from None
-            if not (1 <= lab <= num_classes):
-                raise ParseError(
-                    f"label {lab} outside 1..{num_classes}",
-                    file=str(path),
-                    row=rownum,
-                    col=2,
-                )
-            labels.append(lab - 1)
-    if not labels:
-        raise ParseError("no data rows", file=str(path), row=1)
-    return np.asarray(ids, dtype=np.int64), np.asarray(labels, dtype=np.int64)
+
+    def parse_label(cells: list[str]) -> int:
+        try:
+            lab = int(cells[1])
+        except ValueError:
+            raise ParseError(f"label {cells[1]!r} is not an integer", col=2) from None
+        if not (1 <= lab <= num_classes):
+            raise ParseError(f"label {lab} outside 1..{num_classes}", col=2)
+        return lab - 1
+
+    ids, labels = _read_rows(
+        path, lambda header: header == ["instance_id", "label"], "instance_id,label", parse_label
+    )
+    return ids, np.asarray(labels, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +428,7 @@ def compute_risks(bank: HeadBank, labels: np.ndarray | None) -> np.ndarray:
     """Per-head misclassification rate of unjittered argmax predictions."""
     if labels is None:
         raise MissingLabels("risk estimation needs a labeled split")
-    labels = np.asarray(labels)
-    out = np.empty(bank.num_heads, dtype=np.float64)
-    for head in range(bank.num_heads):
-        preds = predict_matrix(bank.heads[head].probs)
-        out[head] = float(np.mean(preds != labels))
-    return out
+    return (~build_correctness(bank, labels)).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -451,16 +443,6 @@ def allocation_to_dict(result: AllocationResult) -> dict:
         "kl_to_prior": result.kl_to_prior,
         "saturated": result.saturated,
     }
-
-
-def allocation_from_dict(doc: dict) -> AllocationResult:
-    return AllocationResult(
-        epsilons=np.asarray(doc["epsilons"], dtype=np.float64),
-        multiplier=float(doc["multiplier"]),
-        expected_budget=float(doc["expected_budget"]),
-        kl_to_prior=float(doc["kl_to_prior"]),
-        saturated=bool(doc["saturated"]),
-    )
 
 
 def policy_to_dict(
@@ -543,17 +525,6 @@ def batch_result_to_dict(
             "within_budget": report.within_budget,
         }
     return doc
-
-
-def batch_result_from_dict(doc: dict) -> BatchResult:
-    return BatchResult(
-        exits=np.asarray(doc["exits"], dtype=np.int64),
-        predictions=np.asarray(doc["predictions"], dtype=np.int64),
-        per_instance_cost=np.asarray(doc["per_instance_cost"], dtype=np.float64),
-        consumed_budget=float(doc["consumed_budget"]),
-        exit_proportions=np.asarray(doc["exit_proportions"], dtype=np.float64),
-        accuracy=None if doc.get("accuracy") is None else float(doc["accuracy"]),
-    )
 
 
 def oracle_result_to_dict(result: OracleResult, mode: str, budget: float) -> dict:

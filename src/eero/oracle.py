@@ -34,6 +34,11 @@ ORACLE_MODES = ("at_most_budget",)
 BUDGET_RTOL = 1e-12
 
 
+def within_budget(consumed: float, allowed: float) -> bool:
+    """The budget admission test every `within_budget` flag uses."""
+    return consumed <= allowed * (1.0 + BUDGET_RTOL)
+
+
 @dataclass(frozen=True)
 class OracleInstance:
     """One assignment problem: correctness matrix, costs, budget, mode."""

@@ -58,7 +58,7 @@ def hash_words(seed: int, *words) -> np.ndarray:
     h = np.uint64(h)
     with np.errstate(over="ignore"):
         for w in words[lead:]:
-            w64 = np.asarray(w).astype(np.uint64)
+            w64 = np.asarray(w).astype(np.uint64, copy=False)
             h = _finalize((h ^ w64) + _GOLDEN)
     return h
 

@@ -15,6 +15,7 @@ jitter draws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,8 @@ class ScoreSpec:
             raise InvalidSpec(
                 f"unknown score kind {self.kind!r}, expected one of {SCORE_KINDS}"
             )
-        if not (float(self.jitter_u) >= 0.0):
-            raise InvalidSpec(f"jitter width must be >= 0, got {self.jitter_u}")
+        if not (0.0 <= float(self.jitter_u) < math.inf):
+            raise InvalidSpec(f"jitter width must be finite and >= 0, got {self.jitter_u}")
         object.__setattr__(self, "jitter_u", float(self.jitter_u))
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -59,13 +60,15 @@ def jitter_matrix(
     """Add per-entry uniform jitter on [0, jitter_u) to probability rows.
 
     `instance_keys` are the global jitter keys of the rows (calibration
-    and test splits pass keys from disjoint ranges).
+    and test splits pass keys from disjoint ranges).  At zero width the
+    float64 input itself is returned, not a copy, so callers must not
+    mutate the result.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2:
         raise ValueError("jitter_matrix expects a (n, K) matrix")
     if spec.jitter_u == 0.0:
-        return probs.copy()
+        return probs
     keys = np.asarray(instance_keys, dtype=np.uint64)[:, None]
     classes = np.arange(probs.shape[1], dtype=np.uint64)[None, :]
     u = rng.uniform(spec.seed, JITTER_DOMAIN, head, keys, classes)

@@ -18,6 +18,7 @@ from eero.errors import (
     BudgetBelowMinimum,
     EqualBudgets,
     InfeasibleBudget,
+    InvalidSpec,
     NonIncreasingBudgets,
     NotOnSimplex,
 )
@@ -141,6 +142,34 @@ def test_problem_construction_guards():
             budgets=np.array([1.0, 2.0]),
             prior=np.array([0.5, 0.5]),
             beta=1.0,
+            mean_budget=2.0,
+        )
+
+
+def test_subnormal_beta_stays_on_simplex():
+    # risk / beta overflows to inf for every head; the weights must not become NaN
+    budgets = np.array([1.0, 3.0])
+    for mean_budget in (2.0, 1.0):  # saturated bisection, then the degenerate branch
+        p = AllocationProblem(
+            risks=np.array([1 / 3, 0.2]),
+            budgets=budgets,
+            prior=default_prior(budgets),
+            beta=5e-324,
+            mean_budget=mean_budget,
+        )
+        res = solve_allocation(p)
+        assert np.all(np.isfinite(res.epsilons))
+        assert res.expected_budget <= mean_budget
+    assert np.array_equal(gibbs_epsilons(p, 0.0), [0.0, 1.0])
+
+
+def test_beta_must_be_finite():
+    with pytest.raises(InvalidSpec):
+        AllocationProblem(
+            risks=np.array([0.5, 0.2]),
+            budgets=np.array([1.0, 2.0]),
+            prior=np.array([0.5, 0.5]),
+            beta=np.inf,
             mean_budget=2.0,
         )
 

@@ -1,11 +1,18 @@
 """Command line behavior: pipeline wiring, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import eero
 from eero.cli import main
 from eero.domain import HeadBank, HeadSlice
 from eero.io import Dataset, Split, load_manifest, write_dataset
@@ -275,6 +282,27 @@ def test_sweep_oracle_spending_decimal_budget_is_within(tmp_path):
     assert oracle == [["6.7999999999999998", "1.0", "6.8000000000000007", "true", "oracle"]]
 
 
+def test_sweep_rows_share_the_oracle_budget_rule(tmp_path):
+    # head_2 everywhere costs 3 * 1.6 = 4.800000000000001 at a budget of 4.8
+    probs = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
+    bank = HeadBank(heads=(
+        HeadSlice(probs=probs, budget_gflops=1.0),
+        HeadSlice(probs=probs, budget_gflops=1.6),
+    ))
+    split = Split(bank=bank, labels=np.array([0, 1, 0]))
+    write_dataset(
+        Dataset(num_classes=2, splits={"train": split, "calib": Split(bank=bank), "test": split}),
+        tmp_path / "data",
+    )
+    out = tmp_path / "sweep.csv"
+    assert main([
+        "sweep", "--data", str(tmp_path / "data"), "--budgets", "4.8", "--out", str(out),
+    ]) == 0
+    rows = {ln.rsplit(",", 1)[1]: ln.split(",") for ln in out.read_text().splitlines()[1:]}
+    assert rows["head_2"] == ["4.7999999999999998", "1.0", "4.8000000000000007", "true", "head_2"]
+    assert rows["head_1"][3] == "true"
+
+
 def test_sweep_linspace_and_bad_forms(dataset, tmp_path):
     out = tmp_path / "sweep.csv"
     rc = main([
@@ -318,6 +346,11 @@ def test_help_lists_flags(capsys):
         (["calibrate", "--budget", "-800"], None, 2),
         (["calibrate", "--budget", "800"], 2.0, 3),
         (["calibrate", "--budget", "800"], "high", 3),
+        (["calibrate", "--budget", "800", "--jitter", "inf"], None, 2),
+        (["calibrate", "--budget", "800", "--score", "neg_entropy", "--jitter", "1e308"], None, 2),
+        (["sweep", "--budgets", "500,800", "--jitter", "inf"], None, 2),
+        (["calibrate", "--budget", "800", "--beta", "inf"], None, 2),
+        (["sweep", "--budgets", "linspace:500:inf:3"], None, 2),
     ],
 )
 def test_invalid_input_exits_with_one_line_error(dataset, tmp_path, capsys, argv, risk, code):
@@ -331,3 +364,81 @@ def test_invalid_input_exits_with_one_line_error(dataset, tmp_path, capsys, argv
     assert rc == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+TINY = Path(__file__).resolve().parents[1] / "sample_data" / "tiny"
+# finite values, signed zeros, negatives, infinities, NaN and the float edge
+NUMBERS = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False).map(repr),
+    st.sampled_from(["0", "-0.0", "-3", "inf", "-inf", "nan", "1e308", "-1e308", "5e-324"]),
+)
+INTS = st.one_of(st.integers(-3, 40), st.sampled_from([2**63, -(2**70)]))
+BUDGETS = st.one_of(
+    st.lists(NUMBERS, min_size=1, max_size=3).map(",".join),
+    st.builds(lambda lo, hi, n: f"linspace:{lo}:{hi}:{n}", NUMBERS, NUMBERS, st.integers(-1, 50)),
+)
+
+
+def _run_quiet(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    budget=NUMBERS, beta=NUMBERS, jitter=NUMBERS, batch=INTS, seed=INTS,
+    score=st.sampled_from(["max_prob", "breaking_ties", "neg_entropy"]),
+    oracle_budget=NUMBERS, sweep_budgets=BUDGETS,
+)
+def test_fuzz_numeric_flags_end_in_documented_exit_codes(
+    tmp_path, budget, beta, jitter, batch, seed, score, oracle_budget, sweep_budgets
+):
+    data = ["--data", str(TINY)]
+    policy = str(tmp_path / "p.json")
+    common = [f"--beta={beta}", f"--jitter={jitter}", f"--seed={seed}", f"--score={score}"]
+    runs = [
+        ["calibrate", *data, f"--budget={budget}", f"--batch-size={batch}", *common,
+         "--out", policy],
+        ["oracle", *data, f"--budget={oracle_budget}", "--out", str(tmp_path / "o.json")],
+        ["sweep", *data, f"--budgets={sweep_budgets}", *common,
+         "--out", str(tmp_path / "s.csv")],
+    ]
+    for argv in runs:
+        rc, err = _run_quiet(argv)
+        assert rc in (0, 2, 3, 4, 5), (argv, rc, err)
+        if rc != 0:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        elif argv[0] == "calibrate":
+            rc, err = _run_quiet(["infer", *data, "--policy", policy,
+                                  "--out", str(tmp_path / "r.json")])
+            assert rc == 0, (err, (tmp_path / "p.json").read_text())
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+ERROR_CLASSES = sorted(
+    name for name in eero.__all__
+    if isinstance(getattr(eero, name), type) and issubclass(getattr(eero, name), eero.EeroError)
+)
+
+
+def _readme_exit_codes():
+    """{error class: exit code} from the README's exit-code table."""
+    codes = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].isdigit():
+            for name in re.findall(r"`(\w+)`", cells[2]):
+                assert name not in codes, f"{name} listed twice"
+                codes[name] = int(cells[0])
+    return codes
+
+
+def test_readme_table_names_every_exported_error():
+    assert sorted(_readme_exit_codes()) == ERROR_CLASSES
+
+
+@pytest.mark.parametrize("name", ERROR_CLASSES)
+def test_error_class_exit_code_matches_readme(name):
+    assert getattr(eero, name).exit_code == _readme_exit_codes()[name]

@@ -11,7 +11,7 @@ from eero import io as eio
 from eero.allocation import AllocationResult
 from eero.calibration import build_policy
 from eero.domain import BudgetSpec
-from eero.errors import MissingLabels, ParseError
+from eero.errors import LabelLengthMismatch, MissingLabels, ParseError
 from eero.inference import classify_batch, measure_budget
 from eero.scoring import ScoreSpec
 from eero.synth import generate, SynthSpec
@@ -211,6 +211,23 @@ def test_label_range_checked(tmp_path):
         eio.load_manifest(tmp_path / "ds")
 
 
+def test_bad_label_cell_names_row_and_col(tmp_path):
+    def mutate(lines):
+        lines[2] = lines[2].split(",")[0] + ",two"
+
+    root = _corrupt(tmp_path, "test_labels.csv", mutate)
+    with pytest.raises(ParseError) as e:
+        eio.load_manifest(root)
+    assert (e.value.row, e.value.col) == (3, 2)
+    assert "'two' is not an integer" in str(e.value)
+
+
+def test_compute_risks_wrong_label_length():
+    bank = make_bank([np.eye(2), np.eye(2)], budgets=[1.0, 2.0])
+    with pytest.raises(LabelLengthMismatch):
+        eio.compute_risks(bank, np.array([0, 1, 1]))
+
+
 def test_compute_risks_hand_case():
     # constant predictor, uniform labels over 4 classes: risk 3/4
     rows = np.tile(np.array([0.7, 0.1, 0.1, 0.1]), (4, 1))
@@ -297,16 +314,16 @@ def test_batch_result_round_trip(tmp_path):
     policy = build_policy(data.calib_bank, alloc, ScoreSpec(seed=6))
     result = classify_batch(data.test_bank, policy, labels=data.test_labels)
     report = measure_budget(result, BudgetSpec(total_budget=40.0, batch_size=20))
-    doc = eio.batch_result_to_dict(result, report)
-    back = eio.batch_result_from_dict(doc)
-    assert np.array_equal(back.exits, result.exits)
-    assert np.array_equal(back.predictions, result.predictions)
-    assert back.consumed_budget == result.consumed_budget
-    assert back.accuracy == result.accuracy
     path = tmp_path / "result.json"
-    eio.write_json_result(path, doc)
-    again = json.loads(path.read_text())
-    assert again["consumed_budget"] == result.consumed_budget
+    eio.write_json_result(path, eio.batch_result_to_dict(result, report))
+    back = json.loads(path.read_text())
+    assert np.array_equal(back["exits"], result.exits)
+    assert np.array_equal(back["predictions"], result.predictions)
+    assert np.array_equal(back["per_instance_cost"], result.per_instance_cost)
+    assert np.array_equal(back["exit_proportions"], result.exit_proportions)
+    assert back["consumed_budget"] == result.consumed_budget
+    assert back["accuracy"] == result.accuracy
+    assert back["budget_report"]["within_budget"] == report.within_budget
 
 
 def test_per_instance_csv(tmp_path):
