@@ -17,7 +17,6 @@ from .allocation import (
     solve_allocation,
 )
 from .calibration import (
-    CORRECTION_MODES,
     ScoreCdf,
     build_cdf,
     build_policy,
@@ -61,7 +60,6 @@ from .io import (
     write_dataset,
 )
 from .oracle import (
-    ORACLE_MODES,
     OracleInstance,
     OracleResult,
     build_correctness,
@@ -87,7 +85,6 @@ __all__ = [
     "BudgetBelowMinimum",
     "BudgetReport",
     "BudgetSpec",
-    "CORRECTION_MODES",
     "DEFAULT_BETA",
     "DEFAULT_JITTER",
     "Dataset",
@@ -105,7 +102,6 @@ __all__ = [
     "MissingLabels",
     "NonIncreasingBudgets",
     "NotOnSimplex",
-    "ORACLE_MODES",
     "OracleInstance",
     "OracleResult",
     "ParseError",

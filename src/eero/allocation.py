@@ -26,11 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BUDGET_REL_TOL, AllocationResult, _frozen, _set
+from .domain import AllocationResult, _frozen, _set, require_cheapest_covers, within_budget
 from .errors import (
     BudgetBelowMinimum,
     EqualBudgets,
-    InfeasibleBudget,
     InvalidSpec,
     NonIncreasingBudgets,
     NotOnSimplex,
@@ -42,6 +41,9 @@ DEFAULT_BETA = 0.1
 # bisection stops at |expected - target| <= _ROOT_TOL * target budget
 _ROOT_TOL = 1e-10
 _WIDTH_TOL = 1e-12
+# the bracket search gives up past this multiplier: beta is then so large
+# that mu * b / beta cannot move the Gibbs weights off the prior
+_MU_MAX = 2.0**200
 
 
 @dataclass(frozen=True)
@@ -91,10 +93,9 @@ class AllocationProblem:
         if not (0.0 < beta < np.inf):
             raise InvalidSpec(f"beta must be finite and > 0, got {self.beta}")
         bbar = float(self.mean_budget)
-        if bbar < budgets[0] * (1.0 - BUDGET_REL_TOL):
-            raise InfeasibleBudget(
-                f"mean budget {bbar:.6g} is below the cheapest head {budgets[0]:.6g}"
-            )
+        if not (bbar > 0.0):
+            raise InvalidSpec(f"mean budget must be > 0, got {self.mean_budget}")
+        require_cheapest_covers(bbar, 1, budgets[0])
         _set(self, "risks", _frozen(risks))
         _set(self, "budgets", _frozen(budgets))
         _set(self, "prior", _frozen(prior))
@@ -172,18 +173,20 @@ def solve_allocation(problem: AllocationProblem) -> AllocationResult:
 
     Returns the Gibbs allocation at mu = 0 when the budget is slack.
     Otherwise bisects the monotone budget equation for the unique
-    positive multiplier.  A budget pinned at the cheapest head (within
-    1e-9 relative) collapses to a point mass on the cheapest head --
-    flagged as saturated, not an error; if several heads tie at the
-    minimum cost the limit Gibbs weights (proportional to
-    prior * exp(-risk / beta)) split the mass among them.
+    positive multiplier.  A budget no larger than the cheapest head's
+    cost under the budget rule (`domain.within_budget`) collapses to a
+    point mass on the heads that fit it -- flagged as saturated, not an
+    error; if several heads fit, the limit Gibbs weights (proportional
+    to prior * exp(-risk / beta)) split the mass among them.  A beta so
+    large that no multiplier up to 2**200 meets the budget raises
+    InvalidSpec.
     """
     budgets = problem.budgets
     target = problem.mean_budget
 
-    if target <= budgets[0] * (1.0 + BUDGET_REL_TOL):
-        cheapest = budgets <= budgets[0] * (1.0 + BUDGET_REL_TOL)
-        eps = _gibbs(problem, np.where(cheapest, problem.risks, np.inf))
+    if within_budget(target, budgets[0]):
+        fits = within_budget(budgets, target)
+        eps = _gibbs(problem, np.where(fits, problem.risks, np.inf))
         return _result(problem, eps, np.inf)
 
     eps0 = gibbs_epsilons(problem, 0.0)
@@ -192,10 +195,14 @@ def solve_allocation(problem: AllocationProblem) -> AllocationResult:
 
     tol = _ROOT_TOL * target
     lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if _expected_budget(problem, hi) <= target:
-            break
+    while _expected_budget(problem, hi) > target:
+        if hi >= _MU_MAX:
+            raise InvalidSpec(
+                f"beta {problem.beta:.6g} is too large: no budget multiplier up to "
+                f"2**200 brings the expected budget down to {target:.6g}"
+            )
         lo, hi = hi, hi * 2.0
+    # hi always meets the budget; mu ends at hi or at a root within tol
     mu = hi
     for _ in range(400):
         if hi - lo <= _WIDTH_TOL:
@@ -208,12 +215,7 @@ def solve_allocation(problem: AllocationProblem) -> AllocationResult:
         if g > 0.0:
             lo = mid
         else:
-            hi = mid
-            mu = mid
-    else:
-        mu = hi
-    if _expected_budget(problem, mu) - target > tol:
-        mu = hi
+            hi = mu = mid
     eps = gibbs_epsilons(problem, mu)
     return _result(problem, eps, mu)
 

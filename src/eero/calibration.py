@@ -24,8 +24,6 @@ from .domain import ExitPolicy, HeadBank, _frozen, _set
 from .errors import EmptyCalibration, HeadCountMismatch, InvalidSpec, NotOnSimplex
 from .scoring import CALIBRATION_KEY_BASE, ScoreSpec, jitter_matrix, score_matrix
 
-CORRECTION_MODES = ("epsilon", "off")
-
 
 @dataclass(frozen=True)
 class ScoreCdf:
@@ -96,15 +94,12 @@ def threshold_for_rate(cdf: ScoreCdf, classify_rate: float) -> float:
     return float(cdf.sorted_scores[idx])
 
 
-def sequential_rates(
-    epsilons: np.ndarray, calibration_size: int, correction: str = "epsilon"
-) -> np.ndarray:
+def sequential_rates(epsilons: np.ndarray, calibration_size: int) -> np.ndarray:
     """Cumulative per-head classify rates from a target exit allocation.
 
-    With the default correction, the cumulative rates are inflated by
-    (1 + 1/sqrt(N)) and clipped at 1; "off" keeps the raw cumulative
-    sums (the infinite-sample limit).  The final entry is always forced
-    to exactly 1 so the last head classifies whatever remains.
+    The cumulative rates are inflated by (1 + 1/sqrt(N)) and clipped at
+    1.  The final entry is always forced to exactly 1 so the last head
+    classifies whatever remains.
     """
     eps = np.asarray(epsilons, dtype=np.float64)
     if eps.ndim != 1 or eps.size < 1:
@@ -117,24 +112,13 @@ def sequential_rates(
     n = int(calibration_size)
     if n < 1:
         raise EmptyCalibration("calibration size must be >= 1")
-    if correction not in CORRECTION_MODES:
-        raise ValueError(
-            f"unknown correction {correction!r}, expected one of {CORRECTION_MODES}"
-        )
-    seq = np.cumsum(np.clip(eps, 0.0, None))
-    if correction == "epsilon":
-        seq = seq * (1.0 + 1.0 / np.sqrt(n))
+    seq = np.cumsum(np.clip(eps, 0.0, None)) * (1.0 + 1.0 / np.sqrt(n))
     seq = np.minimum(seq, 1.0)
     seq[-1] = 1.0
     return seq
 
 
-def build_policy(
-    calib_bank: HeadBank,
-    allocation,
-    spec: ScoreSpec,
-    correction: str = "epsilon",
-) -> ExitPolicy:
+def build_policy(calib_bank: HeadBank, allocation, spec: ScoreSpec) -> ExitPolicy:
     """Turn an allocation into per-head thresholds on calibration scores."""
     eps = np.asarray(allocation.epsilons, dtype=np.float64)
     if eps.size != calib_bank.num_heads:
@@ -142,7 +126,7 @@ def build_policy(
             f"allocation has {eps.size} heads, bank has {calib_bank.num_heads}"
         )
     n = calib_bank.num_instances
-    seq = sequential_rates(eps, n, correction)
+    seq = sequential_rates(eps, n)
     thresholds = np.empty(eps.size, dtype=np.float64)
     for head in range(eps.size):
         cdf = build_cdf(calib_bank, head, spec)

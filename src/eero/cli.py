@@ -7,6 +7,12 @@ test split through a saved policy, `oracle` computes the offline
 optimal assignment, and `sweep` traces accuracy against budget for the
 policy, the oracle and every fixed head.
 
+`calibrate`, `oracle` and `sweep` share one budget rule
+(`domain.within_budget`): a total fits a budget when it is at most the
+budget times 1 + 1e-12.  A budget that cannot pay the cheapest head for
+every test instance under that rule exits 4 in all three, and every
+`within_budget` flag they or `infer` write applies the same rule.
+
 Exit codes are stable: 0 success, 2 usage or invalid argument or
 generator spec, 3 unreadable/invalid data or policy files, 4 infeasible budget,
 5 policy/bank mismatch.  Each library error class declares its own code
@@ -33,16 +39,10 @@ from .allocation import (
     solve_allocation,
 )
 from .calibration import build_policy
-from .domain import BudgetSpec, HeadBank
+from .domain import BudgetSpec, HeadBank, within_budget
 from .errors import EeroError, InvalidSpec, MissingLabels
 from .inference import classify_batch, measure_budget
-from .oracle import (
-    OracleInstance,
-    build_correctness,
-    oracle_curve,
-    oracle_exact,
-    within_budget,
-)
+from .oracle import OracleInstance, build_correctness, oracle_curve, oracle_exact
 from .scoring import SCORE_KINDS, DEFAULT_JITTER, ScoreSpec
 from .synth import SynthSpec, generate
 
@@ -50,6 +50,8 @@ SEED_ENV = "EERO_SEED"
 
 EXIT_OK = 0
 EXIT_IO = 3
+# most budgets a `--budgets linspace:lo:hi:n` sweep may ask for
+MAX_SWEEP_BUDGETS = 10_000
 
 
 def _resolve_seed(value: int | None, fallback: int = 0) -> int:
@@ -217,9 +219,7 @@ def cmd_oracle(args) -> int:
         budget=args.budget,
     )
     result = oracle_exact(instance)
-    eio.write_json_result(
-        args.out, eio.oracle_result_to_dict(result, instance.mode, args.budget)
-    )
+    eio.write_json_result(args.out, eio.oracle_result_to_dict(result, args.budget))
     print(
         f"exact oracle: accuracy {result.accuracy:.4f} at cost {result.cost:.6g} "
         f"(budget {args.budget:.6g})"
@@ -237,8 +237,10 @@ def _parse_budgets(text: str) -> list[float]:
             lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
         except ValueError:
             raise InvalidSpec(f"malformed --budgets {text!r}") from None
-        if n < 2 or not (hi > lo and math.isfinite(hi - lo)):
-            raise InvalidSpec("--budgets linspace needs finite lo < hi and n >= 2")
+        if not (2 <= n <= MAX_SWEEP_BUDGETS and hi > lo and math.isfinite(hi - lo)):
+            raise InvalidSpec(
+                f"--budgets linspace needs finite lo < hi and 2 <= n <= {MAX_SWEEP_BUDGETS}"
+            )
         return [float(b) for b in np.linspace(lo, hi, n)]
     try:
         budgets = [float(tok) for tok in text.split(",") if tok.strip()]

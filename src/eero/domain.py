@@ -28,8 +28,27 @@ from .errors import (
 
 ROW_SUM_TOL = 1e-6
 SIMPLEX_TOL = 1e-9
-# relative slack when comparing a mean budget against the cheapest head
-BUDGET_REL_TOL = 1e-9
+# relative slack on a budget, so that a total which meets the budget
+# exactly in decimal arithmetic is not lost to binary rounding
+BUDGET_RTOL = 1e-12
+
+
+def within_budget(consumed: float, allowed: float) -> bool:
+    """The budget rule: a total fits an allowance up to a relative BUDGET_RTOL.
+
+    Every feasibility check and every `within_budget` flag applies it.
+    """
+    return consumed <= allowed * (1.0 + BUDGET_RTOL)
+
+
+def require_cheapest_covers(budget: float, count: int, cheapest: float) -> None:
+    """Raise InfeasibleBudget unless `count` instances fit `budget` at the cheapest head."""
+    need = count * float(cheapest)
+    if not within_budget(need, budget):
+        raise InfeasibleBudget(
+            f"budget {float(budget)!r} cannot cover the cheapest head for every "
+            f"instance: {count} x {float(cheapest)!r} = {need!r}"
+        )
 
 
 def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -185,14 +204,10 @@ class BudgetSpec:
         return self.total_budget / self.batch_size
 
     def validate_for(self, bank: HeadBank) -> None:
-        """Check that at least the cheapest head fits the mean budget."""
-        cheapest = bank.heads[0].budget_gflops
-        if self.mean_budget < cheapest * (1.0 - BUDGET_REL_TOL):
-            raise InfeasibleBudget(
-                f"mean budget {self.mean_budget:.6g} is below the cheapest head "
-                f"({cheapest:.6g}); the batch needs at least "
-                f"{cheapest * self.batch_size:.6g} in total"
-            )
+        """Check that the cheapest head fits the whole batch."""
+        require_cheapest_covers(
+            self.total_budget, self.batch_size, bank.heads[0].budget_gflops
+        )
 
 
 @dataclass(frozen=True)

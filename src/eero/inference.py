@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BatchResult, BudgetSpec, ExitPolicy, HeadBank, _set
+from .domain import BatchResult, BudgetSpec, ExitPolicy, HeadBank, _set, within_budget
 from .errors import HeadCountMismatch, LabelLengthMismatch
-from .oracle import within_budget
 from .scoring import TEST_KEY_BASE, ScoreSpec, jitter_matrix, predict_matrix, score_matrix
 
 
@@ -134,8 +133,7 @@ class BudgetReport:
 def measure_budget(result: BatchResult, budget: BudgetSpec) -> BudgetReport:
     """Compare a batch's consumption against its allowance.
 
-    A total within a relative `oracle.BUDGET_RTOL` of the allowance is
-    within it, the admission test the oracle uses.
+    `within_budget` applies the budget rule, `domain.within_budget`.
     """
     allowed = budget.mean_budget * result.batch_size
     consumed = result.consumed_budget

@@ -527,11 +527,11 @@ def batch_result_to_dict(
     return doc
 
 
-def oracle_result_to_dict(result: OracleResult, mode: str, budget: float) -> dict:
+def oracle_result_to_dict(result: OracleResult, budget: float) -> dict:
     # mirrors the batch-result summary schema, plus the oracle marker
     return {
         "oracle": True,
-        "mode": mode,
+        "mode": "at_most_budget",
         "budget": budget,
         "accuracy": result.accuracy,
         "consumed_budget": result.cost,

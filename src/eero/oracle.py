@@ -23,30 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import HeadBank, _frozen, _set
-from .errors import InfeasibleBudget, InvalidSpec, LabelLengthMismatch, ShapeMismatch
+from .domain import BUDGET_RTOL, HeadBank, _frozen, _set, require_cheapest_covers
+from .errors import InvalidSpec, LabelLengthMismatch, ShapeMismatch
 from .scoring import TEST_KEY_BASE, ScoreSpec, jitter_matrix, predict_matrix
-
-ORACLE_MODES = ("at_most_budget",)
-
-# relative slack on the budget, so that a total which meets the budget
-# exactly in decimal arithmetic is not lost to binary rounding
-BUDGET_RTOL = 1e-12
-
-
-def within_budget(consumed: float, allowed: float) -> bool:
-    """The budget admission test every `within_budget` flag uses."""
-    return consumed <= allowed * (1.0 + BUDGET_RTOL)
 
 
 @dataclass(frozen=True)
 class OracleInstance:
-    """One assignment problem: correctness matrix, costs, budget, mode."""
+    """One assignment problem: correctness matrix, costs, at-most budget."""
 
     correctness: np.ndarray
     costs: np.ndarray
     budget: float
-    mode: str = "at_most_budget"
 
     def __post_init__(self):
         corr = np.asarray(self.correctness)
@@ -59,10 +47,6 @@ class OracleInstance:
             )
         if not np.all(np.isfinite(costs)) or costs.min() <= 0.0:
             raise InvalidSpec("costs must be finite and positive")
-        if self.mode not in ORACLE_MODES:
-            raise InvalidSpec(
-                f"unknown mode {self.mode!r}, expected one of {ORACLE_MODES}"
-            )
         if not (float(self.budget) > 0.0):
             raise InvalidSpec(f"budget must be positive, got {self.budget}")
         _set(self, "correctness", _frozen(corr != 0, dtype=np.bool_))
@@ -139,13 +123,9 @@ def _solve(instance: OracleInstance, budgets: np.ndarray):
     raises = costs[target] - costs[base]
     raisable = np.flatnonzero(ordered.any(axis=1))
     ranked = raisable[np.argsort(raises[raisable], kind="stable")]
+    require_cheapest_covers(float(budgets.min()), t, costs[base])
+    # raises fit while t * costs[base] + their running total is within budget
     spare = budgets * (1.0 + BUDGET_RTOL) - t * costs[base]
-    if np.any(spare < 0.0):
-        short = float(budgets[np.argmax(spare < 0.0)])
-        raise InfeasibleBudget(
-            f"budget {short:.6g} cannot cover the cheapest head for all {t} "
-            f"instances (needs {t * costs[base]:.6g})"
-        )
     counts = np.searchsorted(np.cumsum(raises[ranked]), spare, side="right")
     return base, target, ranked, counts
 

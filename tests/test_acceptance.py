@@ -274,8 +274,7 @@ def test_criterion_5_oracle_exactness(capsys):
         unit_costs = np.cumsum(rng.integers(1, 5, size=m)).astype(np.int64)
         costs = unit_costs.astype(np.float64)
         budget = float(rng.uniform(t * costs[0], t * costs[-1] * 1.05))
-        inst = OracleInstance(correctness=corr, costs=costs, budget=budget,
-                              mode="at_most_budget")
+        inst = OracleInstance(correctness=corr, costs=costs, budget=budget)
         exact = oracle_exact(inst)
         brute = _enumerate_accuracy(corr, unit_costs, int(budget))
         if brute is None or abs(exact.accuracy - brute) > 1e-12:

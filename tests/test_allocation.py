@@ -174,6 +174,38 @@ def test_beta_must_be_finite():
         )
 
 
+@pytest.mark.parametrize("mean_budget", [np.nan, 0.0, -2.0])
+def test_mean_budget_must_be_positive(mean_budget):
+    with pytest.raises(InvalidSpec):
+        AllocationProblem(
+            risks=np.array([0.5, 0.2]),
+            budgets=np.array([1.0, 2.0]),
+            prior=np.array([0.5, 0.5]),
+            beta=0.1,
+            mean_budget=mean_budget,
+        )
+
+
+@pytest.mark.parametrize("beta, solvable", [(1e60, True), (1e200, False), (1e308, False)])
+def test_huge_beta_meets_the_cap_or_is_rejected(beta, solvable):
+    # sample_data/tiny at a total budget of 7 for its 6 test instances
+    budgets = np.array([1.0, 3.0])
+    p = AllocationProblem(
+        risks=np.array([1.0 / 3.0, 0.0]),
+        budgets=budgets,
+        prior=default_prior(budgets),
+        beta=beta,
+        mean_budget=7.0 / 6.0,
+    )
+    if solvable:
+        res = solve_allocation(p)
+        assert res.saturated
+        assert res.expected_budget <= p.mean_budget * (1.0 + 1e-10)
+    else:  # the prior plans 1.5 per instance, over the 1.1667 cap
+        with pytest.raises(InvalidSpec, match="too large"):
+            solve_allocation(p)
+
+
 def test_expected_budget_non_increasing_in_multiplier():
     p = AllocationProblem(
         risks=np.array([0.7, 0.2, 0.4, 0.1]),

@@ -106,12 +106,6 @@ def test_threshold_decision_equals_cdf_inequality(n, rate, seed):
         assert via_threshold == via_cdf
 
 
-def test_sequential_rates_cumulative_no_correction():
-    out = sequential_rates(np.array([0.2, 0.3, 0.5]), 100, correction="off")
-    assert np.allclose(out, [0.2, 0.5, 1.0], rtol=1e-15)
-    assert out[-1] == 1.0
-
-
 def test_sequential_rates_single_entry():
     assert np.array_equal(sequential_rates(np.array([1.0]), 50), [1.0])
 
@@ -136,8 +130,6 @@ def test_sequential_rates_monotone_and_clipped(rng):
 def test_sequential_rates_requires_simplex():
     with pytest.raises(NotOnSimplex):
         sequential_rates(np.array([0.2, 0.2]), 100)
-    with pytest.raises(ValueError):
-        sequential_rates(np.array([0.5, 0.5]), 100, correction="bogus")
 
 
 def _calib_bank(rng, n=400, m=3, k=5):

@@ -351,6 +351,7 @@ def test_help_lists_flags(capsys):
         (["sweep", "--budgets", "500,800", "--jitter", "inf"], None, 2),
         (["calibrate", "--budget", "800", "--beta", "inf"], None, 2),
         (["sweep", "--budgets", "linspace:500:inf:3"], None, 2),
+        (["sweep", "--budgets", "linspace:6000:47000:1000000000000"], None, 2),
     ],
 )
 def test_invalid_input_exits_with_one_line_error(dataset, tmp_path, capsys, argv, risk, code):
@@ -414,6 +415,40 @@ def test_fuzz_numeric_flags_end_in_documented_exit_codes(
             rc, err = _run_quiet(["infer", *data, "--policy", policy,
                                   "--out", str(tmp_path / "r.json")])
             assert rc == 0, (err, (tmp_path / "p.json").read_text())
+
+
+@pytest.mark.parametrize("budget, code", [("5.9999999994", 4), ("6", 0)])
+def test_calibrate_oracle_sweep_share_one_budget_rule(tmp_path, budget, code):
+    # the tiny test batch needs 6 x 1.0 at its cheapest head
+    for command, flag in (("calibrate", "--budget"), ("oracle", "--budget"), ("sweep", "--budgets")):
+        rc, err = _run_quiet([command, "--data", str(TINY), f"{flag}={budget}",
+                              "--out", str(tmp_path / command)])
+        assert rc == code, (command, err)
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "budget 5.9999999994 " in err and "= 6.0" in err, err
+    if code == 0:
+        rc, _ = _run_quiet(["infer", "--data", str(TINY), "--policy", str(tmp_path / "calibrate"),
+                            "--out", str(tmp_path / "r.json")])
+        assert rc == 0
+        assert json.loads((tmp_path / "r.json").read_text())["budget_report"]["within_budget"]
+
+
+# budgets around that minimum of 6, down to the rule's relative 1e-12
+NEAR_MINIMUM = st.one_of(
+    NUMBERS,
+    st.floats(min_value=5.999, max_value=6.001).map(repr),
+    st.integers(-3000, 3000).map(lambda k: repr(6.0 * (1.0 + k * 1e-15))),
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(budget=NEAR_MINIMUM)
+def test_fuzz_calibrate_infeasible_iff_oracle_infeasible(tmp_path, budget):
+    args = ["--data", str(TINY), f"--budget={budget}"]
+    calibrate, _ = _run_quiet(["calibrate", *args, "--out", str(tmp_path / "p.json")])
+    oracle, _ = _run_quiet(["oracle", *args, "--out", str(tmp_path / "o.json")])
+    assert (calibrate == 4) == (oracle == 4), (budget, calibrate, oracle)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eero.allocation import AllocationProblem, default_prior
 from eero.domain import (
     AllocationResult,
     BatchResult,
@@ -18,6 +19,7 @@ from eero.errors import (
     RowNotNormalized,
     ShapeMismatch,
 )
+from eero.oracle import OracleInstance, oracle_curve, oracle_exact
 from conftest import make_bank, make_slice
 
 
@@ -101,6 +103,32 @@ def test_budget_spec():
     with pytest.raises(InfeasibleBudget):
         BudgetSpec(total_budget=1.0, batch_size=1).validate_for(bank)
     BudgetSpec(total_budget=2.0, batch_size=1).validate_for(bank)
+
+
+@pytest.mark.parametrize(
+    "total, fits",
+    [(6.0, True), (6.0 * (1.0 - 5e-13), True), (6.0 * (1.0 - 2e-12), False), (5.9999999994, False)],
+)
+def test_every_feasibility_check_applies_the_one_rule(total, fits):
+    # 6 instances whose cheapest head costs 1.0 need a total of 6.0
+    budgets = np.array([1.0, 3.0])
+    bank = make_bank([[[0.5, 0.5]] * 6, [[0.4, 0.6]] * 6], budgets=list(budgets))
+    corr = np.ones((6, 2), dtype=bool)
+    checks = [
+        lambda: BudgetSpec(total_budget=total, batch_size=6).validate_for(bank),
+        lambda: AllocationProblem(
+            risks=np.array([0.5, 0.1]), budgets=budgets, prior=default_prior(budgets),
+            beta=0.1, mean_budget=total / 6,
+        ),
+        lambda: oracle_exact(OracleInstance(correctness=corr, costs=budgets, budget=total)),
+        lambda: oracle_curve(corr, budgets, np.array([total, 18.0])),
+    ]
+    for check in checks:
+        if fits:
+            check()
+        else:
+            with pytest.raises(InfeasibleBudget, match="cheapest head"):
+                check()
 
 
 def test_allocation_result_invariants():

@@ -369,7 +369,7 @@ def test_oracle_result_dict_marker():
     from eero.oracle import OracleResult
 
     res = OracleResult(assignment=np.array([1, 2]), accuracy=0.5, cost=3.0)
-    doc = eio.oracle_result_to_dict(res, "at_most_budget", 4.0)
+    doc = eio.oracle_result_to_dict(res, 4.0)
     assert doc["oracle"] is True
     assert doc["mode"] == "at_most_budget"
     assert doc["budget"] == 4.0

@@ -56,8 +56,7 @@ def assert_matches_enumeration(corr, costs, budget):
 
 def test_hand_case_two_instances():
     corr = np.array([[0, 1], [1, 1]], dtype=bool)
-    inst = OracleInstance(correctness=corr, costs=np.array([1.0, 2.0]), budget=3.0,
-                          mode="at_most_budget")
+    inst = OracleInstance(correctness=corr, costs=np.array([1.0, 2.0]), budget=3.0)
     res = oracle_exact(inst)
     assert np.array_equal(res.assignment, [2, 1])
     assert res.accuracy == 1.0
@@ -71,8 +70,7 @@ def test_unconstrained_optimum_all_last_head():
     corr[:, 2] = True
     corr[:, 0] = rng.random(t) < 0.3
     costs = np.array([1.0, 2.0, 3.0])
-    inst = OracleInstance(correctness=corr, costs=costs, budget=t * 3.0,
-                          mode="at_most_budget")
+    inst = OracleInstance(correctness=corr, costs=costs, budget=t * 3.0)
     res = oracle_exact(inst)
     assert res.accuracy == 1.0
     assert np.all(corr[np.arange(t), res.assignment - 1])
@@ -81,7 +79,7 @@ def test_unconstrained_optimum_all_last_head():
 def test_all_wrong_cost_minimal_tie_break():
     corr = np.zeros((4, 3), dtype=bool)
     inst = OracleInstance(correctness=corr, costs=np.array([1.0, 2.0, 3.0]),
-                          budget=12.0, mode="at_most_budget")
+                          budget=12.0)
     res = oracle_exact(inst)
     assert res.accuracy == 0.0
     assert np.array_equal(res.assignment, [1, 1, 1, 1])
@@ -92,7 +90,7 @@ def test_infeasible_budget():
     corr = np.ones((3, 2), dtype=bool)
     with pytest.raises(InfeasibleBudget):
         oracle_exact(OracleInstance(correctness=corr, costs=np.array([1.0, 2.0]),
-                                    budget=2.5, mode="at_most_budget"))
+                                    budget=2.5))
     with pytest.raises(InfeasibleBudget):
         oracle_curve(corr, np.array([1.0, 2.0]), np.array([2.5, 6.0]))
 
@@ -100,7 +98,8 @@ def test_infeasible_budget():
 def test_only_at_most_mode_and_positive_inputs():
     corr = np.array([[1, 0], [0, 1]], dtype=bool)
     costs = np.array([1.0, 2.0])
-    with pytest.raises(InvalidSpec):
+    # at most the budget is the only rule: there is no mode to pick
+    with pytest.raises(TypeError):
         OracleInstance(correctness=corr, costs=costs, budget=3.0, mode="exact_budget")
     with pytest.raises(ValueError):  # InvalidSpec is also a ValueError
         OracleInstance(correctness=corr, costs=costs, budget=-3.0)
@@ -214,7 +213,7 @@ def test_oracle_monotone_in_budget(rng):
     accs = []
     for b in budgets:
         res = oracle_exact(OracleInstance(correctness=corr, costs=costs,
-                                          budget=float(b), mode="at_most_budget"))
+                                          budget=float(b)))
         accs.append(res.accuracy)
     assert np.all(np.diff(accs) >= 0.0)
 
@@ -228,7 +227,7 @@ def test_oracle_curve_matches_pointwise(rng):
     assert len(curve) == budgets.size
     for (acc, consumed), b in zip(curve, budgets):
         res = oracle_exact(OracleInstance(correctness=corr, costs=costs,
-                                          budget=float(b), mode="at_most_budget"))
+                                          budget=float(b)))
         assert acc == pytest.approx(res.accuracy, abs=1e-12)
         assert consumed <= b * (1.0 + 1e-9)
         assert consumed == pytest.approx(res.cost, rel=1e-9, abs=1e-9)
