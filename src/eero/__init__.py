@@ -33,10 +33,8 @@ from .domain import (
     HeadSlice,
 )
 from .errors import (
-    BudgetBelowMinimum,
     EeroError,
     EmptyCalibration,
-    EqualBudgets,
     HeadCountMismatch,
     InfeasibleBudget,
     InvalidSpec,
@@ -82,7 +80,6 @@ __all__ = [
     "AllocationProblem",
     "AllocationResult",
     "BatchResult",
-    "BudgetBelowMinimum",
     "BudgetReport",
     "BudgetSpec",
     "DEFAULT_BETA",
@@ -91,7 +88,6 @@ __all__ = [
     "Split",
     "EeroError",
     "EmptyCalibration",
-    "EqualBudgets",
     "ExitPolicy",
     "HeadBank",
     "HeadCountMismatch",

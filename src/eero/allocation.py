@@ -14,7 +14,9 @@ where mu >= 0 is the budget constraint's multiplier: zero when the
 unconstrained optimum already fits the budget, otherwise the root of
 the budget equation, found by bisection.  The expected budget under
 eps(mu) is non-increasing in mu (its derivative is a negative variance),
-which is what makes bisection safe.
+which is what makes bisection safe: it halves the bracket until no
+float lies inside it and keeps the end that meets the budget, so a
+returned plan never costs more than its cap.
 
 Everything is computed in log space so extreme risk/budget ratios or
 tiny temperatures cannot overflow.
@@ -27,20 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import AllocationResult, _frozen, _set, require_cheapest_covers, within_budget
-from .errors import (
-    BudgetBelowMinimum,
-    EqualBudgets,
-    InvalidSpec,
-    NonIncreasingBudgets,
-    NotOnSimplex,
-    ShapeMismatch,
-)
+from .errors import InvalidSpec, NonIncreasingBudgets, NotOnSimplex, ShapeMismatch
 
 DEFAULT_BETA = 0.1
 
-# bisection stops at |expected - target| <= _ROOT_TOL * target budget
-_ROOT_TOL = 1e-10
-_WIDTH_TOL = 1e-12
 # the bracket search gives up past this multiplier: beta is then so large
 # that mu * b / beta cannot move the Gibbs weights off the prior
 _MU_MAX = 2.0**200
@@ -169,17 +161,21 @@ def _result(problem: AllocationProblem, eps: np.ndarray, mu: float) -> Allocatio
 
 
 def solve_allocation(problem: AllocationProblem) -> AllocationResult:
-    """Solve the allocation problem exactly up to bisection tolerance.
+    """Solve the allocation problem to the last bit of the multiplier.
 
     Returns the Gibbs allocation at mu = 0 when the budget is slack.
-    Otherwise bisects the monotone budget equation for the unique
-    positive multiplier.  A budget no larger than the cheapest head's
-    cost under the budget rule (`domain.within_budget`) collapses to a
-    point mass on the heads that fit it -- flagged as saturated, not an
-    error; if several heads fit, the limit Gibbs weights (proportional
-    to prior * exp(-risk / beta)) split the mass among them.  A beta so
-    large that no multiplier up to 2**200 meets the budget raises
-    InvalidSpec.
+    Otherwise bisects the monotone budget equation until the bracket
+    holds no further float and returns its upper end, whose expected
+    budget is at most the cap: the plan never exceeds `mean_budget`.
+
+    A budget no larger than the cheapest head's cost under the budget
+    rule (`domain.within_budget`) collapses to a point mass on the heads
+    that fit it -- flagged as saturated, not an error; if several heads
+    fit, the limit Gibbs weights (proportional to prior * exp(-risk /
+    beta)) split the mass among them.  Only this plan may exceed the
+    cap, by at most the rule's relative 1e-12, since no plan costs less
+    than the cheapest head.  A beta so large that no multiplier up to
+    2**200 meets the budget raises InvalidSpec.
     """
     budgets = problem.budgets
     target = problem.mean_budget
@@ -193,7 +189,6 @@ def solve_allocation(problem: AllocationProblem) -> AllocationResult:
     if float(eps0 @ budgets) <= target:
         return _result(problem, eps0, 0.0)
 
-    tol = _ROOT_TOL * target
     lo, hi = 0.0, 1.0
     while _expected_budget(problem, hi) > target:
         if hi >= _MU_MAX:
@@ -202,22 +197,16 @@ def solve_allocation(problem: AllocationProblem) -> AllocationResult:
                 f"2**200 brings the expected budget down to {target:.6g}"
             )
         lo, hi = hi, hi * 2.0
-    # hi always meets the budget; mu ends at hi or at a root within tol
-    mu = hi
-    for _ in range(400):
-        if hi - lo <= _WIDTH_TOL:
-            break
+    # lo misses the budget and hi meets it; halve until they are adjacent floats
+    while True:
         mid = 0.5 * (lo + hi)
-        g = _expected_budget(problem, mid) - target
-        if abs(g) <= tol:
-            mu = mid
+        if not lo < mid < hi:
             break
-        if g > 0.0:
+        if _expected_budget(problem, mid) > target:
             lo = mid
         else:
-            hi = mu = mid
-    eps = gibbs_epsilons(problem, mu)
-    return _result(problem, eps, mu)
+            hi = mid
+    return _result(problem, gibbs_epsilons(problem, hi), hi)
 
 
 def single_head_rate(
@@ -229,26 +218,20 @@ def single_head_rate(
     first head so that the batch exactly consumes `total_budget`,
     clamped to [0, 1].  Inside the feasible band the unclamped value
     satisfies  batch_size * (rate * b1 + (1 - rate) * b2) = total_budget.
+    Needs 0 < b1 < b2 and a total that pays the first head for the whole
+    batch under the budget rule (`domain.require_cheapest_covers`).
     """
     b1 = float(budget_first)
     b2 = float(budget_second)
-    if b1 == b2:
-        raise EqualBudgets(f"head budgets must differ, got {b1} for both")
-    if b1 > b2:
+    if not (0.0 < b1 < b2):
         raise NonIncreasingBudgets(
-            f"first head must be cheaper, got ({b1}, {b2})"
+            f"head budgets must be positive and increasing, got ({b1}, {b2})"
         )
-    if b1 <= 0.0:
-        raise NonIncreasingBudgets("head budgets must be positive")
     t = int(batch_size)
     if t < 1:
-        raise ValueError(f"batch size must be >= 1, got {batch_size}")
+        raise InvalidSpec(f"batch size must be >= 1, got {batch_size}")
     total = float(total_budget)
-    if total < t * b1:
-        raise BudgetBelowMinimum(
-            f"budget {total:.6g} cannot cover the first head alone "
-            f"({t} * {b1:.6g} = {t * b1:.6g})"
-        )
+    require_cheapest_covers(total, t, b1)
     # endpoints map exactly, sidestepping division round-off
     if total == t * b1:
         return 1.0

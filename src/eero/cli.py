@@ -23,6 +23,7 @@ the oracle no longer rounds costs to a grid, and the code is not reused.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -74,15 +75,7 @@ def _load_synth_spec(path: Path, seed_flag: int | None) -> SynthSpec:
         raise InvalidSpec(f"generator spec is not valid JSON: {e}")
     if not isinstance(doc, dict):
         raise InvalidSpec("generator spec must be a JSON object")
-    known = {
-        "seed",
-        "num_classes",
-        "num_heads",
-        "head_accuracies",
-        "head_budgets",
-        "confidence_sharpness",
-        "sizes",
-    }
+    known = {f.name for f in dataclasses.fields(SynthSpec)}
     unknown = set(doc) - known
     if unknown:
         raise InvalidSpec(f"unknown generator spec fields: {sorted(unknown)}")
@@ -91,15 +84,7 @@ def _load_synth_spec(path: Path, seed_flag: int | None) -> SynthSpec:
         raise InvalidSpec(f"generator spec is missing fields: {sorted(missing)}")
     seed = _resolve_seed(seed_flag, fallback=doc.get("seed", 0))
     try:
-        return SynthSpec(
-            seed=seed,
-            num_classes=doc["num_classes"],
-            num_heads=doc["num_heads"],
-            head_accuracies=tuple(doc["head_accuracies"]),
-            head_budgets=tuple(doc["head_budgets"]),
-            confidence_sharpness=doc["confidence_sharpness"],
-            sizes=tuple(doc["sizes"]),
-        )
+        return SynthSpec(**{**doc, "seed": seed})
     except (TypeError, ValueError) as e:
         raise InvalidSpec(f"malformed generator spec: {e}") from None
 

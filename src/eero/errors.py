@@ -41,16 +41,6 @@ class InfeasibleBudget(EeroError):
     exit_code = 4
 
 
-class EqualBudgets(EeroError):
-    """Two-head closed form requires distinct head budgets."""
-
-
-class BudgetBelowMinimum(EeroError):
-    """Total budget is below the cost of running the first head alone."""
-
-    exit_code = 4
-
-
 class HeadCountMismatch(EeroError):
     """A policy or allocation was built for a different number of heads."""
 

@@ -2,19 +2,23 @@
 
 An instance walks the heads in order and leaves at the first head whose
 jittered confidence score is at or above that head's threshold; the
-final head's rate is 1 so nothing survives past it.  The instance is
-charged the exit head's cumulative budget and nothing else: costs of
-the heads it merely passed through are already inside that cumulative
-number, and heads it never reached cost nothing.
+final head's rate is 1 so nothing survives past it.  Jitter only
+decides exits: the prediction is the plain argmax of the exit head's
+raw probability row (`scoring.predict_matrix`), the rule that risks and
+the oracle use too.  The instance is charged the exit head's cumulative
+budget and nothing else: costs of the heads it merely passed through
+are already inside that cumulative number, and heads it never reached
+cost nothing.
 
 One cascade kernel, `_route`, does all routing, and its work follows the
 same cost model: head l is jittered and scored only on the instances
-still alive after heads 1..l-1, and argmax predictions are taken only
-for the instances that leave at head l.  `classify_batch` runs it once
-over the whole bank; `iter_classify` runs it over one-instance windows
-so each decision is ready as soon as its own heads are scored.  Jitter
-is counter-based, keyed by instance and head, so any window of the bank
-gets bit-identical decisions.
+still alive after heads 1..l-1, argmax predictions are taken only for
+the instances that leave at head l, and the final head, which takes
+every survivor, is neither jittered nor scored.  `classify_batch` runs
+it once over the whole bank; `iter_classify` runs it over one-instance
+windows so each decision is ready as soon as its own heads are scored.
+Jitter is counter-based, keyed by instance and head, so any window of
+the bank gets bit-identical decisions.
 """
 
 from __future__ import annotations
@@ -52,16 +56,17 @@ def _route(
     alive = np.arange(hi - lo)
     for head in range(m):
         rows = lo + alive
-        jittered = jitter_matrix(bank.heads[head].probs[rows], head, TEST_KEY_BASE + rows, spec)
+        probs = bank.heads[head].probs[rows]
         if head == m - 1:  # final head takes whatever remains
             exits[alive] = head
-            preds[alive] = predict_matrix(jittered)
+            preds[alive] = predict_matrix(probs)
             break
+        jittered = jitter_matrix(probs, head, TEST_KEY_BASE + rows, spec)
         leave = score_matrix(jittered, spec.kind) >= policy.thresholds[head]
         out = alive[leave]
         if out.size:
             exits[out] = head
-            preds[out] = predict_matrix(jittered[leave])
+            preds[out] = predict_matrix(probs[leave])
             alive = alive[~leave]
             if alive.size == 0:
                 break

@@ -425,7 +425,7 @@ def _write_labels_csv(path, ids: np.ndarray, labels: np.ndarray) -> None:
 
 
 def compute_risks(bank: HeadBank, labels: np.ndarray | None) -> np.ndarray:
-    """Per-head misclassification rate of unjittered argmax predictions."""
+    """Per-head misclassification rate of the heads' argmax predictions."""
     if labels is None:
         raise MissingLabels("risk estimation needs a labeled split")
     return (~build_correctness(bank, labels)).mean(axis=0)

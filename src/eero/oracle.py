@@ -25,7 +25,7 @@ import numpy as np
 
 from .domain import BUDGET_RTOL, HeadBank, _frozen, _set, require_cheapest_covers
 from .errors import InvalidSpec, LabelLengthMismatch, ShapeMismatch
-from .scoring import TEST_KEY_BASE, ScoreSpec, jitter_matrix, predict_matrix
+from .scoring import predict_matrix
 
 
 @dataclass(frozen=True)
@@ -83,14 +83,12 @@ class OracleResult:
         _set(self, "cost", float(self.cost))
 
 
-def build_correctness(
-    bank: HeadBank, labels: np.ndarray, spec: ScoreSpec | None = None
-) -> np.ndarray:
-    """Per-(instance, head) correctness of the bank's argmax predictions.
+def build_correctness(bank: HeadBank, labels: np.ndarray) -> np.ndarray:
+    """Per-(instance, head) correctness of each head's prediction.
 
-    Predictions are the plain argmax of the stored rows; pass a
-    `ScoreSpec` to use jittered rows instead (matching what inference
-    would predict under that spec).
+    A head predicts the plain argmax of its stored row
+    (`scoring.predict_matrix`), the same prediction routing makes when
+    an instance exits there.
     """
     labels = np.asarray(labels)
     if labels.shape != (bank.num_instances,):
@@ -98,13 +96,8 @@ def build_correctness(
             f"{labels.size} labels for {bank.num_instances} instances"
         )
     out = np.empty((bank.num_instances, bank.num_heads), dtype=bool)
-    # test-row key space, so jittered predictions agree with inference
-    keys = TEST_KEY_BASE + np.arange(bank.num_instances, dtype=np.uint64)
     for head in range(bank.num_heads):
-        probs = bank.heads[head].probs
-        if spec is not None:
-            probs = jitter_matrix(probs, head, keys, spec)
-        out[:, head] = predict_matrix(probs) == labels
+        out[:, head] = predict_matrix(bank.heads[head].probs) == labels
     return out
 
 

@@ -1,10 +1,12 @@
-"""Confidence scores over jittered probability rows.
+"""Confidence scores over jittered probability rows, and predictions.
 
 Scores drive the exit decision: an instance leaves at the first head
 whose score clears that head's calibrated threshold.  A tiny additive
 uniform jitter makes the score distribution atomless, so empirical
 quantiles behave as if scores were continuous and exact ties cannot
-produce ambiguous thresholds.
+produce ambiguous thresholds.  Jitter touches only scores: what a head
+predicts is the argmax of its raw probability row (`predict_matrix`),
+everywhere -- routing, risk estimates and the oracle.
 
 Jitter draws are counter-based, keyed by (seed, head, instance, class):
 the same row always receives the same perturbation no matter how the
@@ -91,7 +93,10 @@ def score_matrix(jittered: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown score kind {kind!r}")
 
 
-def predict_matrix(jittered: np.ndarray) -> np.ndarray:
-    """Per-row argmax class (0-based); ties go to the lowest index."""
-    return np.argmax(np.asarray(jittered), axis=1)
+def predict_matrix(probs: np.ndarray) -> np.ndarray:
+    """Per-row argmax class (0-based) of raw probability rows.
+
+    Ties go to the lowest index.
+    """
+    return np.argmax(np.asarray(probs), axis=1)
 

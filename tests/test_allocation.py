@@ -15,8 +15,6 @@ from eero.allocation import (
     solve_allocation,
 )
 from eero.errors import (
-    BudgetBelowMinimum,
-    EqualBudgets,
     InfeasibleBudget,
     InvalidSpec,
     NonIncreasingBudgets,
@@ -200,10 +198,29 @@ def test_huge_beta_meets_the_cap_or_is_rejected(beta, solvable):
     if solvable:
         res = solve_allocation(p)
         assert res.saturated
-        assert res.expected_budget <= p.mean_budget * (1.0 + 1e-10)
+        assert res.expected_budget <= p.mean_budget
     else:  # the prior plans 1.5 per instance, over the 1.1667 cap
         with pytest.raises(InvalidSpec, match="too large"):
             solve_allocation(p)
+
+
+def test_no_plan_exceeds_its_cap():
+    # the problems of acceptance criterion 2, on another stream
+    rng = np.random.default_rng(0)
+    over = []
+    for _ in range(2000):
+        m = int(rng.integers(2, 21))
+        budgets = np.cumsum(rng.uniform(0.3, 2.5, size=m))
+        risks = rng.uniform(0.0, 1.0, size=m)
+        beta = float(rng.uniform(0.02, 3.0))
+        mean_budget = float(rng.uniform(budgets[0] * 1.001, budgets[-1] * 1.2))
+        res = solve_allocation(AllocationProblem(
+            risks=risks, budgets=budgets, prior=default_prior(budgets),
+            beta=beta, mean_budget=mean_budget,
+        ))
+        if res.expected_budget > mean_budget:
+            over.append(res.expected_budget / mean_budget - 1.0)
+    assert over == []
 
 
 def test_expected_budget_non_increasing_in_multiplier():
@@ -251,7 +268,7 @@ def _kkt_ok(problem, result, n_probe=2_000, rng=None):
     assert abs(eps.sum() - 1.0) <= 1e-9
     assert eps.min() >= 0.0
     spent = float(eps @ problem.budgets)
-    assert spent <= problem.mean_budget * (1.0 + 1e-9)
+    assert spent == result.expected_budget <= problem.mean_budget
     if result.saturated and np.isfinite(result.multiplier):
         assert abs(spent - problem.mean_budget) <= 1e-8 * problem.mean_budget
     assert result.multiplier * abs(spent - problem.mean_budget) <= 1e-8
@@ -317,12 +334,14 @@ def test_single_head_rate_clamps_surplus():
 
 
 def test_single_head_rate_errors():
-    with pytest.raises(EqualBudgets):
+    with pytest.raises(NonIncreasingBudgets):
         single_head_rate(2.0, 2.0, 10.0, 2)
     with pytest.raises(NonIncreasingBudgets):
         single_head_rate(3.0, 2.0, 10.0, 2)
-    with pytest.raises(BudgetBelowMinimum):
+    with pytest.raises(InfeasibleBudget, match="cheapest head"):
         single_head_rate(1.0, 2.0, 0.5, 1)
+    with pytest.raises(InvalidSpec):
+        single_head_rate(1.0, 2.0, 10.0, 0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -343,5 +362,5 @@ def test_solver_output_always_on_simplex(m, seed, beta):
     )
     res = solve_allocation(p)
     assert abs(res.epsilons.sum() - 1.0) <= 1e-9
-    assert float(res.epsilons @ budgets) <= p.mean_budget * (1.0 + 1e-9)
+    assert float(res.epsilons @ budgets) == res.expected_budget <= p.mean_budget
     assert res.kl_to_prior >= 0.0

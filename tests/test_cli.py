@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from eero.cli import main
 from eero.domain import HeadBank, HeadSlice
 from eero.io import Dataset, Split, load_manifest, write_dataset
 from eero.oracle import build_correctness
+from eero.synth import default_spec, generate
 
 SPEC = {
     "seed": 3,
@@ -477,3 +479,42 @@ def test_readme_table_names_every_exported_error():
 @pytest.mark.parametrize("name", ERROR_CLASSES)
 def test_error_class_exit_code_matches_readme(name):
     assert getattr(eero, name).exit_code == _readme_exit_codes()[name]
+
+
+def _readme_quick_start():
+    """(argv, shown output lines) of each README quick-start run on sample_data/tiny."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Quick start"):text.index("## Data format")]
+    runs = []
+    for block in re.findall(r"```\n(.*?)```", section, flags=re.S):
+        lines = block.replace("\\\n", " ").splitlines()
+        if lines[0].startswith("$ eero ") and "sample_data/tiny" in lines[0]:
+            runs.append((shlex.split(lines[0])[2:], lines[1:]))
+    return runs
+
+
+def test_readme_quick_start_output(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("EERO_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    runs = _readme_quick_start()
+    assert [argv[0] for argv, _ in runs] == ["calibrate", "infer", "oracle", "sweep"]
+    for argv, shown in runs:
+        argv = [str(TINY) if a == "sample_data/tiny" else a for a in argv]
+        capsys.readouterr()
+        assert main(argv) == 0, argv
+        out = iter(capsys.readouterr().out.splitlines())
+        # every shown line appears, in order, in the command's stdout
+        for line in shown:
+            assert any(got == line for got in out), (argv[0], line)
+
+
+def test_calibrated_plan_never_exceeds_its_cap(tmp_path):
+    # default data, seed 1: the plan for 20000 over 5000 test instances is at a cap of 4
+    write_dataset(generate(default_spec(seed=1)), tmp_path / "data")
+    policy = tmp_path / "policy.json"
+    args = ["calibrate", "--data", str(tmp_path / "data"), "--budget", "20000.0", "--seed", "1"]
+    rc, err = _run_quiet([*args, "--out", str(policy)])
+    assert rc == 0, err
+    allocation = json.loads(policy.read_text())["allocation"]
+    assert allocation["saturated"]
+    assert allocation["expected_budget"] <= 4.0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eero.allocation import AllocationProblem, default_prior
+from eero.allocation import AllocationProblem, default_prior, single_head_rate
 from eero.domain import (
     AllocationResult,
     BatchResult,
@@ -122,6 +122,7 @@ def test_every_feasibility_check_applies_the_one_rule(total, fits):
         ),
         lambda: oracle_exact(OracleInstance(correctness=corr, costs=budgets, budget=total)),
         lambda: oracle_curve(corr, budgets, np.array([total, 18.0])),
+        lambda: single_head_rate(1.0, 3.0, total, 6),
     ]
     for check in checks:
         if fits:

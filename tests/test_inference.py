@@ -115,7 +115,7 @@ def _route_by_cdf(bank, cdfs, policy, spec):
             ok = cdf_eval(cdfs[ell], s) >= 1.0 - policy.seq_rates[ell]
             if ok or ell == m - 1:
                 exits[i] = ell + 1
-                preds[i] = int(predict_matrix(jit)[0]) + 1
+                preds[i] = int(predict_matrix(bank.heads[ell].probs[i : i + 1])[0]) + 1
                 break
     return exits, preds
 
@@ -160,7 +160,7 @@ def _route_dense(bank, policy):
     for head in range(m):
         jittered = jitter_matrix(bank.heads[head].probs, head, keys, spec)
         scores[:, head] = score_matrix(jittered, spec.kind)
-        preds[:, head] = predict_matrix(jittered)
+        preds[:, head] = predict_matrix(bank.heads[head].probs)
     classify = scores >= policy.thresholds[None, :]
     classify[:, m - 1] = True
     exit_head = np.argmax(classify, axis=1)
@@ -215,7 +215,7 @@ def test_cascade_equals_dense_scan(rng, kind, jitter, mode):
 
 def test_route_windows_equal_whole_bank(rng):
     bank = random_bank(rng, n=301, m=3, k=4, budgets=[1.0, 2.0, 4.0])
-    # exact ties: only the jitter, keyed by the global row, picks these classes
+    # exact ties: these rows score only their jitter, keyed by the global row
     bank = HeadBank(heads=tuple(
         HeadSlice(probs=np.where(np.arange(301)[:, None] % 3 == 0, 0.25, h.probs),
                   budget_gflops=h.budget_gflops)
@@ -249,16 +249,30 @@ def test_each_head_scores_only_rows_that_reach_it(rng, monkeypatch):
     monkeypatch.setattr(inference, "score_matrix", counting("score", score_matrix))
     monkeypatch.setattr(inference, "predict_matrix", counting("predict", predict_matrix))
     res = classify_batch(bank, policy)
-    alive = [int(np.sum(res.exits > head)) for head in range(m)]
-    reached = [a for a in alive if a > 0]
-    assert calls["jitter"] == reached  # head l sees only the rows alive after l-1 heads
-    assert sum(calls["jitter"]) == int(res.exits.sum()) < n * m
+    reached = [int(np.sum(res.exits > head)) for head in range(m)]
+    assert reached[m - 1] > 0
+    # head l sees only the rows alive after l-1 heads; the last head is not jittered
+    assert calls["jitter"] == reached[: m - 1]
+    assert sum(calls["jitter"]) == int(np.minimum(res.exits, m - 1).sum()) < n * (m - 1)
     assert calls["score"] == reached[: m - 1]  # the last head needs no score
     assert sum(calls["predict"]) == n  # argmax only for the rows that leave
     calls = {"jitter": [], "score": [], "predict": []}
     first = _policy(np.full(m, -np.inf), seq_rates=[1.0] * m)
     classify_batch(bank, first)
     assert calls["jitter"] == [n]  # nobody survives head 1: the walk stops there
+
+
+@pytest.mark.parametrize("exit_head", [1, 2])
+def test_tied_row_predicts_lowest_class(exit_head):
+    # every row is tied at (0.5, 0.5) on the head where it exits
+    bank = make_bank([[[0.5, 0.5]] * 4, [[0.5, 0.5]] * 4], budgets=[1.0, 2.0])
+    first = -np.inf if exit_head == 1 else np.inf
+    for seed in range(20):
+        policy = _policy([first, -np.inf], seq_rates=[0.5, 1.0], jitter=1e-5, seed=seed)
+        res = classify_batch(bank, policy)
+        assert np.all(res.exits == exit_head)
+        assert np.all(res.predictions == 1)
+        assert [r[:2] for r in iter_classify(bank, policy)] == [(exit_head, 1)] * 4
 
 
 def test_monotone_thresholds_reduce_exits(rng):
