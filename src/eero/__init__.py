@@ -16,14 +16,7 @@ from .allocation import (
     single_head_rate,
     solve_allocation,
 )
-from .calibration import (
-    ScoreCdf,
-    build_cdf,
-    build_policy,
-    cdf_eval,
-    sequential_rates,
-    threshold_for_rate,
-)
+from .calibration import build_policy, sequential_rates, threshold_for_rate
 from .domain import (
     AllocationResult,
     BatchResult,
@@ -103,17 +96,14 @@ __all__ = [
     "ParseError",
     "RowNotNormalized",
     "SCORE_KINDS",
-    "ScoreCdf",
     "ScoreSpec",
     "ShapeMismatch",
     "SynthData",
     "SynthSpec",
     "allocation_objective",
     "as_dataset",
-    "build_cdf",
     "build_correctness",
     "build_policy",
-    "cdf_eval",
     "classify_batch",
     "compute_risks",
     "default_prior",

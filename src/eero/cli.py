@@ -163,8 +163,7 @@ def cmd_infer(args) -> int:
     result = classify_batch(test.bank, policy, labels=test.labels)
     report = None
     if "budget_spec" in doc:
-        stored = doc["budget_spec"]
-        per_instance = float(stored["total_budget"]) / int(stored["batch_size"])
+        per_instance = eio.budget_from_dict(doc["budget_spec"]).mean_budget
         report = measure_budget(
             result,
             BudgetSpec(

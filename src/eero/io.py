@@ -299,7 +299,7 @@ def load_manifest(path) -> Dataset:
         if name not in raw_splits:
             continue
         entry = raw_splits[name]
-        heads_meta = entry.get("heads")
+        heads_meta = entry.get("heads") if isinstance(entry, dict) else None
         if not isinstance(heads_meta, list) or len(heads_meta) < 2:
             raise ParseError(
                 f"split {name!r} needs a list of >= 2 heads", file=str(path)
@@ -308,9 +308,14 @@ def load_manifest(path) -> Dataset:
         split_ids: np.ndarray | None = None
         budgets_here = []
         for idx, meta in enumerate(heads_meta, start=1):
-            if "probs_csv" not in meta or "budget_gflops" not in meta:
+            if not (
+                isinstance(meta, dict)
+                and isinstance(meta.get("probs_csv"), str)
+                and "budget_gflops" in meta
+            ):
                 raise ParseError(
-                    f"head {idx} of split {name!r} needs probs_csv and budget_gflops",
+                    f"head {idx} of split {name!r} needs a probs_csv file name "
+                    "and a budget_gflops",
                     file=str(path),
                 )
         for idx, meta in enumerate(heads_meta, start=1):
@@ -328,16 +333,15 @@ def load_manifest(path) -> Dataset:
                     f"instance ids of split {name!r} differ between heads",
                     file=str(path),
                 )
-            budget = _manifest_number(meta["budget_gflops"], path)
+            where = f"head {idx} of split {name!r}"
+            budget = _manifest_number(meta["budget_gflops"], f"budget_gflops of {where}", path)
             budgets_here.append(budget)
             risk = meta.get("risk")
             if risk is not None:
-                risk = _manifest_number(risk, path)
+                risk = _manifest_number(risk, f"risk of {where}", path)
                 if not (0.0 <= risk <= 1.0):
                     raise ParseError(
-                        f"risk of head {idx} of split {name!r} must lie in [0, 1], "
-                        f"got {risk}",
-                        file=str(path),
+                        f"risk of {where} must lie in [0, 1], got {risk}", file=str(path)
                     )
             slices.append(HeadSlice(probs=probs, budget_gflops=budget, risk=risk))
         if budgets_seen is None:
@@ -349,8 +353,14 @@ def load_manifest(path) -> Dataset:
             )
         bank = HeadBank(heads=tuple(slices))
         labels = None
-        if entry.get("labels_csv"):
-            lab_ids, labels = read_labels_csv(base / entry["labels_csv"], k)
+        labels_csv = entry.get("labels_csv")
+        if labels_csv is not None and not isinstance(labels_csv, str):
+            raise ParseError(
+                f"labels_csv of split {name!r} must be a file name, got {labels_csv!r}",
+                file=str(path),
+            )
+        if labels_csv:
+            lab_ids, labels = read_labels_csv(base / labels_csv, k)
             if not np.array_equal(lab_ids, split_ids):
                 raise ParseError(
                     f"label ids of split {name!r} do not match its probs ids",
@@ -360,11 +370,14 @@ def load_manifest(path) -> Dataset:
     return Dataset(num_classes=k, splits=splits)
 
 
-def _manifest_number(value, path) -> float:
+def _manifest_number(value, what: str, path) -> float:
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"expected a number, got {value!r}", file=str(path)) from None
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ParseError(f"{what} must be a finite number, got {value!r}", file=str(path))
+    return number
 
 
 def write_dataset(data, out_dir) -> Path:
@@ -482,6 +495,17 @@ def policy_from_dict(doc: dict) -> ExitPolicy:
     return policy
 
 
+def budget_from_dict(doc: dict) -> BudgetSpec:
+    """The budget a policy was calibrated for, from its `budget_spec` entry.
+
+    Raises ValueError (InvalidSpec for out-of-range values) when the entry
+    is malformed.
+    """
+    if not isinstance(doc, dict) or not {"total_budget", "batch_size"} <= doc.keys():
+        raise ValueError("budget_spec needs total_budget and batch_size")
+    return BudgetSpec(total_budget=doc["total_budget"], batch_size=doc["batch_size"])
+
+
 def save_policy(
     path,
     policy: ExitPolicy,
@@ -499,8 +523,11 @@ def load_policy(path) -> tuple[ExitPolicy, dict]:
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
         policy = policy_from_dict(doc)
-    except (KeyError, TypeError, ValueError, ShapeMismatch) as e:
-        # ValueError covers bad JSON and the policy's own validators
+        if "budget_spec" in doc:
+            budget_from_dict(doc["budget_spec"])
+    except (KeyError, TypeError, ValueError, OverflowError, ShapeMismatch) as e:
+        # ValueError covers bad JSON and the policy's and budget's own validators;
+        # OverflowError an infinite or out-of-range integer field
         raise ParseError(f"not a policy document: {e}", file=str(path)) from None
     return policy, doc
 

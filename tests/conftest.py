@@ -27,6 +27,11 @@ def random_bank(rng, n, m, k, budgets=None):
     return make_bank([probs[i] for i in range(m)], list(budgets))
 
 
+def cdf_linear(scores, t):
+    """Share of `scores` at or below t, by a linear count: the empirical CDF."""
+    return float(np.sum(np.asarray(scores) <= t)) / len(scores)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

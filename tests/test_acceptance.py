@@ -18,7 +18,7 @@ from eero.allocation import (
     single_head_rate,
     solve_allocation,
 )
-from eero.calibration import ScoreCdf, build_policy, threshold_for_rate
+from eero.calibration import build_policy, threshold_for_rate
 from eero.domain import BudgetSpec
 from eero.inference import classify_batch
 from eero.io import as_dataset, compute_risks
@@ -297,8 +297,7 @@ def test_criterion_6_rejection_rate_bound(capsys):
             devs = np.empty(200)
             for trial in range(200):
                 calib = np.sort(rng.normal(size=n))
-                cdf = ScoreCdf(sorted_scores=calib, head=0)
-                thr = threshold_for_rate(cdf, eps)
+                thr = threshold_for_rate(calib, eps)
                 fresh = rng.normal(size=20_000)
                 reject = float(np.mean(fresh < thr))
                 devs[trial] = abs(reject - (1.0 - eps))

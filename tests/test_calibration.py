@@ -1,91 +1,96 @@
-"""Empirical score CDFs, quantile thresholds, sequential rates, and
-policy assembly. Reference implementations here are deliberately naive
-(linear scans, direct inequality checks) to stay independent of the
-library's binary-search paths."""
+"""Quantile thresholds on sorted calibration scores, sequential rates,
+and policy assembly. Reference implementations here are deliberately
+naive (linear scans, direct inequality checks) to stay independent of
+the library's binary-search paths."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eero import calibration
 from eero.allocation import AllocationResult  # re-exported dataclass path
-from eero.calibration import (
-    ScoreCdf,
-    build_cdf,
-    build_policy,
-    cdf_eval,
-    sequential_rates,
-    threshold_for_rate,
+from eero.calibration import build_policy, sequential_rates, threshold_for_rate
+from eero.errors import EmptyCalibration, HeadCountMismatch, InvalidSpec, NotOnSimplex
+from eero.scoring import (
+    CALIBRATION_KEY_BASE,
+    SCORE_KINDS,
+    ScoreSpec,
+    jitter_matrix,
+    score_matrix,
 )
-from eero.errors import EmptyCalibration, HeadCountMismatch, NotOnSimplex
-from eero.scoring import CALIBRATION_KEY_BASE, ScoreSpec, jitter_matrix, score_matrix
-from conftest import make_bank
+from conftest import cdf_linear, make_bank
 
 
-def _cdf_linear(scores, t):
-    return float(np.sum(np.asarray(scores) <= t)) / len(scores)
+def _threshold_linear(scores, rate):
+    """Smallest sample whose CDF value reaches 1 - rate, by a scan of every sample."""
+    if rate >= 1.0:
+        return -np.inf
+    return min(s for s in scores if cdf_linear(scores, s) >= 1.0 - rate)
 
 
 def test_cdf_sorts_and_counts():
-    cdf = ScoreCdf(sorted_scores=np.sort(np.array([0.9, 0.1, 0.5])), head=0)
-    assert np.array_equal(cdf.sorted_scores, [0.1, 0.5, 0.9])
-    assert cdf_eval(cdf, 0.5) == pytest.approx(2 / 3, rel=1e-15)
-    assert cdf_eval(cdf, 0.0) == 0.0
-    assert cdf_eval(cdf, 1.0) == 1.0
-    assert cdf_eval(cdf, np.inf) == 1.0
+    # sorted: 0.1, 0.3, 0.5, 0.9 with CDF values 1/4, 1/2, 3/4, 1
+    scores = np.array([0.9, 0.1, 0.5, 0.3])
+    assert threshold_for_rate(scores, 0.0) == 0.9
+    assert threshold_for_rate(scores, 0.25) == 0.5
+    assert threshold_for_rate(scores, 0.5) == 0.3
+    assert threshold_for_rate(scores, 0.8) == 0.1
+    assert threshold_for_rate(scores, 1.0) == -np.inf
 
 
 def test_cdf_single_point():
-    cdf = ScoreCdf(sorted_scores=np.array([0.4]), head=2)
-    assert cdf_eval(cdf, 0.39) == 0.0
-    assert cdf_eval(cdf, 0.4) == 1.0
+    for rate in (0.0, 0.3, 0.999):
+        assert threshold_for_rate(np.array([0.4]), rate) == 0.4
+    assert threshold_for_rate(np.array([0.4]), 1.0) == -np.inf
 
 
 def test_cdf_rejects_empty_sorts_unsorted():
     with pytest.raises(EmptyCalibration):
-        ScoreCdf(sorted_scores=np.array([]), head=0)
+        threshold_for_rate(np.array([]), 0.5)
+    with pytest.raises(EmptyCalibration):
+        threshold_for_rate(np.zeros((2, 2)), 0.5)
+    with pytest.raises(InvalidSpec):
+        threshold_for_rate(np.array([0.5, np.nan]), 0.5)
     with pytest.raises(ValueError):
-        ScoreCdf(sorted_scores=np.array([0.5, np.nan]), head=0)
-    cdf = ScoreCdf(sorted_scores=np.array([0.5, 0.1]), head=0)
-    assert np.array_equal(cdf.sorted_scores, [0.1, 0.5])
+        threshold_for_rate(np.array([0.5]), 1.5)
+    assert threshold_for_rate(np.array([0.5, 0.1]), 0.5) == 0.1
 
 
 def test_cdf_matches_linear_scan(rng):
     scores = rng.normal(size=500)
-    cdf = ScoreCdf(sorted_scores=np.sort(scores), head=0)
-    for t in rng.normal(size=1_000):
-        assert cdf_eval(cdf, t) == _cdf_linear(scores, t)
+    sorted_scores = np.sort(scores)
+    for rate in rng.uniform(size=100):
+        assert threshold_for_rate(sorted_scores, rate) == _threshold_linear(scores, rate)
 
 
 def test_cdf_at_sample_points_is_rank(rng):
-    scores = np.sort(rng.normal(size=1_000))
-    cdf = ScoreCdf(sorted_scores=scores, head=0)
-    # distinct with probability 1; rank/N at each sample point
-    for idx in (0, 1, 499, 998, 999):
-        assert cdf_eval(cdf, scores[idx]) == (idx + 1) / 1_000
+    # N = 1024 keeps rank / N and 1 - rank / N exact in binary
+    n = 1_024
+    scores = np.sort(rng.normal(size=n))
+    for idx in (0, 1, 511, 1022, 1023):
+        assert threshold_for_rate(scores, (n - 1 - idx) / n) == scores[idx]
 
 
 def test_threshold_hand_case():
-    cdf = ScoreCdf(sorted_scores=np.array([0.1, 0.2, 0.3, 0.4]), head=0)
-    thr = threshold_for_rate(cdf, 0.5)
+    scores = np.array([0.1, 0.2, 0.3, 0.4])
+    thr = threshold_for_rate(scores, 0.5)
     assert thr == 0.2
-    assert cdf_eval(cdf, thr) >= 1 - 0.5
+    assert cdf_linear(scores, thr) >= 1 - 0.5
 
 
 def test_threshold_full_rate_is_neg_inf():
-    cdf = ScoreCdf(sorted_scores=np.array([0.1, 0.2]), head=0)
-    assert threshold_for_rate(cdf, 1.0) == -np.inf
+    assert threshold_for_rate(np.array([0.1, 0.2]), 1.0) == -np.inf
 
 
 def test_threshold_is_smallest_qualifying_sample(rng):
     scores = np.sort(rng.uniform(size=200))
-    cdf = ScoreCdf(sorted_scores=scores, head=0)
     for rate in (0.0, 0.05, 0.37, 0.5, 0.91, 0.999):
-        thr = threshold_for_rate(cdf, rate)
-        assert _cdf_linear(scores, thr) >= 1 - rate
+        thr = threshold_for_rate(scores, rate)
+        assert cdf_linear(scores, thr) >= 1 - rate
         below = scores[scores < thr]
         if below.size:
-            assert _cdf_linear(scores, below.max()) < 1 - rate
+            assert cdf_linear(scores, below.max()) < 1 - rate
 
 
 @settings(max_examples=60, deadline=None)
@@ -97,12 +102,11 @@ def test_threshold_decision_equals_cdf_inequality(n, rate, seed):
     # duplicates must not break the equivalence
     scores[rng.integers(0, n)] = scores[0]
     scores = np.sort(scores)
-    cdf = ScoreCdf(sorted_scores=scores, head=0)
-    thr = threshold_for_rate(cdf, rate)
+    thr = threshold_for_rate(scores, rate)
     probes = np.concatenate([rng.normal(size=64), scores[:32]])
     for s in probes:
         via_threshold = s >= thr
-        via_cdf = cdf_eval(cdf, s) >= 1.0 - rate
+        via_cdf = cdf_linear(scores, s) >= 1.0 - rate
         assert via_threshold == via_cdf
 
 
@@ -137,27 +141,50 @@ def _calib_bank(rng, n=400, m=3, k=5):
     return make_bank([probs[i] for i in range(m)], budgets=[1.0, 2.0, 3.0][:m])
 
 
-def test_build_cdf_uses_calibration_keys(rng):
-    bank = _calib_bank(rng)
-    spec = ScoreSpec(kind="breaking_ties", jitter_u=1e-5, seed=3)
-    cdf = build_cdf(bank, 1, spec)
-    keys = CALIBRATION_KEY_BASE + np.arange(bank.num_instances, dtype=np.uint64)
-    jit = jitter_matrix(bank.heads[1].probs, 1, keys, spec)
-    expect = np.sort(score_matrix(jit, "breaking_ties"))
-    assert np.array_equal(cdf.sorted_scores, expect)
-
-
-def test_build_policy_fields_and_threshold_consistency(rng):
-    bank = _calib_bank(rng)
-    alloc = AllocationResult(
-        epsilons=np.array([0.3, 0.3, 0.4]),
+def _alloc(epsilons):
+    return AllocationResult(
+        epsilons=np.asarray(epsilons, dtype=np.float64),
         multiplier=0.0,
         expected_budget=2.0,
         kl_to_prior=0.0,
         saturated=False,
     )
+
+
+def test_build_policy_matches_linear_scan(rng):
+    # each threshold is the linear-scan quantile of its head's calibration
+    # scores, jittered with the calibration keys
+    bank = _calib_bank(rng)
+    keys = CALIBRATION_KEY_BASE + np.arange(bank.num_instances, dtype=np.uint64)
+    for kind in SCORE_KINDS:
+        for jitter in (0.0, 1e-5):
+            spec = ScoreSpec(kind=kind, jitter_u=jitter, seed=3)
+            policy = build_policy(bank, _alloc([0.3, 0.3, 0.4]), spec)
+            for head in range(2):
+                jit = jitter_matrix(bank.heads[head].probs, head, keys, spec)
+                scores = score_matrix(jit, kind)
+                rate = policy.seq_rates[head]
+                assert policy.thresholds[head] == _threshold_linear(scores, rate), (kind, jitter)
+            assert policy.thresholds[-1] == -np.inf
+
+
+def test_build_policy_never_scores_the_final_head(rng, monkeypatch):
+    bank = _calib_bank(rng, m=3)
+    heads = []
+
+    def counting(probs, head, *args, **kwargs):
+        heads.append(head)
+        return jitter_matrix(probs, head, *args, **kwargs)
+
+    monkeypatch.setattr(calibration, "jitter_matrix", counting)
+    build_policy(bank, _alloc([0.3, 0.3, 0.4]), ScoreSpec(jitter_u=0.0))
+    assert heads == [0, 1]
+
+
+def test_build_policy_fields_and_threshold_consistency(rng):
+    bank = _calib_bank(rng)
     spec = ScoreSpec(kind="max_prob", jitter_u=1e-5, seed=11)
-    policy = build_policy(bank, alloc, spec)
+    policy = build_policy(bank, _alloc([0.3, 0.3, 0.4]), spec)
     assert policy.score_kind == "max_prob"
     assert policy.seed == 11
     assert policy.calibration_size == bank.num_instances
@@ -172,15 +199,8 @@ def test_build_policy_fields_and_threshold_consistency(rng):
 
 def test_build_policy_head_count_mismatch(rng):
     bank = _calib_bank(rng, m=3)
-    alloc = AllocationResult(
-        epsilons=np.array([0.5, 0.5]),
-        multiplier=0.0,
-        expected_budget=1.5,
-        kl_to_prior=0.0,
-        saturated=False,
-    )
     with pytest.raises(HeadCountMismatch):
-        build_policy(bank, alloc, ScoreSpec())
+        build_policy(bank, _alloc([0.5, 0.5]), ScoreSpec())
 
 
 def test_single_head_rejection_rate_controlled(rng):
@@ -192,8 +212,7 @@ def test_single_head_rejection_rate_controlled(rng):
         for trial in range(50):
             calib = rng.normal(size=n)
             fresh = rng.normal(size=20_000)
-            cdf = ScoreCdf(sorted_scores=np.sort(calib), head=0)
-            thr = threshold_for_rate(cdf, eps)
+            thr = threshold_for_rate(np.sort(calib), eps)
             reject = float(np.mean(fresh < thr))
             devs.append(abs(reject - (1.0 - eps)))
         assert np.quantile(devs, 0.99) <= 3.0 / np.sqrt(n)
@@ -202,11 +221,10 @@ def test_single_head_rejection_rate_controlled(rng):
 def test_cdf_uniform_on_held_out(rng):
     n = 1_000
     calib = np.sort(rng.normal(size=n))
-    cdf = ScoreCdf(sorted_scores=calib, head=0)
     fresh = rng.normal(size=n)
-    u = np.array([cdf_eval(cdf, s) for s in fresh])
-    # Kolmogorov-Smirnov distance to the uniform CDF
-    u_sorted = np.sort(u)
-    grid = (np.arange(n) + 1) / n
-    ks = np.max(np.abs(u_sorted - grid))
+    # at each calibration sample, the held-out share at or above its threshold
+    # tracks the rate: a Kolmogorov-Smirnov distance between the two CDFs
+    rates = np.arange(n) / n
+    passed = np.array([np.mean(fresh >= threshold_for_rate(calib, r)) for r in rates])
+    ks = np.max(np.abs(passed - rates))
     assert ks <= 2.0 / np.sqrt(n)

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import shlex
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -382,6 +383,54 @@ BUDGETS = st.one_of(
 )
 
 
+# (file, key path, raw JSON value written there, text the one error line must hold)
+FILE_FAULTS = {
+    "budget_batch_size_0": ("policy", ["budget_spec", "batch_size"], "0", "batch size"),
+    "budget_no_total": ("policy", ["budget_spec"], '{"batch_size": 6}', "total_budget"),
+    "budget_batch_size_x": ("policy", ["budget_spec", "batch_size"], '"x"', "'x'"),
+    "budget_list": ("policy", ["budget_spec"], "[12.0, 6]", "total_budget"),
+    "budget_negative": ("policy", ["budget_spec", "total_budget"], "-12.0", "total budget"),
+    "seed_infinity": ("policy", ["seed"], "Infinity", "not a policy document"),
+    "seed_1e400": ("policy", ["seed"], "1e400", "not a policy document"),
+    "size_infinity": ("policy", ["calibration_size"], "Infinity", "not a policy document"),
+    "size_1e400": ("policy", ["calibration_size"], "1e400", "not a policy document"),
+    "split_list": ("manifest", ["splits", "calib"], "[1, 2]", "split 'calib'"),
+    "head_number": ("manifest", ["splits", "test", "heads", 1], "7", "head 2 of split 'test'"),
+    "probs_csv_number": (
+        "manifest", ["splits", "calib", "heads", 0, "probs_csv"], "5", "head 1 of split 'calib'"
+    ),
+    "labels_csv_number": ("manifest", ["splits", "test", "labels_csv"], "5", "split 'test'"),
+    "budget_gflops_inf": (
+        "manifest", ["splits", "test", "heads", 1, "budget_gflops"], '"inf"',
+        "budget_gflops of head 2 of split 'test'",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FILE_FAULTS))
+def test_malformed_file_exits_3_with_one_line(tmp_path, capsys, fault):
+    file, keys, raw, needle = FILE_FAULTS[fault]
+    data = tmp_path / "data"
+    shutil.copytree(TINY, data)
+    policy = tmp_path / "policy.json"
+    assert main(["calibrate", "--data", str(data), "--budget", "12", "--out", str(policy)]) == 0
+    target = policy if file == "policy" else data / "manifest.json"
+    doc = json.loads(target.read_text())
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = "<fault>"
+    target.write_text(json.dumps(doc).replace('"<fault>"', raw))
+    capsys.readouterr()
+    out = tmp_path / "result.json"
+    rc = main(["infer", "--data", str(data), "--policy", str(policy), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert needle in err and str(target) in err, err
+    assert not out.exists()
+
+
 def _run_quiet(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -506,6 +555,15 @@ def test_readme_quick_start_output(tmp_path, monkeypatch, capsys):
         # every shown line appears, in order, in the command's stdout
         for line in shown:
             assert any(got == line for got in out), (argv[0], line)
+
+
+def test_readme_python_api_output(monkeypatch, capsys):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Python API\n\n```python\n(.*?)```", text, flags=re.S).group(1)
+    shown = re.search(r"^print\(.*\)  # (.*)$", block, flags=re.M).group(1)
+    monkeypatch.chdir(README.parent)
+    exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == [shown]
 
 
 def test_calibrated_plan_never_exceeds_its_cap(tmp_path):

@@ -7,12 +7,13 @@ must make identical decisions."""
 import numpy as np
 import pytest
 
-from eero.calibration import ScoreCdf, build_cdf, build_policy, cdf_eval
+from eero.calibration import build_policy
 from eero.domain import BatchResult, BudgetSpec, ExitPolicy, HeadBank, HeadSlice
 from eero.errors import HeadCountMismatch, LabelLengthMismatch
 from eero import inference
 from eero.inference import classify_batch, iter_classify, measure_budget
 from eero.scoring import (
+    CALIBRATION_KEY_BASE,
     SCORE_KINDS,
     TEST_KEY_BASE,
     ScoreSpec,
@@ -21,7 +22,7 @@ from eero.scoring import (
     score_matrix,
 )
 from eero.allocation import AllocationResult
-from conftest import make_bank, random_bank
+from conftest import cdf_linear, make_bank, random_bank
 
 
 def _policy(thresholds, seq_rates=None, kind="breaking_ties", jitter=0.0, seed=0, n=10):
@@ -99,8 +100,12 @@ def test_costs_are_exit_head_budget(rng):
     assert res.consumed_budget == pytest.approx(res.per_instance_cost.sum(), rel=1e-15)
 
 
-def _route_by_cdf(bank, cdfs, policy, spec):
-    """Reference router: evaluate the CDF inequality head by head."""
+def _route_by_cdf(bank, calib_scores, policy, spec):
+    """Reference router: evaluate the CDF inequality head by head.
+
+    The CDF of head l is a linear count over `calib_scores[l]`, that
+    head's calibration scores.
+    """
     n = bank.num_instances
     m = bank.num_heads
     keys = TEST_KEY_BASE + np.arange(n, dtype=np.uint64)
@@ -112,8 +117,7 @@ def _route_by_cdf(bank, cdfs, policy, spec):
                 bank.heads[ell].probs[i : i + 1], ell, keys[i : i + 1], spec
             )
             s = float(score_matrix(jit, spec.kind)[0])
-            ok = cdf_eval(cdfs[ell], s) >= 1.0 - policy.seq_rates[ell]
-            if ok or ell == m - 1:
+            if ell == m - 1 or cdf_linear(calib_scores[ell], s) >= 1.0 - policy.seq_rates[ell]:
                 exits[i] = ell + 1
                 preds[i] = int(predict_matrix(bank.heads[ell].probs[i : i + 1])[0]) + 1
                 break
@@ -133,8 +137,12 @@ def test_threshold_routing_equals_cdf_routing(rng):
     spec = ScoreSpec(kind="max_prob", jitter_u=1e-5, seed=17)
     policy = build_policy(calib, alloc, spec)
     res = classify_batch(test, policy)
-    cdfs = [build_cdf(calib, ell, spec) for ell in range(3)]
-    exits, preds = _route_by_cdf(test, cdfs, policy, spec)
+    keys = CALIBRATION_KEY_BASE + np.arange(calib.num_instances, dtype=np.uint64)
+    calib_scores = [
+        score_matrix(jitter_matrix(calib.heads[ell].probs, ell, keys, spec), spec.kind)
+        for ell in range(2)
+    ]
+    exits, preds = _route_by_cdf(test, calib_scores, policy, spec)
     assert np.array_equal(res.exits, exits)
     assert np.array_equal(res.predictions, preds)
 
