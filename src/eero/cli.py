@@ -127,7 +127,9 @@ def _fit_policy(
 
 
 def cmd_calibrate(args) -> int:
-    dataset = eio.load_manifest(args.data)
+    # the test split only supplies the default batch size
+    splits = ("train", "calib") if args.batch_size is not None else eio.SPLIT_NAMES
+    dataset = eio.load_manifest(args.data, splits=splits)
     calib = dataset.split("calib")
     risks = _risks_for(dataset)
     batch_size = args.batch_size
@@ -157,20 +159,14 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    dataset = eio.load_manifest(args.data)
+    dataset = eio.load_manifest(args.data, splits=("test",))
     test = dataset.split("test")
     policy, doc = eio.load_policy(args.policy)
     result = classify_batch(test.bank, policy, labels=test.labels)
     report = None
     if "budget_spec" in doc:
-        per_instance = eio.budget_from_dict(doc["budget_spec"]).mean_budget
-        report = measure_budget(
-            result,
-            BudgetSpec(
-                total_budget=per_instance * result.batch_size,
-                batch_size=result.batch_size,
-            ),
-        )
+        # the policy's per-instance allowance, scaled to this batch
+        report = measure_budget(result, eio.budget_from_dict(doc["budget_spec"]))
     eio.write_json_result(args.out, eio.batch_result_to_dict(result, report))
     if args.per_instance:
         eio.write_per_instance_csv(
@@ -193,7 +189,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    dataset = eio.load_manifest(args.data)
+    dataset = eio.load_manifest(args.data, splits=("test",))
     test = dataset.split("test")
     if test.labels is None:
         raise MissingLabels("the oracle needs a labeled test split")

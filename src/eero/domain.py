@@ -13,6 +13,7 @@ arrays are stored read-only so a validated value cannot drift.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,13 @@ def require_cheapest_covers(budget: float, count: int, cheapest: float) -> None:
             f"budget {float(budget)!r} cannot cover the cheapest head for every "
             f"instance: {count} x {float(cheapest)!r} = {need!r}"
         )
+
+
+def _integer(value, what: str) -> int:
+    """`int(value)`, refusing to truncate a fractional or non-finite float."""
+    if isinstance(value, (float, np.floating)) and not float(value).is_integer():
+        raise InvalidSpec(f"{what} must be an integer, got {float(value)!r}")
+    return int(value)
 
 
 def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -192,12 +200,15 @@ class BudgetSpec:
     batch_size: int
 
     def __post_init__(self):
-        if not (float(self.total_budget) > 0.0):
-            raise InvalidSpec(f"total budget must be > 0, got {self.total_budget}")
-        if int(self.batch_size) < 1:
+        if not (0.0 < float(self.total_budget) < math.inf):
+            raise InvalidSpec(
+                f"total budget must be finite and > 0, got {self.total_budget}"
+            )
+        batch_size = _integer(self.batch_size, "batch size")
+        if batch_size < 1:
             raise InvalidSpec(f"batch size must be >= 1, got {self.batch_size}")
         _set(self, "total_budget", float(self.total_budget))
-        _set(self, "batch_size", int(self.batch_size))
+        _set(self, "batch_size", batch_size)
 
     @property
     def mean_budget(self) -> float:
@@ -287,8 +298,8 @@ class ExitPolicy:
         _set(self, "thresholds", _frozen(thr))
         _set(self, "score_kind", str(self.score_kind))
         _set(self, "jitter_u", float(self.jitter_u))
-        _set(self, "seed", int(self.seed))
-        n = int(self.calibration_size)
+        _set(self, "seed", _integer(self.seed, "seed"))
+        n = _integer(self.calibration_size, "calibration size")
         if n < 1:
             raise ValueError("calibration size must be >= 1")
         _set(self, "calibration_size", n)

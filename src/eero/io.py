@@ -7,6 +7,13 @@ carry a `instance_id,p_1,...,p_K` header and rows sorted by instance
 id; gzip-compressed files are detected by magic bytes and read
 transparently.  Labels are 1-based on disk and 0-based in memory.
 
+`load_manifest` checks the whole manifest document first, then reads
+the CSVs of the requested splits only.  Each CSV is parsed by
+`np.loadtxt` when its body is plain numeric rows; anything else (quoted
+cells, CR-only line ends, Python-only number syntax, a bad cell) falls
+back to a `csv`-module row loop, which accepts exactly the same files
+and reports the first fault with its file, row and column.
+
 All writers are deterministic (stable field order, floats rendered with
 17 significant digits, which round-trips IEEE doubles exactly) and
 atomic (temp file then rename), so partially written files never
@@ -21,7 +28,9 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +51,7 @@ from .synth import SynthData
 
 MANIFEST_NAME = "manifest.json"
 SPLIT_NAMES = ("train", "calib", "test")
+_INT64 = np.iinfo(np.int64)
 SWEEP_HEADER = ("budget", "accuracy", "consumed", "within_budget", "source")
 
 
@@ -196,6 +206,13 @@ def _read_rows(path, header_ok, header_text: str, parse_row) -> tuple[np.ndarray
                     row=rownum,
                     col=1,
                 ) from None
+            if not _INT64.min <= ids[-1] <= _INT64.max:
+                raise ParseError(
+                    f"instance_id {cells[0]!r} does not fit a 64-bit integer",
+                    file=str(path),
+                    row=rownum,
+                    col=1,
+                )
             try:
                 rows.append(parse_row(cells))
             except ParseError as e:
@@ -203,6 +220,42 @@ def _read_rows(path, header_ok, header_text: str, parse_row) -> tuple[np.ndarray
     if not rows:
         raise ParseError("no data rows", file=str(path), row=1)
     return np.asarray(ids, dtype=np.int64), rows
+
+
+def _load_table(path, header_ok, value_type) -> tuple[np.ndarray, np.ndarray] | None:
+    """C-speed parse of a CSV of plain numeric rows; None when it cannot vouch.
+
+    Returns (ids, values), values shaped (rows, header width - 1) and of
+    `value_type`.  `np.loadtxt` accepts a subset of what `_read_rows`
+    accepts (no underscores, quotes, non-ASCII digits or CR-only line
+    ends) and parses the same numbers to the same bits, so on any
+    ValueError or an empty body this returns None and the caller runs
+    `_read_rows`, which also finds and reports the fault.  Some numpy
+    releases parse an integer field such as "0.5" through float and
+    truncate it with only a DeprecationWarning; that warning is raised
+    here, so such a field falls back on every numpy release.
+    """
+    with _open_text(path) as fh:
+        try:
+            header = next(csv.reader([fh.readline()]), None)
+        except csv.Error:
+            return None
+        if header is None or not header_ok(header):
+            return None
+        dtype = [("id", np.int64), ("values", value_type, (len(header) - 1,))]
+        with warnings.catch_warnings():
+            # an empty body warns "input contained no data"; the fallback reports it
+            warnings.simplefilter("ignore", UserWarning)
+            warnings.simplefilter("error", DeprecationWarning)
+            try:
+                table = np.loadtxt(
+                    fh, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1
+                )
+            except (ValueError, DeprecationWarning):
+                return None
+    if table.size == 0:
+        return None
+    return np.ascontiguousarray(table["id"]), np.ascontiguousarray(table["values"])
 
 
 def _probs_header_ok(header: list[str]) -> bool:
@@ -214,19 +267,27 @@ def _probs_header_ok(header: list[str]) -> bool:
 
 
 def _parse_probs(cells: list[str]) -> list[float]:
-    try:
-        return [float(c) for c in cells[1:]]
-    except ValueError:
-        bad = next(j for j, c in enumerate(cells[1:], start=2) if not _is_float(c))
-        raise ParseError(f"cell {cells[bad - 1]!r} is not a number", col=bad) from None
+    values = []
+    for col, cell in enumerate(cells[1:], start=2):
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise ParseError(f"cell {cell!r} is not a number", col=col) from None
+    return values
 
 
-def _is_float(cell: str) -> bool:
+def _labels_header_ok(header: list[str]) -> bool:
+    return header == ["instance_id", "label"]
+
+
+def _parse_label(cells: list[str], num_classes: int) -> int:
     try:
-        float(cell)
-        return True
+        lab = int(cells[1])
     except ValueError:
-        return False
+        raise ParseError(f"label {cells[1]!r} is not an integer", col=2) from None
+    if not (1 <= lab <= num_classes):
+        raise ParseError(f"label {lab} outside 1..{num_classes}", col=2)
+    return lab - 1
 
 
 def read_probs_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -236,29 +297,28 @@ def read_probs_csv(path) -> tuple[np.ndarray, np.ndarray]:
     increasing instance ids.  Raises ParseError with file/row/column
     context on the first violation.
     """
-    id_arr, rows = _read_rows(path, _probs_header_ok, "instance_id,p_1,...,p_K", _parse_probs)
+    table = _load_table(path, _probs_header_ok, np.float64)
+    if table is None:
+        ids, rows = _read_rows(path, _probs_header_ok, "instance_id,p_1,...,p_K", _parse_probs)
+        table = ids, np.asarray(rows, dtype=np.float64)
+    id_arr = table[0]
     if np.any(np.diff(id_arr) <= 0):
         where = int(np.argmax(np.diff(id_arr) <= 0)) + 3  # header + 1-based + next row
         raise ParseError(
             "instance ids must be strictly increasing", file=str(path), row=where
         )
-    return id_arr, np.asarray(rows, dtype=np.float64)
+    return table
 
 
 def read_labels_csv(path, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """Parse labels; returns (ids, labels) with labels shifted to 0-based."""
-
-    def parse_label(cells: list[str]) -> int:
-        try:
-            lab = int(cells[1])
-        except ValueError:
-            raise ParseError(f"label {cells[1]!r} is not an integer", col=2) from None
-        if not (1 <= lab <= num_classes):
-            raise ParseError(f"label {lab} outside 1..{num_classes}", col=2)
-        return lab - 1
-
+    table = _load_table(path, _labels_header_ok, np.int64)
+    if table is not None:
+        ids, labels = table[0], table[1][:, 0]
+        if 1 <= labels.min() and labels.max() <= num_classes:
+            return ids, labels - 1
     ids, labels = _read_rows(
-        path, lambda header: header == ["instance_id", "label"], "instance_id,label", parse_label
+        path, _labels_header_ok, "instance_id,label", partial(_parse_label, num_classes=num_classes)
     )
     return ids, np.asarray(labels, dtype=np.int64)
 
@@ -267,8 +327,14 @@ def read_labels_csv(path, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
 # manifest
 
 
-def load_manifest(path) -> Dataset:
-    """Load a dataset manifest and every file it references."""
+def load_manifest(path, splits=SPLIT_NAMES) -> Dataset:
+    """Load a dataset manifest and the files of the splits named in `splits`.
+
+    The whole manifest document is checked first, every declared split
+    included, so a bad manifest fails alike whichever splits are asked
+    for.  Then only the requested splits' CSVs are read; a requested
+    split that the manifest does not declare is absent from the result.
+    """
     path = Path(path)
     if path.is_dir():
         path = path / MANIFEST_NAME
@@ -292,82 +358,92 @@ def load_manifest(path) -> Dataset:
             f"unknown split names {sorted(unknown)}; expected {SPLIT_NAMES}",
             file=str(path),
         )
-    base = path.parent
+    entries = {}
     budgets_seen: list[float] | None = None
-    splits: dict[str, Split] = {}
     for name in SPLIT_NAMES:
         if name not in raw_splits:
             continue
-        entry = raw_splits[name]
-        heads_meta = entry.get("heads") if isinstance(entry, dict) else None
-        if not isinstance(heads_meta, list) or len(heads_meta) < 2:
-            raise ParseError(
-                f"split {name!r} needs a list of >= 2 heads", file=str(path)
-            )
-        slices = []
-        split_ids: np.ndarray | None = None
-        budgets_here = []
-        for idx, meta in enumerate(heads_meta, start=1):
-            if not (
-                isinstance(meta, dict)
-                and isinstance(meta.get("probs_csv"), str)
-                and "budget_gflops" in meta
-            ):
-                raise ParseError(
-                    f"head {idx} of split {name!r} needs a probs_csv file name "
-                    "and a budget_gflops",
-                    file=str(path),
-                )
-        for idx, meta in enumerate(heads_meta, start=1):
-            ids, probs = read_probs_csv(base / meta["probs_csv"])
-            if probs.shape[1] != k:
-                raise ParseError(
-                    f"{meta['probs_csv']} has {probs.shape[1]} classes, "
-                    f"manifest declares {k}",
-                    file=str(path),
-                )
-            if split_ids is None:
-                split_ids = ids
-            elif not np.array_equal(split_ids, ids):
-                raise ParseError(
-                    f"instance ids of split {name!r} differ between heads",
-                    file=str(path),
-                )
-            where = f"head {idx} of split {name!r}"
-            budget = _manifest_number(meta["budget_gflops"], f"budget_gflops of {where}", path)
-            budgets_here.append(budget)
-            risk = meta.get("risk")
-            if risk is not None:
-                risk = _manifest_number(risk, f"risk of {where}", path)
-                if not (0.0 <= risk <= 1.0):
-                    raise ParseError(
-                        f"risk of {where} must lie in [0, 1], got {risk}", file=str(path)
-                    )
-            slices.append(HeadSlice(probs=probs, budget_gflops=budget, risk=risk))
+        heads, labels_csv = _split_entry(raw_splits[name], name, path)
+        budgets = [budget for _, budget, _ in heads]
         if budgets_seen is None:
-            budgets_seen = budgets_here
-        elif budgets_here != budgets_seen:
+            budgets_seen = budgets
+        elif budgets != budgets_seen:
             raise ParseError(
                 f"split {name!r} declares different budgets than earlier splits",
                 file=str(path),
             )
-        bank = HeadBank(heads=tuple(slices))
-        labels = None
-        labels_csv = entry.get("labels_csv")
-        if labels_csv is not None and not isinstance(labels_csv, str):
+        entries[name] = heads, labels_csv
+    return Dataset(
+        num_classes=k,
+        splits={
+            name: _read_split(path, name, heads, labels_csv, k)
+            for name, (heads, labels_csv) in entries.items()
+            if name in splits
+        },
+    )
+
+
+def _split_entry(entry, name: str, path) -> tuple[list, str | None]:
+    """A split's checked manifest entry: [(probs_csv, budget, risk)] per head, labels_csv."""
+    heads_meta = entry.get("heads") if isinstance(entry, dict) else None
+    if not isinstance(heads_meta, list) or len(heads_meta) < 2:
+        raise ParseError(f"split {name!r} needs a list of >= 2 heads", file=str(path))
+    heads = []
+    for idx, meta in enumerate(heads_meta, start=1):
+        where = f"head {idx} of split {name!r}"
+        if not (
+            isinstance(meta, dict)
+            and isinstance(meta.get("probs_csv"), str)
+            and "budget_gflops" in meta
+        ):
             raise ParseError(
-                f"labels_csv of split {name!r} must be a file name, got {labels_csv!r}",
+                f"{where} needs a probs_csv file name and a budget_gflops", file=str(path)
+            )
+        budget = _manifest_number(meta["budget_gflops"], f"budget_gflops of {where}", path)
+        risk = meta.get("risk")
+        if risk is not None:
+            risk = _manifest_number(risk, f"risk of {where}", path)
+            if not (0.0 <= risk <= 1.0):
+                raise ParseError(
+                    f"risk of {where} must lie in [0, 1], got {risk}", file=str(path)
+                )
+        heads.append((meta["probs_csv"], budget, risk))
+    labels_csv = entry.get("labels_csv")
+    if labels_csv is not None and not isinstance(labels_csv, str):
+        raise ParseError(
+            f"labels_csv of split {name!r} must be a file name, got {labels_csv!r}",
+            file=str(path),
+        )
+    return heads, labels_csv
+
+
+def _read_split(path, name: str, heads: list, labels_csv: str | None, k: int) -> Split:
+    """Read one split's CSVs, named relative to the manifest at `path`."""
+    base = path.parent
+    slices = []
+    split_ids: np.ndarray | None = None
+    for probs_csv, budget, risk in heads:
+        ids, probs = read_probs_csv(base / probs_csv)
+        if probs.shape[1] != k:
+            raise ParseError(
+                f"{probs_csv} has {probs.shape[1]} classes, manifest declares {k}",
                 file=str(path),
             )
-        if labels_csv:
-            lab_ids, labels = read_labels_csv(base / labels_csv, k)
-            if not np.array_equal(lab_ids, split_ids):
-                raise ParseError(
-                    f"label ids of split {name!r} do not match its probs ids",
-                    file=str(path),
-                )
-        splits[name] = Split(bank=bank, labels=labels, instance_ids=split_ids)
-    return Dataset(num_classes=k, splits=splits)
+        if split_ids is None:
+            split_ids = ids
+        elif not np.array_equal(split_ids, ids):
+            raise ParseError(
+                f"instance ids of split {name!r} differ between heads", file=str(path)
+            )
+        slices.append(HeadSlice(probs=probs, budget_gflops=budget, risk=risk))
+    labels = None
+    if labels_csv:
+        lab_ids, labels = read_labels_csv(base / labels_csv, k)
+        if not np.array_equal(lab_ids, split_ids):
+            raise ParseError(
+                f"label ids of split {name!r} do not match its probs ids", file=str(path)
+            )
+    return Split(bank=HeadBank(heads=tuple(slices)), labels=labels, instance_ids=split_ids)
 
 
 def _manifest_number(value, what: str, path) -> float:
@@ -485,10 +561,10 @@ def policy_from_dict(doc: dict) -> ExitPolicy:
     policy = ExitPolicy(
         score_kind=doc["score_kind"],
         jitter_u=float(doc["jitter_u"]),
-        seed=int(doc["seed"]),
+        seed=doc["seed"],
         seq_rates=np.asarray(doc["seq_rates"], dtype=np.float64),
         thresholds=np.asarray(doc["thresholds"], dtype=np.float64),
-        calibration_size=int(doc["calibration_size"]),
+        calibration_size=doc["calibration_size"],
     )
     # the pinned scoring configuration must itself be valid
     ScoreSpec(kind=policy.score_kind, jitter_u=policy.jitter_u, seed=policy.seed)

@@ -47,8 +47,8 @@ class OracleInstance:
             )
         if not np.all(np.isfinite(costs)) or costs.min() <= 0.0:
             raise InvalidSpec("costs must be finite and positive")
-        if not (float(self.budget) > 0.0):
-            raise InvalidSpec(f"budget must be positive, got {self.budget}")
+        if not (0.0 < float(self.budget) < math.inf):
+            raise InvalidSpec(f"budget must be finite and positive, got {self.budget}")
         _set(self, "correctness", _frozen(corr != 0, dtype=np.bool_))
         _set(self, "costs", _frozen(costs))
         _set(self, "budget", float(self.budget))

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eero
+from eero import io as eio
 from eero.cli import main
 from eero.domain import HeadBank, HeadSlice
 from eero.io import Dataset, Split, load_manifest, write_dataset
@@ -355,6 +356,9 @@ def test_help_lists_flags(capsys):
         (["calibrate", "--budget", "800", "--beta", "inf"], None, 2),
         (["sweep", "--budgets", "linspace:500:inf:3"], None, 2),
         (["sweep", "--budgets", "linspace:6000:47000:1000000000000"], None, 2),
+        (["calibrate", "--budget", "inf"], None, 2),
+        (["oracle", "--budget", "inf"], None, 2),
+        (["sweep", "--budgets", "800,inf"], None, 2),
     ],
 )
 def test_invalid_input_exits_with_one_line_error(dataset, tmp_path, capsys, argv, risk, code):
@@ -368,6 +372,7 @@ def test_invalid_input_exits_with_one_line_error(dataset, tmp_path, capsys, argv
     assert rc == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 TINY = Path(__file__).resolve().parents[1] / "sample_data" / "tiny"
@@ -394,6 +399,13 @@ FILE_FAULTS = {
     "seed_1e400": ("policy", ["seed"], "1e400", "not a policy document"),
     "size_infinity": ("policy", ["calibration_size"], "Infinity", "not a policy document"),
     "size_1e400": ("policy", ["calibration_size"], "1e400", "not a policy document"),
+    "budget_batch_size_2.5": (
+        "policy", ["budget_spec", "batch_size"], "2.5", "batch size must be an integer, got 2.5"
+    ),
+    "seed_0.9": ("policy", ["seed"], "0.9", "seed must be an integer, got 0.9"),
+    "size_2.5": (
+        "policy", ["calibration_size"], "2.5", "calibration size must be an integer, got 2.5"
+    ),
     "split_list": ("manifest", ["splits", "calib"], "[1, 2]", "split 'calib'"),
     "head_number": ("manifest", ["splits", "test", "heads", 1], "7", "head 2 of split 'test'"),
     "probs_csv_number": (
@@ -429,6 +441,96 @@ def test_malformed_file_exits_3_with_one_line(tmp_path, capsys, fault):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert needle in err and str(target) in err, err
     assert not out.exists()
+
+
+def _corrupt_train_copy(dataset, tmp_path):
+    corrupt = tmp_path / "corrupt"
+    shutil.copytree(dataset, corrupt)
+    (corrupt / "train_head_1.csv").write_text("instance_id,p_1,p_2,p_3,p_4\n0,oops\n")
+    return corrupt
+
+
+def test_infer_and_oracle_ignore_a_corrupt_train_file(dataset, tmp_path):
+    policy = tmp_path / "policy.json"
+    assert main(["calibrate", "--data", str(dataset), "--budget", "800", "--out", str(policy)]) == 0
+    corrupt = _corrupt_train_copy(dataset, tmp_path)
+    written = {}
+    for data in (dataset, corrupt):
+        out = tmp_path / f"out_{data.name}"
+        for argv in (
+            ["infer", "--data", str(data), "--policy", str(policy), "--out", str(out / "infer.json"),
+             "--per-instance", str(out / "per_instance.csv")],
+            ["oracle", "--data", str(data), "--budget", "800", "--out", str(out / "oracle.json")],
+        ):
+            rc, err = _run_quiet(argv)
+            assert rc == 0, err
+        written[data] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert len(written[corrupt]) == 3
+    assert written[corrupt] == written[dataset]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["calibrate", "--budget", "800"],
+        ["calibrate", "--budget", "800", "--batch-size", "400"],
+        ["sweep", "--budgets", "800"],
+    ],
+)
+def test_commands_that_read_train_fail_on_its_corrupt_file(dataset, tmp_path, argv):
+    corrupt = _corrupt_train_copy(dataset, tmp_path)
+    out = tmp_path / "out"
+    rc, err = _run_quiet(argv[:1] + ["--data", str(corrupt), "--out", str(out)] + argv[1:])
+    assert rc == 3, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "train_head_1.csv, row 2" in err, err
+    assert not out.exists()
+
+
+def test_infer_still_checks_budgets_of_splits_it_does_not_read(dataset, tmp_path):
+    policy = tmp_path / "policy.json"
+    assert main(["calibrate", "--data", str(dataset), "--budget", "800", "--out", str(policy)]) == 0
+    manifest = dataset / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["splits"]["train"]["heads"][1]["budget_gflops"] = 2.5  # test and calib say 2.0
+    manifest.write_text(json.dumps(doc))
+    rc, err = _run_quiet(["infer", "--data", str(dataset), "--policy", str(policy),
+                          "--out", str(tmp_path / "r.json")])
+    assert rc == 3
+    assert "split 'calib' declares different budgets than earlier splits" in err
+
+
+@pytest.mark.parametrize(
+    "argv, splits",
+    [
+        (["infer", "--policy", "<policy>"], ["test"]),
+        (["oracle", "--budget", "800"], ["test"]),
+        (["calibrate", "--budget", "800"], ["train", "calib", "test"]),
+        (["calibrate", "--budget", "800", "--batch-size", "400"], ["train", "calib"]),
+        (["sweep", "--budgets", "800"], ["train", "calib", "test"]),
+    ],
+)
+def test_each_command_reads_each_file_of_its_splits_once(dataset, tmp_path, monkeypatch, argv, splits):
+    policy = tmp_path / "policy.json"
+    assert main(["calibrate", "--data", str(dataset), "--budget", "800", "--out", str(policy)]) == 0
+    reads = []
+
+    def counting(real):
+        def read(path, *args):
+            reads.append(Path(path).name)
+            return real(path, *args)
+        return read
+
+    for name in ("read_probs_csv", "read_labels_csv"):
+        monkeypatch.setattr(eio, name, counting(getattr(eio, name)))
+    argv = [str(policy) if a == "<policy>" else a for a in argv]
+    rc, err = _run_quiet(argv[:1] + ["--data", str(dataset), "--out", str(tmp_path / "out")] + argv[1:])
+    assert rc == 0, err
+    expected = []
+    for split in splits:
+        expected += [f"{split}_head_{h}.csv" for h in (1, 2, 3)]
+        expected += [] if split == "calib" else [f"{split}_labels.csv"]
+    assert reads == expected
 
 
 def _run_quiet(argv):

@@ -14,6 +14,7 @@ from eero.domain import (
 )
 from eero.errors import (
     InfeasibleBudget,
+    InvalidSpec,
     NonIncreasingBudgets,
     NotOnSimplex,
     RowNotNormalized,
@@ -106,6 +107,19 @@ def test_budget_spec():
 
 
 @pytest.mark.parametrize(
+    "total, batch_size",
+    [(np.inf, 10), (np.nan, 10), (10.0, 2.5), (10.0, np.float64(0.9)), (10.0, np.inf)],
+)
+def test_budget_spec_rejects_infinite_totals_and_fractional_batches(total, batch_size):
+    with pytest.raises(InvalidSpec):
+        BudgetSpec(total_budget=total, batch_size=batch_size)
+
+
+def test_budget_spec_accepts_integral_floats():
+    assert BudgetSpec(total_budget=10.0, batch_size=5.0).batch_size == 5
+
+
+@pytest.mark.parametrize(
     "total, fits",
     [(6.0, True), (6.0 * (1.0 - 5e-13), True), (6.0 * (1.0 - 2e-12), False), (5.9999999994, False)],
 )
@@ -187,6 +201,20 @@ def test_exit_policy_invariants():
             thresholds=np.array([0.1, 0.2, -np.inf]),
             calibration_size=10,
         )
+
+
+@pytest.mark.parametrize("field, value", [("seed", 0.9), ("seed", np.inf), ("calibration_size", 2.5)])
+def test_exit_policy_rejects_fractional_integer_fields(field, value):
+    fields = dict(
+        score_kind="breaking_ties",
+        jitter_u=1e-5,
+        seed=0,
+        seq_rates=np.array([0.5, 1.0]),
+        thresholds=np.array([0.25, -np.inf]),
+        calibration_size=10,
+    )
+    with pytest.raises(ValueError, match="must be an integer"):
+        ExitPolicy(**{**fields, field: value})
 
 
 def test_batch_result_invariants():

@@ -1,0 +1,276 @@
+"""The two CSV parse paths agree: np.loadtxt when it can vouch, else the row loop.
+
+`io._load_table` may only accept a file that `io._read_rows` accepts, and
+must then return the same ids and the same bits.  Every other file falls
+back to the row loop, so the public readers raise the row loop's
+ParseError with its message, row and column.
+"""
+
+import gzip
+import warnings
+from functools import partial
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from eero import io as eio
+from eero.errors import ParseError
+
+K = 3  # classes of the label files; the probability files have 2 columns
+PH = "instance_id,p_1,p_2"
+LH = "instance_id,label"
+LOADS = "loads"
+FALLS_BACK = "falls back"  # the fast path must refuse; the row loop loads
+
+
+def _err(message, row, col=None):
+    return message, row, col
+
+
+# name: ((probs text, outcome), (labels text, outcome)); an outcome is
+# LOADS, FALLS_BACK or the (message, row, col) of the expected ParseError
+CASES = {
+    "plain": ((f"{PH}\n0,0.25,0.75\n1,0.5,0.5\n", LOADS), (f"{LH}\n0,1\n1,3\n", LOADS)),
+    "crlf": (
+        (f"{PH}\r\n0,0.25,0.75\r\n1,0.5,0.5\r\n", LOADS),
+        (f"{LH}\r\n0,1\r\n1,3\r\n", LOADS),
+    ),
+    "cr_only": ((f"{PH}\r0,0.25,0.75\r1,0.5,0.5\r", LOADS), (f"{LH}\r0,1\r1,3\r", LOADS)),
+    "no_trailing_newline": (
+        (f"{PH}\n0,0.25,0.75\n1,0.5,0.5", LOADS),
+        (f"{LH}\n0,1\n1,3", LOADS),
+    ),
+    "blank_lines": (
+        (f"{PH}\n\n0,0.25,0.75\n\n\n1,0.5,0.5\n\n", LOADS),
+        (f"{LH}\n\n0,1\n\r\n1,3\n\n", LOADS),
+    ),
+    "whitespace_line": (
+        (f"{PH}\n0,0.25,0.75\n  \t\n1,0.5,0.5\n", _err("expected 3 columns, got 1", 3)),
+        (f"{LH}\n0,1\n \n1,3\n", _err("expected 2 columns, got 1", 3)),
+    ),
+    "padded_cells": (
+        (f"{PH}\n 0 , 0.25\t,\t0.75 \n1,0.5,0.5\n", LOADS),
+        (f"{LH}\n 0 ,\t1 \n1,3\n", LOADS),
+    ),
+    "quoted_cell": (
+        (f'{PH}\n0,"0.25",0.75\n1,0.5,0.5\n', FALLS_BACK),
+        (f'{LH}\n0,"1"\n1,3\n', FALLS_BACK),
+    ),
+    "hash_in_cell": (
+        (f"{PH}\n0,0.25#x,0.75\n1,0.5,0.5\n", _err("cell '0.25#x' is not a number", 2, 2)),
+        (f"{LH}\n0,1#x\n1,3\n", _err("label '1#x' is not an integer", 2, 2)),
+    ),
+    "underscore": (
+        (f"{PH}\n0,0.2_5,0.75\n1,0.5,0.5\n", FALLS_BACK),
+        (f"{LH}\n0,0_1\n1_0,3\n", FALLS_BACK),
+    ),
+    "hexfloat": (
+        (f"{PH}\n0,0x1p-2,0.75\n1,0.5,0.5\n", _err("cell '0x1p-2' is not a number", 2, 2)),
+        (f"{LH}\n0,0x1\n1,3\n", _err("label '0x1' is not an integer", 2, 2)),
+    ),
+    "d_exponent": (
+        (f"{PH}\n0,2.5D-1,0.75\n1,0.5,0.5\n", _err("cell '2.5D-1' is not a number", 2, 2)),
+        (f"{LH}\n0,1D0\n1,3\n", _err("label '1D0' is not an integer", 2, 2)),
+    ),
+    "nan_inf": (
+        (f"{PH}\n0,nan,-inf\n1,-nan,Infinity\n", LOADS),
+        (f"{LH}\n0,nan\n1,inf\n", _err("label 'nan' is not an integer", 2, 2)),
+    ),
+    "id_plus_zero": (
+        (f"{PH}\n+0,0.25,0.75\n1,0.5,0.5\n", LOADS),
+        (f"{LH}\n+0,1\n1,3\n", LOADS),
+    ),
+    "id_float": (
+        (f"{PH}\n0.0,0.25,0.75\n1,0.5,0.5\n", _err("instance_id '0.0' is not an integer", 2, 1)),
+        (f"{LH}\n0.0,1\n1,3\n", _err("instance_id '0.0' is not an integer", 2, 1)),
+    ),
+    "id_fraction": (
+        (f"{PH}\n0.5,0.25,0.75\n1,0.5,0.5\n", _err("instance_id '0.5' is not an integer", 2, 1)),
+        (f"{LH}\n0,1\n0.5,3\n", _err("instance_id '0.5' is not an integer", 3, 1)),
+    ),
+    "id_exponent": (
+        (f"{PH}\n0,0.25,0.75\n1e20,0.5,0.5\n", _err("instance_id '1e20' is not an integer", 3, 1)),
+        (f"{LH}\n1e20,1\n", _err("instance_id '1e20' is not an integer", 2, 1)),
+    ),
+    "id_nan": (
+        (f"{PH}\nnan,0.25,0.75\n", _err("instance_id 'nan' is not an integer", 2, 1)),
+        (f"{LH}\n0,1\nnan,3\n", _err("instance_id 'nan' is not an integer", 3, 1)),
+    ),
+    "label_fraction": (
+        (f"{PH}\n0,0.25,0.75\n", LOADS),
+        (f"{LH}\n0,1\n1,2.7\n", _err("label '2.7' is not an integer", 3, 2)),
+    ),
+    "id_int64_max": (
+        (f"{PH}\n0,0.25,0.75\n9223372036854775807,0.5,0.5\n", LOADS),
+        (f"{LH}\n0,1\n9223372036854775807,3\n", LOADS),
+    ),
+    "id_beyond_int64": (
+        (
+            f"{PH}\n0,0.25,0.75\n99999999999999999999,0.5,0.5\n",
+            _err("instance_id '99999999999999999999' does not fit a 64-bit integer", 3, 1),
+        ),
+        (
+            f"{LH}\n0,1\n99999999999999999999,3\n",
+            _err("instance_id '99999999999999999999' does not fit a 64-bit integer", 3, 1),
+        ),
+    ),
+    "ragged_row": (
+        (f"{PH}\n0,0.25,0.75\n1,0.5\n", _err("expected 3 columns, got 2", 3)),
+        (f"{LH}\n0,1\n1\n", _err("expected 2 columns, got 1", 3)),
+    ),
+    "extra_column": (
+        (f"{PH}\n0,0.25,0.75,0.0\n1,0.5,0.5\n", _err("expected 3 columns, got 4", 2)),
+        (f"{LH}\n0,1,2\n1,3\n", _err("expected 2 columns, got 3", 2)),
+    ),
+    "empty_cell": (
+        (f"{PH}\n0,,0.75\n1,0.5,0.5\n", _err("cell '' is not a number", 2, 2)),
+        (f"{LH}\n0,\n1,3\n", _err("label '' is not an integer", 2, 2)),
+    ),
+    "header_only": (
+        (f"{PH}\n", _err("no data rows", 1)),
+        (f"{LH}\n", _err("no data rows", 1)),
+    ),
+    "blank_only": (
+        (f"{PH}\n\n\r\n\n", _err("no data rows", 1)),
+        (f"{LH}\n\n\n", _err("no data rows", 1)),
+    ),
+    "bom": (
+        (f"\ufeff{PH}\n0,0.25,0.75\n", _err("header must be instance_id,p_1,...,p_K", 1)),
+        (f"\ufeff{LH}\n0,1\n", _err("header must be instance_id,label", 1)),
+    ),
+    "unsorted_ids": (
+        (f"{PH}\n1,0.25,0.75\n0,0.5,0.5\n", _err("instance ids must be strictly increasing", 3)),
+        (f"{LH}\n1,1\n0,3\n", LOADS),  # label ids are checked against the probs ids instead
+    ),
+    "label_zero": (
+        (f"{PH}\n0,0.25,0.75\n", LOADS),
+        (f"{LH}\n0,0\n", _err("label 0 outside 1..3", 2, 2)),
+    ),
+    "label_k_plus_1": (
+        (f"{PH}\n0,0.25,0.75\n", LOADS),
+        (f"{LH}\n0,1\n1,4\n", _err("label 4 outside 1..3", 3, 2)),
+    ),
+}
+
+# per kind: (header check, fast value type, row-loop row parser, public reader,
+# fast values -> the row loop's values, or None where the reader falls back)
+KINDS = {
+    "probs": (
+        eio._probs_header_ok, np.float64, eio._parse_probs, eio.read_probs_csv, lambda v: v,
+    ),
+    "labels": (
+        eio._labels_header_ok,
+        np.int64,
+        partial(eio._parse_label, num_classes=K),
+        partial(eio.read_labels_csv, num_classes=K),
+        lambda v: v[:, 0] - 1 if 1 <= v.min() and v.max() <= K else None,
+    ),
+}
+
+
+def _write(tmp_path, text, compressed, name="file.csv"):
+    path = tmp_path / name
+    data = text.encode("utf-8")
+    path.write_bytes(gzip.compress(data, mtime=0) if compressed else data)
+    return path
+
+
+def _slow(path, kind):
+    header_ok, _, parse_row, _, _ = KINDS[kind]
+    ids, rows = eio._read_rows(path, header_ok, "", parse_row)
+    return ids, np.asarray(rows, dtype=np.float64 if kind == "probs" else np.int64)
+
+
+def _fast(path, kind):
+    header_ok, value_type, _, _, to_slow = KINDS[kind]
+    table = eio._load_table(path, header_ok, value_type)
+    values = None if table is None else to_slow(table[1])
+    return None if values is None else (table[0], values)
+
+
+def _assert_bitwise(a, b):
+    for x, y in zip(a, b):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()  # NaN payloads and signed zeros included
+
+
+@pytest.mark.parametrize("compressed", [False, True], ids=["plain", "gzip"])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_fast_path_matches_row_loop_or_falls_back(tmp_path, case, kind, compressed):
+    text, outcome = CASES[case][0 if kind == "probs" else 1]
+    path = _write(tmp_path, text, compressed)
+    read = KINDS[kind][3]
+    # record rather than raise warnings, so the readers run as in production;
+    # none may escape them (loadtxt's "no data" UserWarning included)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fast = _fast(path, kind)
+        if outcome in (LOADS, FALLS_BACK):
+            slow = _slow(path, kind)
+            if outcome == FALLS_BACK:
+                assert fast is None
+            if fast is not None:
+                _assert_bitwise(fast, slow)
+            _assert_bitwise(read(path), slow)
+        else:
+            message, row, col = outcome
+            with pytest.raises(ParseError) as e:
+                read(path)
+            assert (e.value.file, e.value.row, e.value.col) == (str(path), row, col)
+            where = f"{path}, row {row}" + ("" if col is None else f", col {col}")
+            assert str(e.value) == f"{message} [{where}]"
+    assert not caught, [str(w.message) for w in caught]
+
+
+def test_plain_files_take_the_fast_path(tmp_path):
+    for kind, case in (("probs", "plain"), ("labels", "plain"), ("probs", "crlf")):
+        text = CASES[case][0 if kind == "probs" else 1][0]
+        assert _fast(_write(tmp_path, text, False), kind) is not None
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_truncating_integer_parse_falls_back(tmp_path, kind, monkeypatch):
+    # numpy releases that parse an integer field through float warn and
+    # truncate instead of raising; the fast path must refuse such a file
+    real_loadtxt = np.loadtxt
+
+    def truncating_loadtxt(*args, **kwargs):
+        table = real_loadtxt(*args, **kwargs)
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated", DeprecationWarning)
+        return table
+
+    monkeypatch.setattr(eio.np, "loadtxt", truncating_loadtxt)
+    text = CASES["plain"][0 if kind == "probs" else 1][0]
+    path = _write(tmp_path, text, False)
+    assert _fast(path, kind) is None
+    _assert_bitwise(KINDS[kind][3](path), _slow(path, kind))
+
+
+CELL = st.text(alphabet="0123456789+-.eEinfaINFx_ #\"\t", max_size=6)
+ROW = st.lists(CELL, min_size=1, max_size=4).map(",".join)
+BODY = st.tuples(
+    st.lists(
+        st.one_of(ROW, st.sampled_from(["", " ", "0,0.5,0.5", "1,1e-3,1", "2,1", " 3 ,3"])),
+        max_size=5,
+    ),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=BODY, kind=st.sampled_from(sorted(KINDS)))
+def test_fuzz_fast_path_accepts_only_what_the_row_loop_accepts(tmp_path, body, kind):
+    rows, newline, trailing = body
+    header = PH if kind == "probs" else LH
+    text = newline.join([header, *rows]) + (newline if trailing else "")
+    path = _write(tmp_path, text, False)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fast = _fast(path, kind)
+    assert not caught, [str(w.message) for w in caught]
+    if fast is not None:
+        _assert_bitwise(fast, _slow(path, kind))
