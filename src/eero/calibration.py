@@ -1,13 +1,17 @@
 """Distribution-free calibration of per-head exit thresholds.
 
-`build_policy` jitters and scores heads 1..M-1 once on the calibration
-split, into one row-aligned (M-1) x N matrix.  A fresh instance may exit
-at head l when its score ranks in the head's top rate_l calibration
-quantile, i.e. when the empirical CDF of row l at its score is at least
-1 - rate_l; `threshold_for_rate` sorts the row and turns that test into
-a threshold.  Because jitter makes scores atomless, the realized exit
-fraction on fresh data concentrates around rate_l at the usual
-1/sqrt(N) speed, with no assumption on the score distribution.
+Calibration takes two steps.  `calibration_scores` jitters and scores
+heads 1..M-1 once on the calibration split, into one (M-1) x N matrix
+with each row sorted; the scores do not depend on the budget, so one
+matrix serves every budget.  `policy_from_scores` turns an allocation
+into thresholds on that matrix: a fresh instance may exit at head l
+when its score ranks in the head's top rate_l calibration quantile,
+i.e. when the empirical CDF of row l at its score is at least
+1 - rate_l, and `threshold_for_rate` turns that test into a threshold.
+`build_policy` is the two steps in one call.  Because jitter makes
+scores atomless, the realized exit fraction on fresh data concentrates
+around rate_l at the usual 1/sqrt(N) speed, with no assumption on the
+score distribution.
 
 Rates are consumed sequentially: head l's rate is the cumulative target
 mass of heads 1..l, inflated by the finite-sample factor (1 + 1/sqrt(N))
@@ -22,7 +26,7 @@ import numpy as np
 
 from .domain import ExitPolicy, HeadBank
 from .errors import EmptyCalibration, HeadCountMismatch, InvalidSpec, NotOnSimplex
-from .scoring import CALIBRATION_KEY_BASE, ScoreSpec, jitter_matrix, score_matrix
+from .scoring import CALIBRATION_KEY_BASE, ScoreSpec, score_bank
 
 
 def threshold_for_rate(scores: np.ndarray, classify_rate: float) -> float:
@@ -78,25 +82,39 @@ def sequential_rates(epsilons: np.ndarray, calibration_size: int) -> np.ndarray:
     return seq
 
 
-def build_policy(calib_bank: HeadBank, allocation, spec: ScoreSpec) -> ExitPolicy:
-    """Turn an allocation into per-head thresholds on calibration scores.
+def calibration_scores(calib_bank: HeadBank, spec: ScoreSpec) -> np.ndarray:
+    """Calibration scores of heads 1..M-1, one ascending row per head.
 
     Calibration rows take jitter keys counted from `CALIBRATION_KEY_BASE`,
     disjoint from the test-row key range.
     """
+    scores = score_bank(calib_bank, CALIBRATION_KEY_BASE, spec)
+    scores.sort(axis=1)
+    return scores
+
+
+def policy_from_scores(sorted_scores: np.ndarray, allocation, spec: ScoreSpec) -> ExitPolicy:
+    """Turn an allocation into per-head thresholds on sorted calibration scores.
+
+    `sorted_scores` comes from `calibration_scores` with the same `spec`.
+    """
     eps = np.asarray(allocation.epsilons, dtype=np.float64)
-    if eps.size != calib_bank.num_heads:
-        raise HeadCountMismatch(f"allocation has {eps.size} heads, bank has {calib_bank.num_heads}")
-    n = calib_bank.num_instances
+    m = sorted_scores.shape[0] + 1
+    if eps.size != m:
+        raise HeadCountMismatch(f"allocation has {eps.size} heads, bank has {m}")
+    n = sorted_scores.shape[1]
     seq = sequential_rates(eps, n)
-    keys = CALIBRATION_KEY_BASE + np.arange(n, dtype=np.uint64)
-    scores = np.empty((eps.size - 1, n), dtype=np.float64)
-    for head in range(eps.size - 1):
-        jittered = jitter_matrix(calib_bank.heads[head].probs, head, keys, spec)
-        with np.errstate(over="ignore"):  # threshold_for_rate rejects overflowed scores
-            scores[head] = score_matrix(jittered, spec.kind)
-    thresholds = [threshold_for_rate(row, rate) for row, rate in zip(scores, seq)]
+    thresholds = [threshold_for_rate(row, rate) for row, rate in zip(sorted_scores, seq)]
     return ExitPolicy(
         score_kind=spec.kind, jitter_u=spec.jitter_u, seed=spec.seed, seq_rates=seq,
         thresholds=thresholds + [float("-inf")], calibration_size=n,
     )
+
+
+def build_policy(calib_bank: HeadBank, allocation, spec: ScoreSpec) -> ExitPolicy:
+    """Turn an allocation into per-head thresholds on calibration scores.
+
+    To fit many allocations on one calibration split, score it once with
+    `calibration_scores` and call `policy_from_scores` for each.
+    """
+    return policy_from_scores(calibration_scores(calib_bank, spec), allocation, spec)

@@ -39,12 +39,12 @@ from .allocation import (
     default_prior,
     solve_allocation,
 )
-from .calibration import build_policy
+from .calibration import calibration_scores, policy_from_scores
 from .domain import BudgetSpec, HeadBank, within_budget
 from .errors import EeroError, InvalidSpec, MissingLabels
-from .inference import classify_batch, measure_budget
+from .inference import classify_batch, first_exceed, measure_budget
 from .oracle import OracleInstance, build_correctness, oracle_curve, oracle_exact
-from .scoring import SCORE_KINDS, DEFAULT_JITTER, ScoreSpec
+from .scoring import SCORE_KINDS, DEFAULT_JITTER, TEST_KEY_BASE, ScoreSpec, score_bank
 from .synth import SynthSpec, generate
 
 SEED_ENV = "EERO_SEED"
@@ -68,10 +68,9 @@ def _resolve_seed(value: int | None, fallback: int = 0) -> int:
 
 
 def _load_synth_spec(path: Path, seed_flag: int | None) -> SynthSpec:
-    raw = path.read_text(encoding="utf-8")
     try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as e:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise InvalidSpec(f"generator spec is not valid JSON: {e}")
     if not isinstance(doc, dict):
         raise InvalidSpec("generator spec must be a JSON object")
@@ -110,9 +109,18 @@ def _risks_for(dataset: eio.Dataset) -> np.ndarray:
 
 
 def _fit_policy(
-    calib_bank: HeadBank, risks: np.ndarray, budget: BudgetSpec, beta: float, spec: ScoreSpec
+    calib_bank: HeadBank,
+    calib_scores: np.ndarray,
+    risks: np.ndarray,
+    budget: BudgetSpec,
+    beta: float,
+    spec: ScoreSpec,
 ):
-    """Allocation and calibrated exit policy for one budget."""
+    """Allocation and calibrated exit policy for one budget.
+
+    `calib_scores` is `calibration_scores(calib_bank, spec)`, computed
+    once however many budgets are fitted.
+    """
     budget.validate_for(calib_bank)
     budgets = calib_bank.budgets
     problem = AllocationProblem(
@@ -123,7 +131,7 @@ def _fit_policy(
         mean_budget=budget.mean_budget,
     )
     allocation = solve_allocation(problem)
-    return allocation, build_policy(calib_bank, allocation, spec)
+    return allocation, policy_from_scores(calib_scores, allocation, spec)
 
 
 def cmd_calibrate(args) -> int:
@@ -139,7 +147,8 @@ def cmd_calibrate(args) -> int:
         batch_size = dataset.split("test").bank.num_instances
     budget = BudgetSpec(total_budget=args.budget, batch_size=batch_size)
     spec = ScoreSpec(kind=args.score, jitter_u=args.jitter, seed=_resolve_seed(args.seed))
-    allocation, policy = _fit_policy(calib.bank, risks, budget, args.beta, spec)
+    calib_scores = calibration_scores(calib.bank, spec)
+    allocation, policy = _fit_policy(calib.bank, calib_scores, risks, budget, args.beta, spec)
     eio.save_policy(args.out, policy, allocation, budget)
 
     prior = default_prior(calib.bank.budgets)
@@ -242,21 +251,28 @@ def cmd_sweep(args) -> int:
     budgets = _parse_budgets(args.budgets)
     spec = ScoreSpec(kind=args.score, jitter_u=args.jitter, seed=_resolve_seed(args.seed))
 
+    # each split is scored once; a budget only moves the thresholds
+    calib_scores = calibration_scores(calib.bank, spec)
+    test_scores = score_bank(test.bank, TEST_KEY_BASE, spec)
+    correctness = build_correctness(test.bank, test.labels)
+    instances = np.arange(t)
+
     def eero_point(total: float):
         bspec = BudgetSpec(total_budget=total, batch_size=t)
-        _, policy = _fit_policy(calib.bank, risks, bspec, args.beta, spec)
-        result = classify_batch(test.bank, policy, labels=test.labels)
+        _, policy = _fit_policy(calib.bank, calib_scores, risks, bspec, args.beta, spec)
+        # the same decisions and sums as classify_batch on this policy
+        exit_head = first_exceed(test_scores, policy.thresholds)
+        consumed = float(test.bank.budgets[exit_head].sum())
         return {
             "budget": total,
-            "accuracy": result.accuracy,
-            "consumed": result.consumed_budget,
-            "within_budget": within_budget(result.consumed_budget, total),
+            "accuracy": float(np.mean(correctness[instances, exit_head])),
+            "consumed": consumed,
+            "within_budget": within_budget(consumed, total),
             "source": "eero",
         }
 
     eero_rows = [eero_point(b) for b in budgets]
 
-    correctness = build_correctness(test.bank, test.labels)
     oracle_points = oracle_curve(correctness, test.bank.budgets, np.asarray(budgets))
 
     head_accuracy = correctness.mean(axis=0)

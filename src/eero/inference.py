@@ -19,6 +19,11 @@ it once over the whole bank; `iter_classify` runs it over one-instance
 windows so each decision is ready as soon as its own heads are scored.
 Jitter is counter-based, keyed by instance and head, so any window of
 the bank gets bit-identical decisions.
+
+A sweep routes one bank through many policies that share a scoring
+configuration.  It scores every head of every instance once
+(`scoring.score_bank`) and lets `first_exceed` take the same exit
+decisions from that matrix for each policy's thresholds.
 """
 
 from __future__ import annotations
@@ -71,6 +76,23 @@ def _route(
             if alive.size == 0:
                 break
     return exits, preds
+
+
+def first_exceed(scores: np.ndarray, thresholds) -> np.ndarray:
+    """0-based exit head of each instance from a cached test score matrix.
+
+    `scores` is `scoring.score_bank` of a test bank from `TEST_KEY_BASE`
+    with the policy's scoring configuration, and `thresholds` are the
+    policy's.  An instance leaves at the first head whose score is at or
+    above that head's threshold, else at the final head.  These must
+    equal `_route`'s exit decisions on the same bank; the difference is
+    only cost: every head is scored for every instance, once, so one
+    matrix serves any number of policies.
+    """
+    m = scores.shape[0] + 1
+    leave = np.ones((m, scores.shape[1]), dtype=bool)
+    np.greater_equal(scores, np.asarray(thresholds[: m - 1])[:, None], out=leave[:-1])
+    return leave.argmax(axis=0)
 
 
 def classify_batch(

@@ -12,7 +12,8 @@ the CSVs of the requested splits only.  Each CSV is parsed by
 `np.loadtxt` when its body is plain numeric rows; anything else (quoted
 cells, CR-only line ends, Python-only number syntax, a bad cell) falls
 back to a `csv`-module row loop, which accepts exactly the same files
-and reports the first fault with its file, row and column.
+and reports the first fault with its file, row and column.  A file that
+is not UTF-8 or whose gzip stream is damaged is a ParseError naming it.
 
 All writers are deterministic (stable field order, floats rendered with
 17 significant digits, which round-trips IEEE doubles exactly) and
@@ -29,6 +30,8 @@ import math
 import os
 import tempfile
 import warnings
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -159,13 +162,27 @@ def as_dataset(data) -> Dataset:
 # CSV reading
 
 
+# what reading a damaged file raises: bytes that are not UTF-8, a gzip
+# stream cut short, a corrupt deflate stream, a bad gzip header
+_DAMAGED = (UnicodeDecodeError, EOFError, zlib.error, gzip.BadGzipFile)
+
+
+@contextmanager
 def _open_text(path):
+    """Text handle on a plain or gzipped file; damage raises ParseError.
+
+    Decoding and decompression happen as the handle is read, so a damaged
+    file is reported from inside the block, naming the file.
+    """
     # sniff the gzip magic so compressed files work under any name
     with open(path, "rb") as raw:
         magic = raw.read(2)
-    if magic == b"\x1f\x8b":
-        return gzip.open(path, "rt", encoding="utf-8", newline="")
-    return open(path, "r", encoding="utf-8", newline="")
+    opener = gzip.open if magic == b"\x1f\x8b" else open
+    try:
+        with opener(path, "rt", encoding="utf-8", newline="") as fh:
+            yield fh
+    except _DAMAGED as e:
+        raise ParseError(f"unreadable file: {e}", file=str(path)) from None
 
 
 def _read_rows(path, header_ok, header_text: str, parse_row) -> tuple[np.ndarray, list]:
@@ -342,7 +359,7 @@ def load_manifest(path, splits=SPLIT_NAMES) -> Dataset:
         raise FileNotFoundError(str(path))
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ParseError(f"invalid JSON: {e}", file=str(path)) from None
     if not isinstance(doc, dict) or "num_classes" not in doc or "splits" not in doc:
         raise ParseError("manifest needs num_classes and splits", file=str(path))

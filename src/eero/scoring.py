@@ -93,6 +93,25 @@ def score_matrix(jittered: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown score kind {kind!r}")
 
 
+def score_bank(bank, key_base: int, spec: ScoreSpec) -> np.ndarray:
+    """Jittered scores of every instance at heads 1..M-1 of a bank.
+
+    Returns an (M-1) x N matrix whose row l holds head l's scores; row i
+    of the bank takes jitter key `key_base + i`.  The final head takes
+    whatever reaches it, so it is never scored.  Overflow to an infinite
+    score is not warned about: calibration rejects such scores, and an
+    infinite score clears every threshold, as it does in routing.
+    """
+    n = bank.num_instances
+    keys = key_base + np.arange(n, dtype=np.uint64)
+    scores = np.empty((bank.num_heads - 1, n), dtype=np.float64)
+    for head in range(bank.num_heads - 1):
+        jittered = jitter_matrix(bank.heads[head].probs, head, keys, spec)
+        with np.errstate(over="ignore"):
+            scores[head] = score_matrix(jittered, spec.kind)
+    return scores
+
+
 def predict_matrix(probs: np.ndarray) -> np.ndarray:
     """Per-row argmax class (0-based) of raw probability rows.
 

@@ -8,9 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eero import calibration
+from eero import scoring
 from eero.allocation import AllocationResult  # re-exported dataclass path
-from eero.calibration import build_policy, sequential_rates, threshold_for_rate
+from eero.calibration import (
+    build_policy,
+    calibration_scores,
+    policy_from_scores,
+    sequential_rates,
+    threshold_for_rate,
+)
 from eero.errors import EmptyCalibration, HeadCountMismatch, InvalidSpec, NotOnSimplex
 from eero.scoring import (
     CALIBRATION_KEY_BASE,
@@ -176,7 +182,7 @@ def test_build_policy_never_scores_the_final_head(rng, monkeypatch):
         heads.append(head)
         return jitter_matrix(probs, head, *args, **kwargs)
 
-    monkeypatch.setattr(calibration, "jitter_matrix", counting)
+    monkeypatch.setattr(scoring, "jitter_matrix", counting)
     build_policy(bank, _alloc([0.3, 0.3, 0.4]), ScoreSpec(jitter_u=0.0))
     assert heads == [0, 1]
 
@@ -201,6 +207,37 @@ def test_build_policy_head_count_mismatch(rng):
     bank = _calib_bank(rng, m=3)
     with pytest.raises(HeadCountMismatch):
         build_policy(bank, _alloc([0.5, 0.5]), ScoreSpec())
+    with pytest.raises(HeadCountMismatch):
+        policy_from_scores(calibration_scores(bank, ScoreSpec()), _alloc([0.5, 0.5]), ScoreSpec())
+
+
+def test_two_step_fit_equals_build_policy(rng):
+    # one sorted score matrix fits every allocation to build_policy's bits
+    bank = _calib_bank(rng, n=500, m=3)
+    for kind in SCORE_KINDS:
+        for jitter in (0.0, 1e-5):
+            spec = ScoreSpec(kind=kind, jitter_u=jitter, seed=7)
+            scores = calibration_scores(bank, spec)
+            assert scores.shape == (2, 500)
+            assert np.all(np.diff(scores, axis=1) >= 0.0)
+            for eps in ([0.2, 0.3, 0.5], [0.7, 0.0, 0.3], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0],
+                        rng.dirichlet(np.ones(3))):
+                whole = build_policy(bank, _alloc(eps), spec)
+                split = policy_from_scores(scores, _alloc(eps), spec)
+                assert split.thresholds.tobytes() == whole.thresholds.tobytes(), (kind, jitter)
+                assert split.seq_rates.tobytes() == whole.seq_rates.tobytes()
+                for field in ("score_kind", "jitter_u", "seed", "calibration_size"):
+                    assert getattr(split, field) == getattr(whole, field)
+
+
+def test_calibration_scores_are_sorted_per_head_scores(rng):
+    bank = _calib_bank(rng, m=3)
+    keys = CALIBRATION_KEY_BASE + np.arange(bank.num_instances, dtype=np.uint64)
+    spec = ScoreSpec(kind="neg_entropy", jitter_u=1e-5, seed=4)
+    scores = calibration_scores(bank, spec)
+    for head in range(2):
+        raw = score_matrix(jitter_matrix(bank.heads[head].probs, head, keys, spec), spec.kind)
+        assert scores[head].tobytes() == np.sort(raw).tobytes()
 
 
 def test_single_head_rejection_rate_controlled(rng):

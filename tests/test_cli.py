@@ -1,6 +1,7 @@
 """Command line behavior: pipeline wiring, exit codes, determinism."""
 
 import contextlib
+import gzip
 import io
 import json
 import math
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import eero
 from eero import io as eio
 from eero.cli import main
-from eero.domain import HeadBank, HeadSlice
+from eero.domain import HeadBank, HeadSlice, within_budget
 from eero.io import Dataset, Split, load_manifest, write_dataset
 from eero.oracle import build_correctness
 from eero.synth import default_spec, generate
@@ -69,6 +70,8 @@ def test_invalid_synth_spec_exit_2(tmp_path):
     bad.write_text(json.dumps({**SPEC, "head_accuracies": [0.5]}))
     assert main(["synth", "--spec", str(bad), "--out", str(tmp_path / "d")]) == 2
     bad.write_text("{not json")
+    assert main(["synth", "--spec", str(bad), "--out", str(tmp_path / "d")]) == 2
+    bad.write_bytes(json.dumps(SPEC).encode() + b"\xff")
     assert main(["synth", "--spec", str(bad), "--out", str(tmp_path / "d")]) == 2
 
 
@@ -332,6 +335,48 @@ def test_sweep_infeasible_budget_exit_4_nothing_written(dataset, tmp_path):
     assert not out.exists()  # partial sweeps never land on disk
 
 
+def _assert_sweep_rows_equal_classify_batch(data, budgets, extra, tmp_path):
+    """Each eero sweep row equals classify_batch on the policy calibrate writes."""
+    sweep = tmp_path / "sweep.csv"
+    budget_text = ",".join(repr(b) for b in budgets)
+    rc, err = _run_quiet(["sweep", "--data", str(data), "--budgets", budget_text,
+                          "--out", str(sweep)] + extra)
+    assert rc == 0, err
+    rows = [ln.split(",") for ln in sweep.read_text().splitlines() if ln.endswith(",eero")]
+    assert len(rows) == len(budgets)
+    test = load_manifest(data, splits=("test",)).split("test")
+    for total, (budget, accuracy, consumed, within, _) in zip(budgets, rows):
+        policy_path = tmp_path / "policy.json"
+        rc, err = _run_quiet(["calibrate", "--data", str(data), "--budget", repr(total),
+                              "--out", str(policy_path)] + extra)
+        assert rc == 0, err
+        policy, _ = eio.load_policy(policy_path)
+        result = eero.classify_batch(test.bank, policy, labels=test.labels)
+        assert float(budget) == total
+        assert float(accuracy) == result.accuracy, (extra, total)
+        assert float(consumed) == result.consumed_budget, (extra, total)
+        assert within == ("true" if within_budget(result.consumed_budget, total) else "false")
+
+
+@pytest.mark.parametrize("score", ["breaking_ties", "max_prob", "neg_entropy"])
+@pytest.mark.parametrize("jitter", [[], ["--jitter", "0"]])
+def test_sweep_rows_equal_classify_batch(dataset, tmp_path, score, jitter):
+    # the sweep routes from cached score matrices; calibrate + classify_batch
+    # score afresh for each budget, and every number must agree bit for bit
+    budgets = [400.0, 650.0, 900.0, 1150.0, 1400.0, 1700.0]
+    _assert_sweep_rows_equal_classify_batch(
+        dataset, budgets, ["--score", score, "--seed", "0"] + jitter, tmp_path
+    )
+
+
+def test_sweep_rows_equal_classify_batch_default_data(tmp_path):
+    data = tmp_path / "data"
+    write_dataset(generate(default_spec(0)), data)
+    _assert_sweep_rows_equal_classify_batch(
+        data, [6000.0, 20000.0, 47000.0], ["--seed", "0"], tmp_path
+    )
+
+
 def test_help_lists_flags(capsys):
     for cmd in ("synth", "calibrate", "infer", "oracle", "sweep"):
         with pytest.raises(SystemExit) as e:
@@ -359,6 +404,8 @@ def test_help_lists_flags(capsys):
         (["calibrate", "--budget", "inf"], None, 2),
         (["oracle", "--budget", "inf"], None, 2),
         (["sweep", "--budgets", "800,inf"], None, 2),
+        (["sweep", "--budgets", "500,800", "--score", "neg_entropy", "--jitter", "1e308"], None, 2),
+        (["sweep", "--budgets", "10,800", "--score", "neg_entropy", "--jitter", "1e308"], None, 4),
     ],
 )
 def test_invalid_input_exits_with_one_line_error(dataset, tmp_path, capsys, argv, risk, code):
@@ -441,6 +488,52 @@ def test_malformed_file_exits_3_with_one_line(tmp_path, capsys, fault):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert needle in err and str(target) in err, err
     assert not out.exists()
+
+
+def _deflate_damaged(raw):
+    gz = bytearray(gzip.compress(raw))
+    for i in range(12, len(gz) - 8):  # the deflate body, past the 10-byte header
+        gz[i] ^= 0x5A
+    return bytes(gz)
+
+
+# damaged bytes of a CSV: test_head_1.csv's bytes -> what is written in its place
+CSV_FAULTS = {
+    "not_utf8": lambda raw: raw + b"\xff",
+    "gzip_not_utf8": lambda raw: gzip.compress(raw + b"\xff"),
+    "gzip_truncated": lambda raw: gzip.compress(raw)[:30],
+    "gzip_corrupt_deflate": _deflate_damaged,
+    "gzip_bad_header": lambda raw: b"\x1f\x8b\x09" + gzip.compress(raw)[3:],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CSV_FAULTS))
+def test_damaged_csv_exits_3_with_one_line(tmp_path, capsys, fault):
+    data = tmp_path / "data"
+    shutil.copytree(TINY, data)
+    target = data / "test_head_1.csv"
+    target.write_bytes(CSV_FAULTS[fault](target.read_bytes()))
+    capsys.readouterr()
+    out = tmp_path / "oracle.json"
+    rc = main(["oracle", "--data", str(data), "--budget", "12", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(target) in err, err
+    assert not out.exists()
+
+
+def test_non_utf8_manifest_exits_3(tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(TINY, data)
+    manifest = data / "manifest.json"
+    manifest.write_bytes(manifest.read_bytes() + b"\xff")
+    capsys.readouterr()
+    assert main(["oracle", "--data", str(data), "--budget", "12",
+                 "--out", str(tmp_path / "oracle.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON") and err.count("\n") == 1, err
+    assert str(manifest) in err, err
 
 
 def _corrupt_train_copy(dataset, tmp_path):

@@ -11,7 +11,7 @@ from eero.calibration import build_policy
 from eero.domain import BatchResult, BudgetSpec, ExitPolicy, HeadBank, HeadSlice
 from eero.errors import HeadCountMismatch, LabelLengthMismatch
 from eero import inference
-from eero.inference import classify_batch, iter_classify, measure_budget
+from eero.inference import classify_batch, first_exceed, iter_classify, measure_budget
 from eero.scoring import (
     CALIBRATION_KEY_BASE,
     SCORE_KINDS,
@@ -19,6 +19,7 @@ from eero.scoring import (
     ScoreSpec,
     jitter_matrix,
     predict_matrix,
+    score_bank,
     score_matrix,
 )
 from eero.allocation import AllocationResult
@@ -219,6 +220,35 @@ def test_cascade_equals_dense_scan(rng, kind, jitter, mode):
         assert np.all(res.exits == 4)
     else:
         assert np.all(np.bincount(res.exits, minlength=5)[1:] > 0)
+
+
+@pytest.mark.parametrize("kind", SCORE_KINDS)
+@pytest.mark.parametrize("jitter", [0.0, 1e-5])
+def test_first_exceed_equals_route(rng, kind, jitter):
+    # one cached score matrix routes every policy exactly as the cascade does
+    bank = random_bank(rng, n=400, m=4, k=5, budgets=[1.0, 2.0, 3.5, 5.0])
+    tied = bank.heads[1].probs.copy()
+    tied[:40] = 1.0 / 5
+    heads = list(bank.heads)
+    heads[1] = HeadSlice(probs=tied, budget_gflops=2.0)
+    bank = HeadBank(heads=tuple(heads))
+    spec = ScoreSpec(kind=kind, jitter_u=jitter, seed=11)
+    scores = score_bank(bank, TEST_KEY_BASE, spec)
+    for thresholds in (
+        _mid_thresholds(bank, spec, [0.7, 0.5, 0.3]),
+        _mid_thresholds(bank, spec, [0.1, 0.9, 0.5]),
+        # thresholds equal to scores: an instance at its head's threshold leaves
+        np.append(scores[[0, 1, 2], [205, 17, 290]], -np.inf),
+        np.full(4, -np.inf),
+        np.array([np.inf, np.inf, np.inf, -np.inf]),
+    ):
+        policy = _policy(thresholds, seq_rates=[0.3, 0.6, 0.8, 1.0], kind=kind, jitter=jitter, seed=11)
+        exits, _ = inference._route(bank, policy, spec, 0, 400)
+        assert np.array_equal(first_exceed(scores, policy.thresholds), exits)
+
+
+def test_first_exceed_single_head():
+    assert np.array_equal(first_exceed(np.empty((0, 3)), [-np.inf]), [0, 0, 0])
 
 
 def test_route_windows_equal_whole_bank(rng):

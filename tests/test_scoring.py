@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eero.domain import HeadBank, HeadSlice
 from eero.scoring import (
     CALIBRATION_KEY_BASE,
+    SCORE_KINDS,
     TEST_KEY_BASE,
     ScoreSpec,
     jitter_matrix,
     predict_matrix,
+    score_bank,
     score_matrix,
 )
 
@@ -154,3 +157,31 @@ def test_score_matches_row_scan(weights, kind):
         expect = float(np.sum(q * np.log(q)))
     assert got == pytest.approx(expect, rel=1e-12, abs=1e-15)
     assert predict_matrix(row[None, :]).tolist() == [int(np.argmax(row))]
+
+
+def test_score_bank_rows_are_per_head_scores():
+    rng = np.random.default_rng(5)
+    m, n, k = 4, 300, 6
+    bank = HeadBank(heads=tuple(
+        HeadSlice(probs=rng.dirichlet(np.ones(k), size=n), budget_gflops=float(h + 1))
+        for h in range(m)
+    ))
+    for kind in SCORE_KINDS:
+        for jitter in (0.0, 1e-5):
+            spec = ScoreSpec(kind=kind, jitter_u=jitter, seed=2)
+            for base in (CALIBRATION_KEY_BASE, TEST_KEY_BASE):
+                scores = score_bank(bank, base, spec)
+                assert scores.shape == (m - 1, n)
+                keys = base + np.arange(n, dtype=np.uint64)
+                for head in range(m - 1):
+                    jit = jitter_matrix(bank.heads[head].probs, head, keys, spec)
+                    assert scores[head].tobytes() == score_matrix(jit, kind).tobytes()
+
+
+def test_score_bank_overflow_is_silent():
+    # an overflowed score is infinite, without a RuntimeWarning
+    probs = np.full((5, 3), 1.0 / 3.0)
+    bank = HeadBank(heads=(HeadSlice(probs=probs, budget_gflops=1.0),
+                           HeadSlice(probs=probs, budget_gflops=2.0)))
+    scores = score_bank(bank, TEST_KEY_BASE, ScoreSpec(kind="neg_entropy", jitter_u=1e308))
+    assert np.all(np.isposinf(scores))
