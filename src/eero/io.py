@@ -15,6 +15,17 @@ back to a `csv`-module row loop, which accepts exactly the same files
 and reports the first fault with its file, row and column.  A file that
 is not UTF-8 or whose gzip stream is damaged is a ParseError naming it.
 
+Parsed tables are cached, in the manner of `__pycache__`: each CSV is
+read once as bytes, and a `.eero_cache/<file name>.table` entry beside
+it holds the SHA-256 of those bytes and the (ids, values) table parsed
+from them.  An entry is used only when that digest, its format version
+and its own CRC-32 all match, so an edit is seen whatever the file's
+size and mtime; anything else is parsed again and the entry replaced.
+Every check on the table (id order, label range, class count, ids
+across heads) runs on cached tables too, a file that fails to parse is
+never cached, a directory that cannot be written is simply not cached
+in, and deleting `.eero_cache/` is always safe.
+
 All writers are deterministic (stable field order, floats rendered with
 17 significant digits, which round-trips IEEE doubles exactly) and
 atomic (temp file then rename), so partially written files never
@@ -25,15 +36,18 @@ from __future__ import annotations
 
 import csv
 import gzip
+import hashlib
 import json
 import math
 import os
+import struct
 import tempfile
 import warnings
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from io import BytesIO, TextIOWrapper
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +84,7 @@ def format_float(x: float) -> str:
     if math.isinf(x):
         return "Infinity" if x > 0 else "-Infinity"
     s = format(x, ".17g")
-    if not any(c in s for c in ".eE"):
+    if "." not in s and "e" not in s:  # "g" writes a lowercase exponent
         s += ".0"
     return s
 
@@ -87,6 +101,10 @@ def _render(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.dtype.kind in "fiu":
+            # one join over Python scalars, not one _render call per element
+            render = format_float if obj.dtype.kind == "f" else str
+            return "[" + ", ".join(map(render, obj.tolist())) + "]"
         return _render(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_render(v) for v in obj) + "]"
@@ -101,19 +119,24 @@ def dumps_canonical(obj) -> str:
     return _render(obj) + "\n"
 
 
-def atomic_write_text(path, text: str) -> None:
+def atomic_write_bytes(path, data: bytes) -> None:
     """Write via a temp file in the same directory, then rename over."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """UTF-8 text with "\\n" line ends, written by `atomic_write_bytes`."""
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -166,26 +189,93 @@ def as_dataset(data) -> Dataset:
 # stream cut short, a corrupt deflate stream, a bad gzip header
 _DAMAGED = (UnicodeDecodeError, EOFError, zlib.error, gzip.BadGzipFile)
 
+CACHE_DIR = ".eero_cache"
+_CACHE_VERSION = 1
+_CACHE_MAGIC = b"EEROCSV\n"
+# magic, format version, value dtype, rows, columns, SHA-256 of the source
+# bytes: 64 bytes, so the arrays that follow stay 8-byte aligned
+_CACHE_HEAD = struct.Struct("<8sI4sQQ32s")
 
-@contextmanager
-def _open_text(path):
-    """Text handle on a plain or gzipped file; damage raises ParseError.
 
-    Decoding and decompression happen as the handle is read, so a damaged
-    file is reported from inside the block, naming the file.
+class _CsvSource:
+    """One CSV file, read once: its bytes, their cache key, its parse cache entry.
+
+    The entry lives in `CACHE_DIR` beside the file, one per file name.  It
+    holds the format version, the SHA-256 of the file's bytes (gzip
+    compressed or not), the parsed (ids, values) table and a CRC-32 of all
+    of that.  `cached` returns the table only when every one of those
+    matches, so a stale, foreign, truncated or corrupt entry reads as a
+    miss.  `store` replaces the entry atomically and skips it silently
+    when the directory cannot be written.
     """
-    # sniff the gzip magic so compressed files work under any name
-    with open(path, "rb") as raw:
-        magic = raw.read(2)
-    opener = gzip.open if magic == b"\x1f\x8b" else open
-    try:
-        with opener(path, "rt", encoding="utf-8", newline="") as fh:
-            yield fh
-    except _DAMAGED as e:
-        raise ParseError(f"unreadable file: {e}", file=str(path)) from None
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self.raw = self.path.read_bytes()
+        self.key = hashlib.sha256(self.raw).digest()
+        self.entry = self.path.parent / CACHE_DIR / (self.path.name + ".table")
+
+    @contextmanager
+    def open(self):
+        """Text handle on the bytes; damage raises ParseError naming the file.
+
+        Decoding and decompression happen as the handle is read, a chunk
+        at a time, so a damaged file is reported from inside the block.
+        """
+        binary = BytesIO(self.raw)
+        # sniff the gzip magic so compressed files work under any name
+        if self.raw[:2] == b"\x1f\x8b":
+            binary = gzip.GzipFile(fileobj=binary)
+        try:
+            with TextIOWrapper(binary, encoding="utf-8", newline="") as fh:
+                yield fh
+        except _DAMAGED as e:
+            raise ParseError(f"unreadable file: {e}", file=str(self.path)) from None
+
+    def cached(self, value_type) -> tuple[np.ndarray, np.ndarray] | None:
+        """The cached (ids, values) of these bytes, or None."""
+        try:
+            with open(self.entry, "rb") as fh:
+                buf = bytearray(fh.read())  # writable arrays, as a parse returns
+        except OSError:
+            return None
+        dtype = np.dtype(value_type).newbyteorder("<")
+        if len(buf) < _CACHE_HEAD.size + 4:
+            return None
+        magic, version, kind, rows, cols, key = _CACHE_HEAD.unpack_from(buf)
+        body = _CACHE_HEAD.size + 8 * rows * (1 + cols)
+        if (
+            (magic, version, kind, key)
+            != (_CACHE_MAGIC, _CACHE_VERSION, dtype.str.encode().ljust(4, b"\0"), self.key)
+            or len(buf) != body + 4
+            or zlib.crc32(memoryview(buf)[:body]) != int.from_bytes(buf[body:], "little")
+        ):
+            return None
+        ids = np.frombuffer(buf, "<i8", rows, _CACHE_HEAD.size)
+        values = np.frombuffer(buf, dtype, rows * cols, _CACHE_HEAD.size + 8 * rows)
+        return (
+            ids.astype(np.int64, copy=False),
+            values.reshape(rows, cols).astype(value_type, copy=False),
+        )
+
+    def store(self, ids: np.ndarray, values: np.ndarray) -> None:
+        """Cache a parsed table under these bytes' key; an OSError skips it."""
+        dtype = values.dtype.newbyteorder("<")
+        rows, cols = values.shape
+        body = b"".join((
+            _CACHE_HEAD.pack(
+                _CACHE_MAGIC, _CACHE_VERSION, dtype.str.encode(), rows, cols, self.key
+            ),
+            ids.astype("<i8").tobytes(),
+            values.astype(dtype).tobytes(),
+        ))
+        try:
+            atomic_write_bytes(self.entry, body + zlib.crc32(body).to_bytes(4, "little"))
+        except OSError:
+            pass  # a read-only data directory just goes uncached
 
 
-def _read_rows(path, header_ok, header_text: str, parse_row) -> tuple[np.ndarray, list]:
+def _read_rows(src: _CsvSource, header_ok, header_text: str, parse_row) -> tuple[np.ndarray, list]:
     """The row loop shared by the CSV readers; returns (ids, parsed rows).
 
     Checks the header with `header_ok`, skips blank lines, and requires
@@ -194,10 +284,10 @@ def _read_rows(path, header_ok, header_text: str, parse_row) -> tuple[np.ndarray
     bad cell by raising ParseError with `col` set, and the row and file
     are added here.
     """
-    path = Path(path)
+    path = src.path
     ids: list[int] = []
     rows: list = []
-    with _open_text(path) as fh:
+    with src.open() as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -239,7 +329,7 @@ def _read_rows(path, header_ok, header_text: str, parse_row) -> tuple[np.ndarray
     return np.asarray(ids, dtype=np.int64), rows
 
 
-def _load_table(path, header_ok, value_type) -> tuple[np.ndarray, np.ndarray] | None:
+def _load_table(src: _CsvSource, header_ok, value_type) -> tuple[np.ndarray, np.ndarray] | None:
     """C-speed parse of a CSV of plain numeric rows; None when it cannot vouch.
 
     Returns (ids, values), values shaped (rows, header width - 1) and of
@@ -252,7 +342,7 @@ def _load_table(path, header_ok, value_type) -> tuple[np.ndarray, np.ndarray] | 
     truncate it with only a DeprecationWarning; that warning is raised
     here, so such a field falls back on every numpy release.
     """
-    with _open_text(path) as fh:
+    with src.open() as fh:
         try:
             header = next(csv.reader([fh.readline()]), None)
         except csv.Error:
@@ -312,11 +402,17 @@ def read_probs_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
     Enforces the exact header, rectangular float rows and strictly
     increasing instance ids.  Raises ParseError with file/row/column
-    context on the first violation.
+    context on the first violation.  The table comes from the parse
+    cache when it holds these bytes; the id check runs either way, and
+    only a table that passes it is cached.
     """
-    table = _load_table(path, _probs_header_ok, np.float64)
+    src = _CsvSource(path)
+    table = src.cached(np.float64)
+    fresh = table is None
+    if fresh:
+        table = _load_table(src, _probs_header_ok, np.float64)
     if table is None:
-        ids, rows = _read_rows(path, _probs_header_ok, "instance_id,p_1,...,p_K", _parse_probs)
+        ids, rows = _read_rows(src, _probs_header_ok, "instance_id,p_1,...,p_K", _parse_probs)
         table = ids, np.asarray(rows, dtype=np.float64)
     id_arr = table[0]
     if np.any(np.diff(id_arr) <= 0):
@@ -324,20 +420,35 @@ def read_probs_csv(path) -> tuple[np.ndarray, np.ndarray]:
         raise ParseError(
             "instance ids must be strictly increasing", file=str(path), row=where
         )
+    if fresh:
+        src.store(*table)
     return table
 
 
 def read_labels_csv(path, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Parse labels; returns (ids, labels) with labels shifted to 0-based."""
-    table = _load_table(path, _labels_header_ok, np.int64)
+    """Parse labels; returns (ids, labels) with labels shifted to 0-based.
+
+    The parse cache holds the labels as written, so the range check
+    against `num_classes` runs on every read; a label outside it is
+    reported by the row loop with its row and column.
+    """
+    src = _CsvSource(path)
+    table = src.cached(np.int64)
+    fresh = table is None
+    if fresh:
+        table = _load_table(src, _labels_header_ok, np.int64)
     if table is not None:
         ids, labels = table[0], table[1][:, 0]
         if 1 <= labels.min() and labels.max() <= num_classes:
+            if fresh:
+                src.store(*table)
             return ids, labels - 1
     ids, labels = _read_rows(
-        path, _labels_header_ok, "instance_id,label", partial(_parse_label, num_classes=num_classes)
+        src, _labels_header_ok, "instance_id,label", partial(_parse_label, num_classes=num_classes)
     )
-    return ids, np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
+    src.store(ids, labels[:, None] + 1)
+    return ids, labels
 
 
 # ---------------------------------------------------------------------------
@@ -665,25 +776,23 @@ def write_json_result(path, doc: dict) -> None:
 
 def write_per_instance_csv(path, result: BatchResult, labels=None, instance_ids=None) -> None:
     """One row per instance: id, exit head, prediction, cost (+ correctness)."""
-    has_labels = labels is not None
     ids = (
         np.arange(result.batch_size)
         if instance_ids is None
         else np.asarray(instance_ids)
     )
     header = "instance_id,exit_head,prediction,cost"
-    if has_labels:
-        labels = np.asarray(labels)
+    columns = [
+        map(str, map(int, ids.tolist())),
+        map(str, result.exits.tolist()),
+        map(str, result.predictions.tolist()),
+        (format(v, ".17g") for v in result.per_instance_cost.tolist()),
+    ]
+    if labels is not None:
         header += ",correct"
-    lines = [header]
-    for i in range(result.batch_size):
-        line = (
-            f"{int(ids[i])},{int(result.exits[i])},{int(result.predictions[i])},"
-            f"{format(result.per_instance_cost[i], '.17g')}"
-        )
-        if has_labels:
-            line += f",{int(result.predictions[i] - 1 == labels[i])}"
-        lines.append(line)
+        correct = result.predictions - 1 == np.asarray(labels)
+        columns.append(map(str, correct.astype(np.int64).tolist()))
+    lines = [header, *map(",".join, zip(*columns))]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

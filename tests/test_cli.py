@@ -2,6 +2,7 @@
 
 import contextlib
 import gzip
+import hashlib
 import io
 import json
 import math
@@ -510,17 +511,83 @@ CSV_FAULTS = {
 @pytest.mark.parametrize("fault", sorted(CSV_FAULTS))
 def test_damaged_csv_exits_3_with_one_line(tmp_path, capsys, fault):
     data = tmp_path / "data"
-    shutil.copytree(TINY, data)
+    shutil.copytree(TINY, data, ignore=shutil.ignore_patterns(eio.CACHE_DIR))
     target = data / "test_head_1.csv"
-    target.write_bytes(CSV_FAULTS[fault](target.read_bytes()))
-    capsys.readouterr()
+    good = target.read_bytes()
+    entry = data / eio.CACHE_DIR / (target.name + ".table")
     out = tmp_path / "oracle.json"
-    rc = main(["oracle", "--data", str(data), "--budget", "12", "--out", str(out)])
-    err = capsys.readouterr().err
-    assert rc == 3, err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert str(target) in err, err
+    errs = []
+    for warm in (False, True):
+        if warm:  # cache every test file from its good bytes, then damage one again
+            target.write_bytes(good)
+            assert main(["oracle", "--data", str(data), "--budget", "12",
+                         "--out", str(tmp_path / "good.json")]) == 0
+            cached = entry.read_bytes()
+        target.write_bytes(CSV_FAULTS[fault](good))
+        capsys.readouterr()
+        rc = main(["oracle", "--data", str(data), "--budget", "12", "--out", str(out)])
+        errs.append(capsys.readouterr().err)
+        assert rc == 3, errs[-1]
+        assert entry.exists() == warm
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("error: ") and errs[0].count("\n") == 1, errs[0]
+    assert str(target) in errs[0], errs[0]
     assert not out.exists()
+    assert entry.read_bytes() == cached
+
+
+def test_cached_labels_with_lowered_num_classes_exit_3(tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(TINY, data, ignore=shutil.ignore_patterns(eio.CACHE_DIR))
+    out = tmp_path / "oracle.json"
+    assert main(["oracle", "--data", str(data), "--budget", "12", "--out", str(out)]) == 0
+    assert (data / eio.CACHE_DIR / "test_labels.csv.table").exists()
+    manifest = data / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    # the probability files now fail the class count first; the range check
+    # of cached labels is pinned in test_parse_paths
+    doc["num_classes"] -= 1
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["oracle", "--data", str(data), "--budget", "12", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# SHA-256 of `infer`'s result JSON and per-instance CSV under the policy of
+# `calibrate --budget B --seed 0`, as written when both writers rendered
+# one numpy scalar at a time: dataset -> (B, infer.json, per-instance CSV)
+WRITER_DIGESTS = {
+    "default_seed_0": (
+        "20000",
+        "e2b0cdb3eed14a40188e74617a120f1db168be53f8f15a564ff1b1ff759885cc",
+        "46409d4bed3d168eb0cf7d777a25a297c4552295ab1246006fc24c12a234355c",
+    ),
+    "tiny": (
+        "12",
+        "3fde03625ccb4aa45b9d540476713a34479b3a244b87cfb149f0c1d98efdd818",
+        "a21b30468a5414cc4f2f50e1e04deb516a5d3fc39778310d8bb1be30bf479617",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_DIGESTS))
+def test_result_writers_keep_their_bytes_cold_and_warm(tmp_path, name):
+    budget, *digests = WRITER_DIGESTS[name]
+    data = tmp_path / "data"
+    if name == "tiny":
+        shutil.copytree(TINY, data, ignore=shutil.ignore_patterns(eio.CACHE_DIR))
+    else:
+        write_dataset(generate(default_spec(0)), data)
+    for run in ("cold", "warm"):
+        out = tmp_path / run
+        policy, result, rows = out / "policy.json", out / "infer.json", out / "per_instance.csv"
+        assert main(["calibrate", "--data", str(data), "--budget", budget, "--seed", "0",
+                     "--out", str(policy)]) == 0
+        assert main(["infer", "--data", str(data), "--policy", str(policy), "--out", str(result),
+                     "--per-instance", str(rows)]) == 0
+        got = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (result, rows)]
+        assert got == digests, run
 
 
 def test_non_utf8_manifest_exits_3(tmp_path, capsys):

@@ -345,6 +345,40 @@ def test_per_instance_csv(tmp_path):
     first = lines[1].split(",")
     assert int(first[1]) == result.exits[0]
     assert int(first[2]) == result.predictions[0]
+    ids = 7 * np.arange(result.batch_size) + 3
+    for labels, instance_ids in ((data.test_labels, None), (None, ids), (data.test_labels, ids)):
+        eio.write_per_instance_csv(path, result, labels=labels, instance_ids=instance_ids)
+        assert path.read_text() == _per_instance_reference(result, labels, instance_ids)
+
+
+def _per_instance_reference(result, labels, instance_ids):
+    """The per-instance CSV rendered one numpy scalar at a time."""
+    ids = np.arange(result.batch_size) if instance_ids is None else np.asarray(instance_ids)
+    lines = ["instance_id,exit_head,prediction,cost" + ("" if labels is None else ",correct")]
+    for i in range(result.batch_size):
+        line = (
+            f"{int(ids[i])},{int(result.exits[i])},{int(result.predictions[i])},"
+            f"{format(result.per_instance_cost[i], '.17g')}"
+        )
+        if labels is not None:
+            line += f",{int(result.predictions[i] - 1 == labels[i])}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def test_array_rendering_equals_element_rendering():
+    # 1-d numeric arrays render with one join; lists render element by element
+    arrays = [
+        np.array([0.1, -0.0, 1e300, 5e-324, np.inf, -np.inf, np.nan, 2.0, 1e16, 123456789.0]),
+        np.array([np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max]),
+        np.array([0, np.iinfo(np.uint64).max], dtype=np.uint64),
+        np.array([1.5, 0.1], dtype=np.float32),
+        np.array([True, False]),
+        np.zeros(0),
+        np.arange(6.0).reshape(2, 3),
+    ]
+    for arr in arrays:
+        assert eio._render(arr) == eio._render(arr.tolist())
 
 
 def test_sweep_csv_schema(tmp_path):

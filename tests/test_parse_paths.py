@@ -4,11 +4,19 @@
 must then return the same ids and the same bits.  Every other file falls
 back to the row loop, so the public readers raise the row loop's
 ParseError with its message, row and column.
+
+The parse cache (`io.CACHE_DIR` beside each file) must not change any of
+that: every public read here runs twice, cold and then warm, and the warm
+read must return the same bits without parsing, or fail alike.
 """
 
 import gzip
+import os
 import warnings
+import zlib
+from contextlib import contextmanager
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -179,13 +187,13 @@ def _write(tmp_path, text, compressed, name="file.csv"):
 
 def _slow(path, kind):
     header_ok, _, parse_row, _, _ = KINDS[kind]
-    ids, rows = eio._read_rows(path, header_ok, "", parse_row)
+    ids, rows = eio._read_rows(eio._CsvSource(path), header_ok, "", parse_row)
     return ids, np.asarray(rows, dtype=np.float64 if kind == "probs" else np.int64)
 
 
 def _fast(path, kind):
     header_ok, value_type, _, _, to_slow = KINDS[kind]
-    table = eio._load_table(path, header_ok, value_type)
+    table = eio._load_table(eio._CsvSource(path), header_ok, value_type)
     values = None if table is None else to_slow(table[1])
     return None if values is None else (table[0], values)
 
@@ -194,6 +202,49 @@ def _assert_bitwise(a, b):
     for x, y in zip(a, b):
         assert x.dtype == y.dtype and x.shape == y.shape
         assert x.tobytes() == y.tobytes()  # NaN payloads and signed zeros included
+
+
+def _entry(path):
+    return path.parent / eio.CACHE_DIR / (path.name + ".table")
+
+
+def _outcome(read, path):
+    """The reader's table, or the one-line text of its ParseError."""
+    try:
+        return read(path)
+    except ParseError as e:
+        return str(e)
+
+
+@contextmanager
+def _no_parsing():
+    """Fail every CSV parse, so a read inside must come from the cache."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cached file was parsed")
+
+    with mock.patch.object(eio, "_load_table", refuse), mock.patch.object(eio, "_read_rows", refuse):
+        yield
+
+
+def _read_cold_then_warm(read, path):
+    """Read `path` with no cache entry, then again; returns the cold outcome.
+
+    A read that succeeds leaves one entry, the only file in the cache
+    directory, and the warm read returns the same bits without parsing.
+    A read that fails fails alike twice and leaves no entry.
+    """
+    entry = _entry(path)
+    entry.unlink(missing_ok=True)
+    cold = _outcome(read, path)
+    if isinstance(cold, str):
+        assert not entry.exists()
+        assert _outcome(read, path) == cold
+        assert not entry.exists()
+    else:
+        assert os.listdir(entry.parent) == [entry.name]
+        with _no_parsing():
+            _assert_bitwise(read(path), cold)
+    return cold
 
 
 @pytest.mark.parametrize("compressed", [False, True], ids=["plain", "gzip"])
@@ -214,7 +265,7 @@ def test_fast_path_matches_row_loop_or_falls_back(tmp_path, case, kind, compress
                 assert fast is None
             if fast is not None:
                 _assert_bitwise(fast, slow)
-            _assert_bitwise(read(path), slow)
+            _assert_bitwise(_read_cold_then_warm(read, path), slow)
         else:
             message, row, col = outcome
             with pytest.raises(ParseError) as e:
@@ -222,6 +273,7 @@ def test_fast_path_matches_row_loop_or_falls_back(tmp_path, case, kind, compress
             assert (e.value.file, e.value.row, e.value.col) == (str(path), row, col)
             where = f"{path}, row {row}" + ("" if col is None else f", col {col}")
             assert str(e.value) == f"{message} [{where}]"
+            assert _read_cold_then_warm(read, path) == str(e.value)
     assert not caught, [str(w.message) for w in caught]
 
 
@@ -271,6 +323,96 @@ def test_fuzz_fast_path_accepts_only_what_the_row_loop_accepts(tmp_path, body, k
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         fast = _fast(path, kind)
+        _read_cold_then_warm(KINDS[kind][3], path)
     assert not caught, [str(w.message) for w in caught]
     if fast is not None:
         _assert_bitwise(fast, _slow(path, kind))
+
+
+# ---------------------------------------------------------------------------
+# the parse cache
+
+
+def test_edit_keeping_size_and_mtime_is_reparsed(tmp_path):
+    path = _write(tmp_path, f"{PH}\n0,0.25,0.75\n1,0.5,0.5\n", False)
+    eio.read_probs_csv(path)
+    before = path.stat()
+    path.write_text(f"{PH}\n0,0.75,0.25\n1,0.5,0.5\n")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    ids, probs = eio.read_probs_csv(path)
+    assert probs.tolist() == [[0.75, 0.25], [0.5, 0.5]]
+    with _no_parsing():  # and the entry now holds the edited table
+        _assert_bitwise(eio.read_probs_csv(path), (ids, probs))
+
+
+def _with_crc(body):
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+# name -> entry bytes -> damaged entry bytes; the "_crc" kinds fix up the
+# CRC-32, so only the field named is wrong
+ENTRY_DAMAGE = {
+    "payload_byte": lambda b: b[:-12] + bytes([b[-12] ^ 1]) + b[-11:],
+    "truncated": lambda b: b[:-1],
+    "appended": lambda b: b + b"\0",
+    "header_only": lambda b: b[: eio._CACHE_HEAD.size],
+    "empty": lambda b: b"",
+    "foreign_magic_crc": lambda b: _with_crc(b"NOTEERO\n" + b[8:-4]),
+    "foreign_version_crc": lambda b: _with_crc(b[:8] + (99).to_bytes(4, "little") + b[12:-4]),
+    "labels_kind_crc": lambda b: _with_crc(b[:12] + b"<i8\0" + b[16:-4]),
+    "other_source_crc": lambda b: _with_crc(b[:32] + bytes(32) + b[64:-4]),
+    "more_rows_crc": lambda b: _with_crc(b[:16] + (3).to_bytes(8, "little") + b[24:-4]),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(ENTRY_DAMAGE))
+def test_bad_entry_is_ignored_and_rewritten(tmp_path, damage):
+    path = _write(tmp_path, f"{PH}\n0,0.25,0.75\n1,0.5,0.5\n", False)
+    cold = eio.read_probs_csv(path)
+    good = _entry(path).read_bytes()
+    _entry(path).write_bytes(ENTRY_DAMAGE[damage](good))
+    _assert_bitwise(eio.read_probs_csv(path), cold)
+    assert _entry(path).read_bytes() == good
+    assert os.listdir(_entry(path).parent) == [_entry(path).name]
+
+
+@pytest.mark.parametrize("stale_entry", [False, True], ids=["no_entry", "stale_entry"])
+def test_read_only_directory_reads_and_writes_nothing(tmp_path, monkeypatch, stale_entry):
+    data = tmp_path / "data"
+    data.mkdir()
+    text = CASES["plain"][0][0]
+    path = _write(data, text.replace("0.25,0.75", "0.75,0.25") if stale_entry else text, False)
+    if stale_entry:
+        eio.read_probs_csv(path)
+        path.write_text(text)
+    expected = _slow(path, "probs")
+    files = {p: p.read_bytes() for p in data.rglob("*") if p.is_file()}
+    dirs = [p for p in data.rglob("*") if p.is_dir()] + [data]
+    for d in dirs:
+        d.chmod(0o555)
+    if os.access(data, os.W_OK):
+        # mode bits do not stop root: refuse writes as the kernel does for others
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(eio.tempfile, "mkstemp", refuse)
+        monkeypatch.setattr(eio.Path, "mkdir", refuse)
+    try:
+        for _ in range(2):
+            _assert_bitwise(eio.read_probs_csv(path), expected)
+        monkeypatch.undo()
+        assert {p: p.read_bytes() for p in data.rglob("*") if p.is_file()} == files
+    finally:
+        for d in dirs:
+            d.chmod(0o755)
+
+
+def test_cached_labels_are_range_checked_on_every_read(tmp_path):
+    path = _write(tmp_path, f"{LH}\n0,1\n1,3\n", False)
+    _read_cold_then_warm(partial(eio.read_labels_csv, num_classes=3), path)
+    for _ in range(2):
+        with pytest.raises(ParseError) as e:
+            eio.read_labels_csv(path, num_classes=2)
+        assert str(e.value) == f"label 3 outside 1..2 [{path}, row 3, col 2]"
