@@ -40,7 +40,7 @@ from .allocation import (
     solve_allocation,
 )
 from .calibration import calibration_scores, policy_from_scores
-from .domain import BudgetSpec, HeadBank, within_budget
+from .domain import BudgetSpec, HeadBank
 from .errors import EeroError, InvalidSpec, MissingLabels
 from .inference import classify_batch, first_exceed, measure_budget
 from .oracle import OracleInstance, build_correctness, oracle_curve, oracle_exact
@@ -262,45 +262,17 @@ def cmd_sweep(args) -> int:
         _, policy = _fit_policy(calib.bank, calib_scores, risks, bspec, args.beta, spec)
         # the same decisions and sums as classify_batch on this policy
         exit_head = first_exceed(test_scores, policy.thresholds)
-        consumed = float(test.bank.budgets[exit_head].sum())
-        return {
-            "budget": total,
-            "accuracy": float(np.mean(correctness[instances, exit_head])),
-            "consumed": consumed,
-            "within_budget": within_budget(consumed, total),
-            "source": "eero",
-        }
+        return np.mean(correctness[instances, exit_head]), test.bank.budgets[exit_head].sum()
 
-    eero_rows = [eero_point(b) for b in budgets]
-
+    # every budget is fitted before the oracle runs, so a fit's error comes first
+    eero_points = [eero_point(b) for b in budgets]
     oracle_points = oracle_curve(correctness, test.bank.budgets, np.asarray(budgets))
-
-    head_accuracy = correctness.mean(axis=0)
-    head_cost = test.bank.budgets * t
-
+    head_points = zip(correctness.mean(axis=0), test.bank.budgets * t)
+    heads = [(acc, cost, f"head_{h}") for h, (acc, cost) in enumerate(head_points, start=1)]
     rows = []
-    for j, total in enumerate(budgets):
-        rows.append(eero_rows[j])
-        acc, consumed = oracle_points[j]
-        rows.append(
-            {
-                "budget": total,
-                "accuracy": acc,
-                "consumed": consumed,
-                "within_budget": within_budget(consumed, total),
-                "source": "oracle",
-            }
-        )
-        for head in range(test.bank.num_heads):
-            rows.append(
-                {
-                    "budget": total,
-                    "accuracy": float(head_accuracy[head]),
-                    "consumed": float(head_cost[head]),
-                    "within_budget": within_budget(float(head_cost[head]), total),
-                    "source": f"head_{head + 1}",
-                }
-            )
+    for total, eero, oracle in zip(budgets, eero_points, oracle_points):
+        for point in [(*eero, "eero"), (*oracle, "oracle"), *heads]:
+            rows.append((total, *point))
     eio.write_sweep_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows over {len(budgets)} budgets)")
     return EXIT_OK
@@ -317,6 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags that fit a policy, shared by calibrate and sweep
+    fit = argparse.ArgumentParser(add_help=False)
+    fit.add_argument("--beta", type=float, default=DEFAULT_BETA, help="KL temperature")
+    fit.add_argument("--score", choices=SCORE_KINDS, default="breaking_ties")
+    fit.add_argument("--jitter", type=float, default=DEFAULT_JITTER, help="jitter width")
+    fit.add_argument("--seed", type=int, default=None, help=f"jitter seed (or ${SEED_ENV})")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--spec", required=True, help="generator spec JSON file")
@@ -324,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help=f"overrides spec seed / ${SEED_ENV}")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("calibrate", help="fit an exit policy for a budget")
+    p = sub.add_parser("calibrate", parents=[fit], help="fit an exit policy for a budget")
     p.add_argument("--data", required=True, help="dataset directory or manifest path")
     p.add_argument("--budget", type=float, required=True, help="total batch budget")
     p.add_argument(
@@ -333,10 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="batch size the budget refers to (default: test split size)",
     )
-    p.add_argument("--beta", type=float, default=DEFAULT_BETA, help="KL temperature")
-    p.add_argument("--score", choices=SCORE_KINDS, default="breaking_ties")
-    p.add_argument("--jitter", type=float, default=DEFAULT_JITTER, help="jitter width")
-    p.add_argument("--seed", type=int, default=None, help=f"jitter seed (or ${SEED_ENV})")
     p.add_argument("--out", required=True, help="policy JSON path")
     p.set_defaults(func=cmd_calibrate)
 
@@ -356,17 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("sweep", help="accuracy vs budget for policy, oracle, heads")
+    p = sub.add_parser("sweep", parents=[fit], help="accuracy vs budget for policy, oracle, heads")
     p.add_argument("--data", required=True)
     p.add_argument(
         "--budgets",
         required=True,
         help="comma-separated totals or linspace:lo:hi:n",
     )
-    p.add_argument("--beta", type=float, default=DEFAULT_BETA)
-    p.add_argument("--score", choices=SCORE_KINDS, default="breaking_ties")
-    p.add_argument("--jitter", type=float, default=DEFAULT_JITTER)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="sweep CSV path")
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -41,13 +41,13 @@ import json
 import math
 import os
 import struct
-import tempfile
 import warnings
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from io import BytesIO, TextIOWrapper
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +59,7 @@ from .domain import (
     ExitPolicy,
     HeadBank,
     HeadSlice,
+    within_budget,
 )
 from .errors import MissingLabels, ParseError, ShapeMismatch
 from .inference import BudgetReport
@@ -69,7 +70,6 @@ from .synth import SynthData
 MANIFEST_NAME = "manifest.json"
 SPLIT_NAMES = ("train", "calib", "test")
 _INT64 = np.iinfo(np.int64)
-SWEEP_HEADER = ("budget", "accuracy", "consumed", "within_budget", "source")
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +120,15 @@ def dumps_canonical(obj) -> str:
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename over."""
+    """Write via a temp file in the same directory, then rename over.
+
+    The temp file is created as `open()` creates one, mode 0o666 less the
+    umask, so the written file gets the usual mode.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -329,6 +334,18 @@ def _read_rows(src: _CsvSource, header_ok, header_text: str, parse_row) -> tuple
     return np.asarray(ids, dtype=np.int64), rows
 
 
+def _row_number(src: _CsvSource, index: int) -> int:
+    """The row number `_read_rows` gives the data row at 0-based `index`.
+
+    Blank lines count as rows but hold no data, so a table's index alone
+    does not give the row; this reads the bytes again to find it.
+    """
+    with src.open() as fh:
+        rows = enumerate(csv.reader(fh), start=1)
+        next(rows)  # the header
+        return next(islice((n for n, cells in rows if cells), index, None))
+
+
 def _load_table(src: _CsvSource, header_ok, value_type) -> tuple[np.ndarray, np.ndarray] | None:
     """C-speed parse of a CSV of plain numeric rows; None when it cannot vouch.
 
@@ -414,12 +431,10 @@ def read_probs_csv(path) -> tuple[np.ndarray, np.ndarray]:
     if table is None:
         ids, rows = _read_rows(src, _probs_header_ok, "instance_id,p_1,...,p_K", _parse_probs)
         table = ids, np.asarray(rows, dtype=np.float64)
-    id_arr = table[0]
-    if np.any(np.diff(id_arr) <= 0):
-        where = int(np.argmax(np.diff(id_arr) <= 0)) + 3  # header + 1-based + next row
-        raise ParseError(
-            "instance ids must be strictly increasing", file=str(path), row=where
-        )
+    unsorted = np.flatnonzero(np.diff(table[0]) <= 0)
+    if unsorted.size:
+        row = _row_number(src, int(unsorted[0]) + 1)
+        raise ParseError("instance ids must be strictly increasing", file=str(path), row=row)
     if fresh:
         src.store(*table)
     return table
@@ -796,19 +811,14 @@ def write_per_instance_csv(path, result: BatchResult, labels=None, instance_ids=
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def write_sweep_csv(path, rows: list[dict]) -> None:
-    """Accuracy/consumption rows per (budget, source) of a budget sweep."""
-    lines = [",".join(SWEEP_HEADER)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    format_float(row["budget"]),
-                    format_float(row["accuracy"]),
-                    format_float(row["consumed"]),
-                    "true" if row["within_budget"] else "false",
-                    str(row["source"]),
-                )
-            )
-        )
+def write_sweep_csv(path, rows) -> None:
+    """One line per (budget, accuracy, consumed, source) row of a budget sweep.
+
+    `within_budget` is derived from each row's budget and consumption by
+    the budget rule, `domain.within_budget`.
+    """
+    lines = ["budget,accuracy,consumed,within_budget,source"]
+    for budget, accuracy, consumed, source in rows:
+        fits = "true" if within_budget(consumed, budget) else "false"
+        lines.append(",".join((*map(format_float, (budget, accuracy, consumed)), fits, source)))
     atomic_write_text(path, "\n".join(lines) + "\n")

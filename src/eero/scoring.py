@@ -89,7 +89,10 @@ def score_matrix(jittered: np.ndarray, kind: str) -> np.ndarray:
         return top2[:, 1] - top2[:, 0]
     if kind == "neg_entropy":
         c = np.maximum(q, ENTROPY_FLOOR)
-        return np.sum(c * np.log(c), axis=1)
+        # a huge jitter overflows to an infinite score, which is no fault here:
+        # calibration rejects it, and in routing it clears every threshold
+        with np.errstate(over="ignore"):
+            return np.sum(c * np.log(c), axis=1)
     raise ValueError(f"unknown score kind {kind!r}")
 
 
@@ -98,17 +101,14 @@ def score_bank(bank, key_base: int, spec: ScoreSpec) -> np.ndarray:
 
     Returns an (M-1) x N matrix whose row l holds head l's scores; row i
     of the bank takes jitter key `key_base + i`.  The final head takes
-    whatever reaches it, so it is never scored.  Overflow to an infinite
-    score is not warned about: calibration rejects such scores, and an
-    infinite score clears every threshold, as it does in routing.
+    whatever reaches it, so it is never scored.
     """
     n = bank.num_instances
     keys = key_base + np.arange(n, dtype=np.uint64)
     scores = np.empty((bank.num_heads - 1, n), dtype=np.float64)
     for head in range(bank.num_heads - 1):
         jittered = jitter_matrix(bank.heads[head].probs, head, keys, spec)
-        with np.errstate(over="ignore"):
-            scores[head] = score_matrix(jittered, spec.kind)
+        scores[head] = score_matrix(jittered, spec.kind)
     return scores
 
 

@@ -6,9 +6,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import shlex
 import shutil
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +409,8 @@ def test_help_lists_flags(capsys):
         (["sweep", "--budgets", "800,inf"], None, 2),
         (["sweep", "--budgets", "500,800", "--score", "neg_entropy", "--jitter", "1e308"], None, 2),
         (["sweep", "--budgets", "10,800", "--score", "neg_entropy", "--jitter", "1e308"], None, 4),
+        (["sweep", "--budgets", "1,x"], None, 2),
+        (["sweep", "--budgets", ","], None, 2),
     ],
 )
 def test_invalid_input_exits_with_one_line_error(dataset, tmp_path, capsys, argv, risk, code):
@@ -463,6 +467,11 @@ FILE_FAULTS = {
     "budget_gflops_inf": (
         "manifest", ["splits", "test", "heads", 1, "budget_gflops"], '"inf"',
         "budget_gflops of head 2 of split 'test'",
+    ),
+    "num_classes_1": ("manifest", ["num_classes"], "1", "num_classes must be an integer >= 2"),
+    "splits_empty": ("manifest", ["splits"], "{}", "splits must be a non-empty object"),
+    "split_unknown": (
+        "manifest", ["splits", "valid"], '{"heads": []}', "unknown split names ['valid']"
     ),
 }
 
@@ -838,3 +847,135 @@ def test_calibrated_plan_never_exceeds_its_cap(tmp_path):
     allocation = json.loads(policy.read_text())["allocation"]
     assert allocation["saturated"]
     assert allocation["expected_budget"] <= 4.0
+
+
+def _one_line_error(capsys, argv, code):
+    """Run the CLI; it must exit `code` with one `error:` line, returned."""
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def _edit_manifest(data, edit):
+    manifest = data / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    edit(doc)
+    manifest.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("argv", [["oracle", "--budget", "800"], ["sweep", "--budgets", "500,800"]])
+def test_unlabeled_test_split_exit_3(dataset, tmp_path, capsys, argv):
+    _edit_manifest(dataset, lambda doc: doc["splits"]["test"].pop("labels_csv"))
+    out = tmp_path / "out"
+    err = _one_line_error(capsys, [*argv, "--data", str(dataset), "--out", str(out)], 3)
+    assert "labeled test split" in err
+    assert not out.exists()
+
+
+def test_calibrate_without_test_split_needs_batch_size(dataset, tmp_path, capsys):
+    _edit_manifest(dataset, lambda doc: doc["splits"].pop("test"))
+    out = tmp_path / "policy.json"
+    argv = ["calibrate", "--data", str(dataset), "--budget", "800", "--out", str(out)]
+    assert "--batch-size is required" in _one_line_error(capsys, argv, 2)
+    assert not out.exists()
+    assert main([*argv, "--batch-size", "400"]) == 0
+
+
+def test_non_integer_seed_env_exit_2(dataset, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("EERO_SEED", "abc")
+    out = tmp_path / "policy.json"
+    argv = ["calibrate", "--data", str(dataset), "--budget", "800", "--out", str(out)]
+    assert "EERO_SEED='abc' is not an integer" in _one_line_error(capsys, argv, 2)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, needle",
+    [
+        ([SPEC], "must be a JSON object"),
+        ({**SPEC, "bogus": 1}, "unknown generator spec fields: ['bogus']"),
+        ({k: v for k, v in SPEC.items() if k != "sizes"}, "missing fields: ['sizes']"),
+    ],
+    ids=["array", "unknown_field", "missing_field"],
+)
+def test_malformed_synth_spec_exit_2(tmp_path, capsys, doc, needle):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "data"
+    argv = ["synth", "--spec", str(spec), "--out", str(out)]
+    assert needle in _one_line_error(capsys, argv, 2)
+    assert not out.exists()
+
+
+def test_head_files_with_different_ids_exit_3(dataset, tmp_path, capsys):
+    # test head 2 with every id one higher, still strictly increasing
+    path = dataset / "test_head_2.csv"
+    header, *rows = path.read_text().splitlines()
+    rows = [f"{int(i) + 1},{rest}" for i, rest in (row.split(",", 1) for row in rows)]
+    path.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "oracle.json"
+    argv = ["oracle", "--data", str(dataset), "--budget", "800", "--out", str(out)]
+    err = _one_line_error(capsys, argv, 3)
+    assert "instance ids of split 'test' differ between heads" in err
+    assert str(dataset / "manifest.json") in err
+    assert not out.exists()
+
+
+def test_declared_risks_are_used_only_when_every_train_head_has_one(dataset, tmp_path, capsys):
+    policy = tmp_path / "policy.json"
+    argv = ["calibrate", "--data", str(dataset), "--budget", "800", "--out", str(policy)]
+    m = SPEC["num_heads"]
+
+    def calibrate_with(risks):
+        """Calibrate with these train-head risks declared; returns printed risks, policy bytes."""
+        def edit(doc):
+            for head, risk in zip(doc["splits"]["train"]["heads"], risks):
+                head.pop("risk", None)
+                if risk is not None:
+                    head["risk"] = risk
+        _edit_manifest(dataset, edit)
+        capsys.readouterr()
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()[1 : 1 + m]
+        return [float(line.split()[1]) for line in lines], policy.read_bytes()
+
+    train = load_manifest(dataset, splits=("train",)).split("train")
+    from_labels = eio.compute_risks(train.bank, train.labels)
+    printed, labels_policy = calibrate_with([None] * m)
+    assert printed == [round(r, 4) for r in from_labels]
+
+    declared = [0.5, 0.25, 0.125]
+    printed, declared_policy = calibrate_with(declared)
+    assert printed == declared
+    assert declared_policy != labels_policy
+
+    assert calibrate_with([0.5, None, 0.125]) == ([round(r, 4) for r in from_labels], labels_policy)
+
+
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask_022", "umask_077"]
+)
+def test_written_files_get_the_mode_open_gives(tmp_path, umask, mode):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPEC))
+    data, policy, result = tmp_path / "data", tmp_path / "policy.json", tmp_path / "result.json"
+    old = os.umask(umask)
+    try:
+        assert main(["synth", "--spec", str(spec), "--out", str(data)]) == 0
+        assert main(["calibrate", "--data", str(data), "--budget", "800", "--out", str(policy)]) == 0
+        assert main(["infer", "--data", str(data), "--policy", str(policy), "--out", str(result)]) == 0
+    finally:
+        os.umask(old)
+    written = [
+        policy,
+        result,
+        data / "manifest.json",
+        data / "test_head_1.csv",
+        data / eio.CACHE_DIR / "test_head_1.csv.table",
+    ]
+    assert {p.name: oct(stat.S_IMODE(p.stat().st_mode)) for p in written} == {
+        p.name: oct(mode) for p in written
+    }
+    assert not list(tmp_path.rglob("*.tmp"))

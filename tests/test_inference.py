@@ -376,3 +376,16 @@ def test_determinism(rng):
     assert np.array_equal(a.exits, b.exits)
     assert np.array_equal(a.predictions, b.predictions)
     assert a.consumed_budget == b.consumed_budget
+
+
+def test_huge_jitter_neg_entropy_routes_without_warning():
+    # scores overflow to infinity, which clears every threshold; the overflow
+    # must not surface as a RuntimeWarning (the suite turns those into errors)
+    bank = make_bank(
+        [[[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.5, 0.5]]] * 2 + [[[0.5, 0.5]] * 4],
+        budgets=[1.0, 2.0, 3.0],
+    )
+    policy = _policy([-0.3, -0.2, -np.inf], kind="neg_entropy", jitter=1e308)
+    res = classify_batch(bank, policy)
+    assert np.array_equal(res.exits, [1, 1, 1, 1])
+    assert [exit for exit, _, _ in iter_classify(bank, policy)] == [1, 1, 1, 1]

@@ -10,7 +10,7 @@ import pytest
 from eero import io as eio
 from eero.allocation import AllocationResult
 from eero.calibration import build_policy
-from eero.domain import BudgetSpec
+from eero.domain import BudgetSpec, within_budget
 from eero.errors import LabelLengthMismatch, MissingLabels, ParseError
 from eero.inference import classify_batch, measure_budget
 from eero.scoring import ScoreSpec
@@ -382,21 +382,27 @@ def test_array_rendering_equals_element_rendering():
 
 
 def test_sweep_csv_schema(tmp_path):
+    # (budget, accuracy, consumed, source); the writer derives within_budget
     rows = [
-        {"budget": 10.0, "accuracy": 0.5, "consumed": 9.0, "within_budget": True,
-         "source": "eero"},
-        {"budget": 10.0, "accuracy": 0.6, "consumed": 8.0, "within_budget": True,
-         "source": "oracle"},
-        {"budget": 10.0, "accuracy": 0.4, "consumed": 12.0, "within_budget": False,
-         "source": "head_2"},
+        (10.0, 0.5, 9.0, "eero"),
+        (10.0, 0.6, 8.0, "oracle"),
+        (10.0, 0.4, 12.0, "head_2"),
+        (10.0, 0.7, 10.0 * (1.0 + 1e-12), "head_3"),  # on the budget rule's edge
+        (10.0, 0.8, 10.0 * (1.0 + 2e-12), "head_4"),
     ]
     path = tmp_path / "sweep.csv"
     eio.write_sweep_csv(path, rows)
     lines = path.read_text().splitlines()
     assert lines[0] == "budget,accuracy,consumed,within_budget,source"
-    assert len(lines) == 4
-    assert lines[1].endswith(",true,eero")
+    assert len(lines) == 6
+    assert lines[1] == "10.0,0.5,9.0,true,eero"
     assert lines[3].endswith(",false,head_2")
+    flags = [line.split(",")[3] for line in lines[1:]]
+    assert flags == [
+        "true" if within_budget(consumed, budget) else "false"
+        for budget, _, consumed, _ in rows
+    ]
+    assert flags[3:] == ["true", "false"]
 
 
 def test_oracle_result_dict_marker():

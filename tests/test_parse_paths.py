@@ -152,6 +152,19 @@ CASES = {
         (f"{PH}\n1,0.25,0.75\n0,0.5,0.5\n", _err("instance ids must be strictly increasing", 3)),
         (f"{LH}\n1,1\n0,3\n", LOADS),  # label ids are checked against the probs ids instead
     ),
+    # ids 5 then 3 with blank lines between: the fault is the row of the 3, as
+    # the row loop counts rows, whichever path parsed the file
+    "unsorted_ids_after_blank_lines": (
+        (f"{PH}\n5,0.25,0.75\n\n\n\n3,0.5,0.5\n", _err("instance ids must be strictly increasing", 6)),
+        (f"{LH}\n5,1\n\n\n\n3,3\n", LOADS),
+    ),
+    "unsorted_ids_after_blank_lines_row_loop": (
+        (
+            f'{PH}\r\n\r\n5,"0.25",0.75\r\n\r\n7,0.5,0.5\r\n\r\n7,0.5,0.5\r\n',
+            _err("instance ids must be strictly increasing", 7),
+        ),
+        (f'{LH}\r\n\r\n5,"1"\r\n\r\n3,3\r\n', FALLS_BACK),
+    ),
     "label_zero": (
         (f"{PH}\n0,0.25,0.75\n", LOADS),
         (f"{LH}\n0,0\n", _err("label 0 outside 1..3", 2, 2)),
@@ -397,7 +410,7 @@ def test_read_only_directory_reads_and_writes_nothing(tmp_path, monkeypatch, sta
         def refuse(*args, **kwargs):
             raise PermissionError(13, "Permission denied")
 
-        monkeypatch.setattr(eio.tempfile, "mkstemp", refuse)
+        monkeypatch.setattr(eio.os, "open", refuse)
         monkeypatch.setattr(eio.Path, "mkdir", refuse)
     try:
         for _ in range(2):
@@ -416,3 +429,13 @@ def test_cached_labels_are_range_checked_on_every_read(tmp_path):
         with pytest.raises(ParseError) as e:
             eio.read_labels_csv(path, num_classes=2)
         assert str(e.value) == f"label 3 outside 1..2 [{path}, row 3, col 2]"
+
+
+def test_id_order_row_is_the_same_on_a_cache_hit(tmp_path):
+    # an entry holding the table of bytes that fail the id check, which a read
+    # never stores itself: the row still comes from the bytes
+    path = _write(tmp_path, f"{PH}\n5,0.25,0.75\n\n\n\n3,0.5,0.5\n", False)
+    eio._CsvSource(path).store(*_slow(path, "probs"))
+    with _no_parsing(), pytest.raises(ParseError) as e:
+        eio.read_probs_csv(path)
+    assert str(e.value) == f"instance ids must be strictly increasing [{path}, row 6]"
