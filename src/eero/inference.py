@@ -14,7 +14,10 @@ One cascade kernel, `_route`, does all routing, and its work follows the
 same cost model: head l is jittered and scored only on the instances
 still alive after heads 1..l-1, argmax predictions are taken only for
 the instances that leave at head l, and the final head, which takes
-every survivor, is neither jittered nor scored.  `classify_batch` runs
+every survivor, is neither jittered nor scored.  Heads are scored by
+`scoring.score_rows`, block by block over the alive rows, the same
+kernel that calibration and the sweep use; the scores do not depend on
+the block size, because jitter is counter-based.  `classify_batch` runs
 it once over the whole bank; `iter_classify` runs it over one-instance
 windows so each decision is ready as soon as its own heads are scored.
 Jitter is counter-based, keyed by instance and head, so any window of
@@ -34,7 +37,7 @@ import numpy as np
 
 from .domain import BatchResult, BudgetSpec, ExitPolicy, HeadBank, _set, within_budget
 from .errors import HeadCountMismatch, LabelLengthMismatch
-from .scoring import TEST_KEY_BASE, ScoreSpec, jitter_matrix, predict_matrix, score_matrix
+from .scoring import TEST_KEY_BASE, ScoreSpec, predict_matrix, score_rows
 
 
 def _pinned_spec(bank: HeadBank, policy: ExitPolicy) -> ScoreSpec:
@@ -52,29 +55,26 @@ def _route(
     """Cascade rows [lo, hi) of a bank through the policy.
 
     Returns the 0-based exit head and 0-based prediction of each row.
-    `alive` holds the window offsets of the rows that no head has
-    classified yet; the walk stops as soon as it is empty.
+    `alive` holds the bank rows that no head has classified yet; the
+    walk stops as soon as it is empty.
     """
-    m = bank.num_heads
-    exits = np.empty(hi - lo, dtype=np.int64)
+    last = bank.num_heads - 1
+    exits = np.full(hi - lo, last, dtype=np.int64)
     preds = np.empty(hi - lo, dtype=np.int64)
-    alive = np.arange(hi - lo)
-    for head in range(m):
-        rows = lo + alive
-        probs = bank.heads[head].probs[rows]
-        if head == m - 1:  # final head takes whatever remains
-            exits[alive] = head
-            preds[alive] = predict_matrix(probs)
-            break
-        jittered = jitter_matrix(probs, head, TEST_KEY_BASE + rows, spec)
-        leave = score_matrix(jittered, spec.kind) >= policy.thresholds[head]
+    alive = np.arange(lo, hi)
+    for head in range(last):
+        probs = bank.heads[head].probs
+        scores = score_rows(probs, alive, TEST_KEY_BASE + alive, head, spec)
+        leave = scores >= policy.thresholds[head]
         out = alive[leave]
         if out.size:
-            exits[out] = head
-            preds[out] = predict_matrix(probs[leave])
+            exits[out - lo] = head
+            preds[out - lo] = predict_matrix(probs[out])
             alive = alive[~leave]
             if alive.size == 0:
-                break
+                return exits, preds
+    # the final head takes whatever remains, unscored
+    preds[alive - lo] = predict_matrix(bank.heads[last].probs[alive])
     return exits, preds
 
 

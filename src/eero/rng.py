@@ -21,21 +21,64 @@ _MIX_B_INT = 0x94D049BB133111EB
 _GOLDEN = np.uint64(_GOLDEN_INT)
 _MIX_A = np.uint64(_MIX_A_INT)
 _MIX_B = np.uint64(_MIX_B_INT)
+_SHIFT_A, _SHIFT_B, _SHIFT_C = np.uint64(30), np.uint64(27), np.uint64(31)
+_SHIFT_U = np.uint64(11)
 _MASK = 0xFFFFFFFFFFFFFFFF
 _INV_U53 = 2.0**-53
 
 
-def _finalize(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX_A
-    z = (z ^ (z >> np.uint64(27))) * _MIX_B
-    return z ^ (z >> np.uint64(31))
+def finalize_inplace(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Apply the splitmix64 finalizer to a uint64 array in place and return it.
+
+    `scratch` is a uint64 array of `z`'s shape whose contents are
+    overwritten; it is the only temporary, so callers that finalize many
+    blocks can allocate both buffers once.  uint64 products wrap, as in C.
+    """
+    # positional `out` arguments: on one-row blocks the call overhead is the cost
+    np.right_shift(z, _SHIFT_A, scratch)
+    np.bitwise_xor(z, scratch, z)
+    np.multiply(z, _MIX_A, z)
+    np.right_shift(z, _SHIFT_B, scratch)
+    np.bitwise_xor(z, scratch, z)
+    np.multiply(z, _MIX_B, z)
+    np.right_shift(z, _SHIFT_C, scratch)
+    np.bitwise_xor(z, scratch, z)
+    return z
+
+
+def fold_into(h, word, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """One fold step, finalize((h ^ word) + golden), written into `out`.
+
+    `h` and `word` are uint64 arrays or ints in [0, 2**64) that broadcast
+    to `out`'s shape; `scratch` is as in `finalize_inplace`.
+    """
+    np.bitwise_xor(h, word, out)
+    np.add(out, _GOLDEN, out)
+    return finalize_inplace(out, scratch)
 
 
 def _finalize_int(z: int) -> int:
-    """`_finalize` on one Python int in [0, 2**64), with the same wraparound."""
+    """The splitmix64 finalizer on one Python int in [0, 2**64), with uint64 wraparound."""
     z = ((z ^ (z >> 30)) * _MIX_A_INT) & _MASK
     z = ((z ^ (z >> 27)) * _MIX_B_INT) & _MASK
     return z ^ (z >> 31)
+
+
+def fold_int(h: int, word: int) -> int:
+    """`fold_into` on Python ints in [0, 2**64): the same bits, no numpy call."""
+    return _finalize_int(((h ^ word) + _GOLDEN_INT) & _MASK)
+
+
+def hash_int(seed: int, *words: int) -> int:
+    """`hash_words` of a seed and ints in [0, 2**64), as a Python int.
+
+    Exact integer arithmetic gives the same bits as numpy's uint64
+    wraparound without a numpy call per word.
+    """
+    h = _finalize_int((int(seed & _MASK) + _GOLDEN_INT) & _MASK)
+    for w in words:
+        h = fold_int(h, w)
+    return h
 
 
 def hash_words(seed: int, *words) -> np.ndarray:
@@ -43,30 +86,42 @@ def hash_words(seed: int, *words) -> np.ndarray:
 
     `words` may be scalars or integer arrays; they broadcast against each
     other and the result has the broadcast shape (0-d for all scalars).
-    The seed and the leading non-negative Python-int words are folded in
-    exact integer arithmetic, which gives the same bits as numpy's uint64
-    wraparound without a numpy call per word; this matters when the
-    array words are a single row.
+    The seed and the leading non-negative Python-int words are folded by
+    `hash_int`; this matters when the array words are a single row.  Each
+    later word is folded in place into a fresh buffer of the broadcast
+    shape.
     """
-    h = _finalize_int((int(seed & _MASK) + _GOLDEN_INT) & _MASK)
     lead = 0
     for w in words:
         if not (isinstance(w, int) and 0 <= w <= _MASK):
             break
-        h = _finalize_int(((h ^ w) + _GOLDEN_INT) & _MASK)
         lead += 1
-    h = np.uint64(h)
-    with np.errstate(over="ignore"):
-        for w in words[lead:]:
-            w64 = np.asarray(w).astype(np.uint64, copy=False)
-            h = _finalize((h ^ w64) + _GOLDEN)
-    return h
+    h = hash_int(seed, *words[:lead])
+    if lead == len(words):
+        return np.uint64(h)
+    for w in words[lead:]:
+        w64 = np.asarray(w).astype(np.uint64, copy=False)
+        out = np.empty(np.broadcast_shapes(np.shape(h), w64.shape), dtype=np.uint64)
+        h = fold_into(h, w64, out, np.empty_like(out))
+    return h if h.ndim else h[()]
+
+
+def uniform_into(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Uniforms on [0, 1) from uint64 hash bits, written into float64 `out`.
+
+    The top 53 bits scaled by 2**-53, so every value is exact; `bits` is
+    overwritten.
+    """
+    np.right_shift(bits, _SHIFT_U, bits)
+    # below 2**53 the int64 view holds the same value and converts faster
+    return np.multiply(bits.view(np.int64), _INV_U53, out)
 
 
 def uniform(seed: int, *words) -> np.ndarray:
     """Deterministic uniforms on [0, 1), one per broadcast element."""
-    bits = hash_words(seed, *words) >> np.uint64(11)
-    return bits.astype(np.float64) * _INV_U53
+    bits = np.asarray(hash_words(seed, *words))
+    u = uniform_into(bits, np.empty(bits.shape))
+    return u if u.ndim else u[()]
 
 
 def normal(seed: int, *words) -> np.ndarray:

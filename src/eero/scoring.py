@@ -13,6 +13,13 @@ the same row always receives the same perturbation no matter how the
 batch is chunked or parallelized.  Calibration and test rows use
 disjoint instance-key ranges so the two score samples never share
 jitter draws.
+
+`jitter_matrix` and `score_matrix` are the reference definition of a
+score.  Every caller scores through `score_rows`, which computes the
+same bits block by block: BLOCK rows at a time are gathered, jittered
+and reduced in cache-sized buffers, so the n x K jittered matrix is
+never built.  Because jitter is counter-based, the scores do not depend
+on the block size.
 """
 
 from __future__ import annotations
@@ -35,6 +42,15 @@ JITTER_DOMAIN = 0x4A49
 # instance-key bases: calibration rows count from 0, test rows from 2**32
 CALIBRATION_KEY_BASE = 0
 TEST_KEY_BASE = 1 << 32
+
+# rows per scoring block: a block's two K x BLOCK uint64 buffers (640 KiB at
+# K = 10) stay in cache through every step of `score_rows`
+BLOCK = 4096
+# blocks narrower than this hash their keys in Python ints and reduce row-major
+# through `score_matrix`: on a handful of rows numpy's per-call overhead is
+# the cost, and this skips the ten calls of an array key hash and, for
+# breaking_ties, the 3K - 3 calls of the running top-2
+_NARROW = 16
 
 
 @dataclass(frozen=True)
@@ -96,19 +112,92 @@ def score_matrix(jittered: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown score kind {kind!r}")
 
 
+def score_rows(
+    probs: np.ndarray, rows: np.ndarray, instance_keys: np.ndarray, head: int, spec: ScoreSpec
+) -> np.ndarray:
+    """Scores of rows `probs[rows]` at `head`, computed block by block.
+
+    Returns `score_matrix(jitter_matrix(probs[rows], head, instance_keys,
+    spec), spec.kind)` bit for bit without building that n x K jittered
+    matrix: BLOCK rows at a time are gathered, jittered in class-major
+    (K x rows) buffers and reduced across the K class rows.  `neg_entropy`
+    and narrow blocks are reduced row-major by `score_matrix` itself, so
+    its log and summation order stay numpy's.  Jitter is counter-based,
+    so the result does not depend on the block size.  `rows` may be in
+    any order and may repeat.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.intp)
+    keys = np.asarray(instance_keys, dtype=np.uint64)
+    n, k = rows.size, probs.shape[1]
+    scores = np.empty(n)
+    width = min(n, BLOCK)
+    if spec.jitter_u:
+        seed_hash = rng.hash_int(spec.seed, JITTER_DOMAIN, head)
+        classes = np.arange(k, dtype=np.uint64)[:, None]
+        row_hash = np.empty(width, dtype=np.uint64)
+        bits = np.empty((k, width), dtype=np.uint64)
+        scratch = np.empty((k, width), dtype=np.uint64)
+        # the finalizer's scratch is free once the bits are final: it holds the jitter
+        noise = scratch.view(np.float64)
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        m = hi - lo
+        block = probs[rows[lo:hi]]
+        narrow = m < _NARROW
+        row_major = narrow or spec.kind == "neg_entropy"
+        if spec.jitter_u:
+            if narrow:
+                row_hash[:m] = [rng.fold_int(seed_hash, key) for key in keys[lo:hi].tolist()]
+            else:
+                rng.fold_into(seed_hash, keys[lo:hi], row_hash[:m], scratch[0, :m])
+            rng.fold_into(row_hash[:m], classes, bits[:, :m], scratch[:, :m])
+            u = rng.uniform_into(bits[:, :m], noise[:, :m])
+            np.multiply(u, spec.jitter_u, u)
+            if row_major:
+                np.add(block, u.T, block)
+            else:
+                q = np.add(u, block.T, u)
+        elif not row_major:
+            q = block.T
+        if row_major:
+            scores[lo:hi] = score_matrix(block, spec.kind)
+        elif spec.kind == "max_prob":
+            np.maximum.reduce(q, axis=0, out=scores[lo:hi])
+        else:
+            _top2_gap(q, scores[lo:hi])
+    return scores
+
+
+def _top2_gap(q: np.ndarray, out: np.ndarray) -> None:
+    """Largest minus second-largest entry of each column of class-major `q`.
+
+    A running top-2 over the class rows: the same two values as
+    `score_matrix`'s partition, so the same difference.
+    """
+    top = np.maximum(q[0], q[1])
+    second = np.minimum(q[0], q[1])
+    lower = np.empty_like(top)
+    for row in q[2:]:
+        np.minimum(top, row, out=lower)
+        np.maximum(top, row, out=top)
+        np.maximum(second, lower, out=second)
+    np.subtract(top, second, out)
+
+
 def score_bank(bank, key_base: int, spec: ScoreSpec) -> np.ndarray:
-    """Jittered scores of every instance at heads 1..M-1 of a bank.
+    """Jittered scores of every instance at heads 1..M-1 of a bank, by `score_rows`.
 
     Returns an (M-1) x N matrix whose row l holds head l's scores; row i
     of the bank takes jitter key `key_base + i`.  The final head takes
     whatever reaches it, so it is never scored.
     """
     n = bank.num_instances
-    keys = key_base + np.arange(n, dtype=np.uint64)
+    rows = np.arange(n)
+    keys = key_base + rows.astype(np.uint64)
     scores = np.empty((bank.num_heads - 1, n), dtype=np.float64)
     for head in range(bank.num_heads - 1):
-        jittered = jitter_matrix(bank.heads[head].probs, head, keys, spec)
-        scores[head] = score_matrix(jittered, spec.kind)
+        scores[head] = score_rows(bank.heads[head].probs, rows, keys, head, spec)
     return scores
 
 

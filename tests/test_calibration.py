@@ -24,6 +24,7 @@ from eero.scoring import (
     ScoreSpec,
     jitter_matrix,
     score_matrix,
+    score_rows,
 )
 from conftest import cdf_linear, make_bank
 
@@ -178,11 +179,11 @@ def test_build_policy_never_scores_the_final_head(rng, monkeypatch):
     bank = _calib_bank(rng, m=3)
     heads = []
 
-    def counting(probs, head, *args, **kwargs):
+    def counting(probs, rows, keys, head, spec):
         heads.append(head)
-        return jitter_matrix(probs, head, *args, **kwargs)
+        return score_rows(probs, rows, keys, head, spec)
 
-    monkeypatch.setattr(scoring, "jitter_matrix", counting)
+    monkeypatch.setattr(scoring, "score_rows", counting)
     build_policy(bank, _alloc([0.3, 0.3, 0.4]), ScoreSpec(jitter_u=0.0))
     assert heads == [0, 1]
 

@@ -24,6 +24,7 @@ from eero.cli import main
 from eero.domain import HeadBank, HeadSlice, within_budget
 from eero.io import Dataset, Split, load_manifest, write_dataset
 from eero.oracle import build_correctness
+from eero.scoring import SCORE_KINDS
 from eero.synth import default_spec, generate
 
 SPEC = {
@@ -563,26 +564,48 @@ def test_cached_labels_with_lowered_num_classes_exit_3(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-# SHA-256 of `infer`'s result JSON and per-instance CSV under the policy of
-# `calibrate --budget B --seed 0`, as written when both writers rendered
-# one numpy scalar at a time: dataset -> (B, infer.json, per-instance CSV)
-WRITER_DIGESTS = {
-    "default_seed_0": (
-        "20000",
-        "e2b0cdb3eed14a40188e74617a120f1db168be53f8f15a564ff1b1ff759885cc",
-        "46409d4bed3d168eb0cf7d777a25a297c4552295ab1246006fc24c12a234355c",
-    ),
-    "tiny": (
-        "12",
-        "3fde03625ccb4aa45b9d540476713a34479b3a244b87cfb149f0c1d98efdd818",
-        "a21b30468a5414cc4f2f50e1e04deb516a5d3fc39778310d8bb1be30bf479617",
-    ),
+# SHA-256 of every file the CLI writes, for each score kind at the default
+# jitter, as written before routing scored block by block.  A change to any
+# of these bytes is a change to eero's output and must be intended.
+OUTPUT_RUNS = {"tiny": ("12", "8,12,16"), "default_seed_0": ("20000", "6000,20000,47000")}
+OUTPUT_DIGESTS = {
+    "default_seed_0": {
+        "oracle.json": "2d2854275227219392d22bd97f48944e89950a449a9953c2129424a2a4091d06",
+        "breaking_ties/infer.json": "e2b0cdb3eed14a40188e74617a120f1db168be53f8f15a564ff1b1ff759885cc",
+        "breaking_ties/per_instance.csv": "46409d4bed3d168eb0cf7d777a25a297c4552295ab1246006fc24c12a234355c",
+        "breaking_ties/policy.json": "27eeabfad2469f1b34af0a312cfc4c45d4670c4389185b0d1757e70c35ed3d8a",
+        "breaking_ties/sweep.csv": "dc98e1f48b91c46363aa82de3a767e8f1c0ee887e88c94ff82efe4b594e10c14",
+        "max_prob/infer.json": "f392ec7ef8c32d9be78085358a3ca568f5d69fc2579c1e7ef60fbaefb75a1536",
+        "max_prob/per_instance.csv": "05147426ba2da193283f85fff7d3efde656be9d7770e6d10b39f222b89bac791",
+        "max_prob/policy.json": "daba426c935d5bd52ec456c2e1ff00249f60ad758e5a6c3b171a99f072765543",
+        "max_prob/sweep.csv": "c44227531d0546a93f23d07caef4ef2963ab77a3ef6a327210ae77456579ac74",
+        "neg_entropy/infer.json": "060b053d6d699b75c604e2d5d1813dbd84a1e522d0a31c49e1a109d8be3da2a9",
+        "neg_entropy/per_instance.csv": "b77ffbe4cbb4f975f8bb4f51b70ffabc7baa9923f2a26fe832fde72bf529fcf0",
+        "neg_entropy/policy.json": "cc133296463b48e7edea9e4cc31f5712a6752faa95e35277545a25f37adb5a19",
+        "neg_entropy/sweep.csv": "735e6d8b72b737c7bdf494309d4d7b9d6dc14baa2287c8a91336ef6c8d7a8724",
+    },
+    "tiny": {
+        "oracle.json": "6e85a1917b925aeb32b2bfef66a7963681239fc69d63baa89955d4c6623d26a2",
+        "breaking_ties/infer.json": "3fde03625ccb4aa45b9d540476713a34479b3a244b87cfb149f0c1d98efdd818",
+        "breaking_ties/per_instance.csv": "a21b30468a5414cc4f2f50e1e04deb516a5d3fc39778310d8bb1be30bf479617",
+        "breaking_ties/policy.json": "0a54c601a25032404dc3d23a2d5521fec86fa79606f89a7403fbbefb9d548de8",
+        "breaking_ties/sweep.csv": "a4ec2401426a2303a568f03ca7e9fede8748c70976f178c709876af2ec7d6912",
+        "max_prob/infer.json": "ff2ada4189b36d89290070e8047595937eb79d7cfe145f8e86831467dc220c88",
+        "max_prob/per_instance.csv": "176a438f5bc3057cbd6d6295bcca1ad26f32fff9d6f9dec0033adfde717856c1",
+        "max_prob/policy.json": "939d30a3827478132e38645ad994c786e7af1d539ceef0bbe57b347baf6a0cdd",
+        "max_prob/sweep.csv": "803a974ec16c2c03d5e01929eacf2b0227527da1dc63a18f40444cd1033b762a",
+        "neg_entropy/infer.json": "ff2ada4189b36d89290070e8047595937eb79d7cfe145f8e86831467dc220c88",
+        "neg_entropy/per_instance.csv": "176a438f5bc3057cbd6d6295bcca1ad26f32fff9d6f9dec0033adfde717856c1",
+        "neg_entropy/policy.json": "81e08d3f1a8e085da585d6a43222f30e67192901de1754eee8e448dc4e29e681",
+        "neg_entropy/sweep.csv": "803a974ec16c2c03d5e01929eacf2b0227527da1dc63a18f40444cd1033b762a",
+    },
 }
 
 
-@pytest.mark.parametrize("name", sorted(WRITER_DIGESTS))
+@pytest.mark.parametrize("name", sorted(OUTPUT_RUNS))
 def test_result_writers_keep_their_bytes_cold_and_warm(tmp_path, name):
-    budget, *digests = WRITER_DIGESTS[name]
+    budget, _ = OUTPUT_RUNS[name]
+    digests = [OUTPUT_DIGESTS[name][f"breaking_ties/{f}"] for f in ("infer.json", "per_instance.csv")]
     data = tmp_path / "data"
     if name == "tiny":
         shutil.copytree(TINY, data, ignore=shutil.ignore_patterns(eio.CACHE_DIR))
@@ -597,6 +620,36 @@ def test_result_writers_keep_their_bytes_cold_and_warm(tmp_path, name):
                      "--per-instance", str(rows)]) == 0
         got = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (result, rows)]
         assert got == digests, run
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_RUNS))
+def test_cli_outputs_keep_their_bytes(tmp_path, name):
+    budget, budgets = OUTPUT_RUNS[name]
+    data = tmp_path / "data"
+    if name == "tiny":
+        shutil.copytree(TINY, data, ignore=shutil.ignore_patterns(eio.CACHE_DIR))
+    else:
+        write_dataset(generate(default_spec(0)), data)
+    got = {}
+    rc, err = _run_quiet(["oracle", "--data", str(data), "--budget", budget,
+                          "--out", str(tmp_path / "oracle.json")])
+    assert rc == 0, err
+    got["oracle.json"] = hashlib.sha256((tmp_path / "oracle.json").read_bytes()).hexdigest()
+    for kind in SCORE_KINDS:
+        out = tmp_path / kind
+        out.mkdir()
+        fit = ["--score", kind, "--seed", "0"]
+        for argv in (
+            ["calibrate", "--data", str(data), "--budget", budget, "--out", str(out / "policy.json")] + fit,
+            ["infer", "--data", str(data), "--policy", str(out / "policy.json"),
+             "--out", str(out / "infer.json"), "--per-instance", str(out / "per_instance.csv")],
+            ["sweep", "--data", str(data), "--budgets", budgets, "--out", str(out / "sweep.csv")] + fit,
+        ):
+            rc, err = _run_quiet(argv)
+            assert rc == 0, err
+        for f in ("policy.json", "infer.json", "per_instance.csv", "sweep.csv"):
+            got[f"{kind}/{f}"] = hashlib.sha256((out / f).read_bytes()).hexdigest()
+    assert got == OUTPUT_DIGESTS[name]
 
 
 def test_non_utf8_manifest_exits_3(tmp_path, capsys):

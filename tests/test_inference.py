@@ -13,6 +13,7 @@ from eero.errors import HeadCountMismatch, LabelLengthMismatch
 from eero import inference
 from eero.inference import classify_batch, first_exceed, iter_classify, measure_budget
 from eero.scoring import (
+    BLOCK,
     CALIBRATION_KEY_BASE,
     SCORE_KINDS,
     TEST_KEY_BASE,
@@ -21,6 +22,7 @@ from eero.scoring import (
     predict_matrix,
     score_bank,
     score_matrix,
+    score_rows,
 )
 from eero.allocation import AllocationResult
 from conftest import cdf_linear, make_bank, random_bank
@@ -275,29 +277,59 @@ def test_each_head_scores_only_rows_that_reach_it(rng, monkeypatch):
     n, m = 500, 4
     bank = random_bank(rng, n=n, m=m, k=5, budgets=[1.0, 2.0, 3.0, 4.0])
     policy = _policy([0.5, 0.3, 0.1, -np.inf], seq_rates=[0.3, 0.6, 0.8, 1.0], jitter=1e-5, seed=8)
-    calls = {"jitter": [], "score": [], "predict": []}
+    calls = {"score": [], "predict": []}
 
-    def counting(name, fn):
-        def wrapped(x, *args, **kwargs):
-            calls[name].append(len(x))
-            return fn(x, *args, **kwargs)
-        return wrapped
+    def counted_scores(probs, rows, keys, head, spec):
+        calls["score"].append((head, len(rows)))
+        return score_rows(probs, rows, keys, head, spec)
 
-    monkeypatch.setattr(inference, "jitter_matrix", counting("jitter", jitter_matrix))
-    monkeypatch.setattr(inference, "score_matrix", counting("score", score_matrix))
-    monkeypatch.setattr(inference, "predict_matrix", counting("predict", predict_matrix))
+    def counted_predictions(probs):
+        calls["predict"].append(len(probs))
+        return predict_matrix(probs)
+
+    monkeypatch.setattr(inference, "score_rows", counted_scores)
+    monkeypatch.setattr(inference, "predict_matrix", counted_predictions)
     res = classify_batch(bank, policy)
     reached = [int(np.sum(res.exits > head)) for head in range(m)]
     assert reached[m - 1] > 0
-    # head l sees only the rows alive after l-1 heads; the last head is not jittered
-    assert calls["jitter"] == reached[: m - 1]
-    assert sum(calls["jitter"]) == int(np.minimum(res.exits, m - 1).sum()) < n * (m - 1)
-    assert calls["score"] == reached[: m - 1]  # the last head needs no score
+    # head l scores only the rows alive after l-1 heads; the last head is never scored
+    assert calls["score"] == list(enumerate(reached[: m - 1]))
+    assert sum(rows for _, rows in calls["score"]) == int(np.minimum(res.exits, m - 1).sum()) < n * (m - 1)
     assert sum(calls["predict"]) == n  # argmax only for the rows that leave
-    calls = {"jitter": [], "score": [], "predict": []}
+    calls = {"score": [], "predict": []}
     first = _policy(np.full(m, -np.inf), seq_rates=[1.0] * m)
     classify_batch(bank, first)
-    assert calls["jitter"] == [n]  # nobody survives head 1: the walk stops there
+    assert calls["score"] == [(0, n)]  # nobody survives head 1: the walk stops there
+
+
+@pytest.mark.parametrize("kind", SCORE_KINDS)
+def test_routing_past_one_block_equals_per_row_reference(rng, kind):
+    # a bank larger than one scoring block: the batch, windows that straddle
+    # block edges and the lazy stream all equal a row-by-row reference
+    n = BLOCK + 300
+    bank = random_bank(rng, n=n, m=3, k=3, budgets=[1.0, 2.0, 4.0])
+    spec = ScoreSpec(kind=kind, jitter_u=1e-5, seed=4)
+    thresholds = _mid_thresholds(bank, spec, [0.6, 0.5])
+    policy = _policy(thresholds, seq_rates=[0.4, 0.7, 1.0], kind=kind, jitter=1e-5, seed=4)
+    res = classify_batch(bank, policy)
+    assert np.bincount(res.exits, minlength=4)[1:].min() > 0
+    exits = np.empty(n, dtype=np.int64)
+    preds = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        key = np.array([TEST_KEY_BASE + i], dtype=np.uint64)
+        for head in range(3):
+            row = bank.heads[head].probs[i : i + 1]
+            score = score_matrix(jitter_matrix(row, head, key, spec), kind)[0]
+            if head == 2 or score >= thresholds[head]:
+                exits[i], preds[i] = head + 1, int(predict_matrix(row)[0]) + 1
+                break
+    assert np.array_equal(res.exits, exits)
+    assert np.array_equal(res.predictions, preds)
+    cuts = [0, 3, BLOCK + 4, BLOCK + 5, n]
+    parts = [inference._route(bank, policy, spec, a, b) for a, b in zip(cuts, cuts[1:])]
+    assert np.array_equal(np.concatenate([p[0] for p in parts]) + 1, exits)
+    assert np.array_equal(np.concatenate([p[1] for p in parts]) + 1, preds)
+    assert [r[:2] for r in iter_classify(bank, policy)] == list(zip(exits.tolist(), preds.tolist()))
 
 
 @pytest.mark.parametrize("exit_head", [1, 2])

@@ -126,3 +126,25 @@ def test_different_words_decorrelate():
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
+
+
+def test_finalize_inplace_matches_int_finalizer():
+    words = np.random.default_rng(4).integers(0, 2**64, size=500, dtype=np.uint64)
+    words[:3] = [0, 2**64 - 1, 2**63]
+    z = words.copy()
+    scratch = np.empty_like(z)
+    assert rng.finalize_inplace(z, scratch) is z
+    assert z.tolist() == [rng._finalize_int(int(w)) for w in words]
+    assert z.tolist() == [_mix_ref(int(w)) for w in words]
+
+
+def test_fold_into_matches_fold_int():
+    # broadcasting (rows, 1) hashes against (classes,) words, as jitter does
+    h = np.random.default_rng(6).integers(0, 2**64, size=(6, 1), dtype=np.uint64)
+    h[0, 0], h[1, 0] = 0, 2**64 - 1
+    words = np.array([0, 1, 7, 2**64 - 1], dtype=np.uint64)
+    out = np.empty((6, 4), dtype=np.uint64)
+    rng.fold_into(h, words, out, np.empty_like(out))
+    expect = [[rng.fold_int(int(a), int(w)) for w in words] for a in h[:, 0]]
+    assert out.tolist() == expect
+    assert rng.hash_int(12345, 6, 7, 8) == _hash_ref(12345, 6, 7, 8)

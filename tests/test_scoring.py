@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eero import scoring
 from eero.domain import HeadBank, HeadSlice
 from eero.scoring import (
+    BLOCK,
     CALIBRATION_KEY_BASE,
     SCORE_KINDS,
     TEST_KEY_BASE,
@@ -15,6 +17,7 @@ from eero.scoring import (
     predict_matrix,
     score_bank,
     score_matrix,
+    score_rows,
 )
 
 
@@ -185,3 +188,72 @@ def test_score_bank_overflow_is_silent():
                            HeadSlice(probs=probs, budget_gflops=2.0)))
     scores = score_bank(bank, TEST_KEY_BASE, ScoreSpec(kind="neg_entropy", jitter_u=1e308))
     assert np.all(np.isposinf(scores))
+
+
+ROW_COUNTS = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
+JITTERS = [0.0, 1e-5, 0.3, 1e308]
+
+
+def _probs_with_ties(r, n, k):
+    """Random rows; in every third row the top two classes tie exactly."""
+    probs = r.dirichlet(np.full(k, 0.5), size=n)
+    tied = np.concatenate([[0.4, 0.4], np.full(k - 2, 0.2 / (k - 2))]) if k > 2 else [0.5, 0.5]
+    probs[::3] = r.permuted(np.tile(tied, (probs[::3].shape[0], 1)), axis=1)
+    return probs
+
+
+def _rows(r, n, pool, order):
+    if order == "ascending":
+        return np.arange(n)
+    if order == "shuffled":
+        return r.permutation(pool)[:n]
+    return r.integers(0, pool, size=n)  # unsorted, with repeats
+
+
+def _assert_scores_equal_reference(probs, rows, keys, head, spec):
+    ref = score_matrix(jitter_matrix(probs[rows], head, keys, spec), spec.kind)
+    got = score_rows(probs, rows, keys, head, spec)
+    assert got.dtype == np.float64 and got.shape == (rows.size,)
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("kind", SCORE_KINDS)
+@pytest.mark.parametrize("jitter", JITTERS)
+@settings(max_examples=12, deadline=None)
+@given(
+    n=st.sampled_from(ROW_COUNTS) | st.integers(0, 40),
+    k=st.integers(2, 12),
+    order=st.sampled_from(["ascending", "shuffled", "repeated"]),
+    head=st.integers(0, 7),
+    seed=st.integers(0, 2**64 - 1),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_score_rows_equals_reference(kind, jitter, n, k, order, head, seed, data_seed):
+    # the blockwise scorer is the jitter_matrix + score_matrix reference, bit for bit
+    r = np.random.default_rng(data_seed)
+    pool = n + 17
+    probs = _probs_with_ties(r, pool, k)
+    rows = _rows(r, n, pool, order)
+    keys = r.integers(0, 2**64, size=n, dtype=np.uint64)
+    _assert_scores_equal_reference(probs, rows, keys, head, ScoreSpec(kind, jitter, seed))
+
+
+@pytest.mark.parametrize("kind", SCORE_KINDS)
+@pytest.mark.parametrize("jitter", JITTERS)
+def test_score_rows_at_block_edges(monkeypatch, kind, jitter):
+    # every row count around the block edges, with tied and repeated rows,
+    # under the module's block size and under smaller ones: jitter is keyed
+    # by instance, so the block size cannot change a score
+    r = np.random.default_rng(31)
+    pool = 3 * BLOCK + 7
+    probs = _probs_with_ties(r, pool, 10)
+    spec = ScoreSpec(kind, jitter, seed=3)
+    for n in ROW_COUNTS:
+        rows = _rows(r, n, pool, "repeated")
+        _assert_scores_equal_reference(probs, rows, TEST_KEY_BASE + rows, 5, spec)
+    rows = _rows(r, 300, pool, "shuffled")
+    for block in (1, 7, 64):
+        monkeypatch.setattr(scoring, "BLOCK", block)
+        _assert_scores_equal_reference(probs, rows, TEST_KEY_BASE + rows, 5, spec)
+    if kind == "neg_entropy" and jitter == 1e308:
+        assert np.all(np.isposinf(score_rows(probs, rows, rows, 0, spec)))
