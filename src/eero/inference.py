@@ -14,14 +14,19 @@ One cascade kernel, `_route`, does all routing, and its work follows the
 same cost model: head l is jittered and scored only on the instances
 still alive after heads 1..l-1, argmax predictions are taken only for
 the instances that leave at head l, and the final head, which takes
-every survivor, is neither jittered nor scored.  Heads are scored by
-`scoring.score_rows`, block by block over the alive rows, the same
-kernel that calibration and the sweep use; the scores do not depend on
-the block size, because jitter is counter-based.  `classify_batch` runs
-it once over the whole bank; `iter_classify` runs it over one-instance
-windows so each decision is ready as soon as its own heads are scored.
-Jitter is counter-based, keyed by instance and head, so any window of
-the bank gets bit-identical decisions.
+every survivor, is neither jittered nor scored.  On a window of at
+least `scoring._NARROW` rows, each head's decision is `scoring.clears`:
+for a `max_prob` or `breaking_ties` policy it scores the alive rows
+raw and hashes jitter only for the rows whose raw score lies within the
+jitter band of the threshold (a margin of 2 jitter widths plus a few
+ulp, more than jitter can move such a score).  It returns the same bits
+as thresholding `scoring.score_rows`, the kernel that calibration and
+the sweep score with, which narrower windows, such as one-instance
+windows, call directly.  `classify_batch` runs the kernel once over the
+whole bank; `iter_classify` runs it over one-instance windows so each
+decision is ready as soon as its own heads are scored.  Jitter is
+counter-based, keyed by instance and head, so any window of the bank
+gets bit-identical decisions.
 
 A sweep routes one bank through many policies that share a scoring
 configuration.  It scores every head of every instance once
@@ -37,7 +42,7 @@ import numpy as np
 
 from .domain import BatchResult, BudgetSpec, ExitPolicy, HeadBank, _set, within_budget
 from .errors import HeadCountMismatch, LabelLengthMismatch
-from .scoring import TEST_KEY_BASE, ScoreSpec, predict_matrix, score_rows
+from .scoring import _NARROW, TEST_KEY_BASE, ScoreSpec, clears, predict_matrix, score_rows
 
 
 def _pinned_spec(bank: HeadBank, policy: ExitPolicy) -> ScoreSpec:
@@ -62,10 +67,16 @@ def _route(
     exits = np.full(hi - lo, last, dtype=np.int64)
     preds = np.empty(hi - lo, dtype=np.int64)
     alive = np.arange(lo, hi)
+    # the raw pass of `clears` saves hashing only where numpy's per-call
+    # overhead is not the cost, the same cut-off `score_rows` makes
+    wide = hi - lo >= _NARROW
     for head in range(last):
         probs = bank.heads[head].probs
-        scores = score_rows(probs, alive, TEST_KEY_BASE + alive, head, spec)
-        leave = scores >= policy.thresholds[head]
+        threshold = policy.thresholds[head]
+        if wide:
+            leave = clears(probs, alive, TEST_KEY_BASE, head, spec, threshold)
+        else:
+            leave = score_rows(probs, alive, TEST_KEY_BASE + alive, head, spec) >= threshold
         out = alive[leave]
         if out.size:
             exits[out - lo] = head

@@ -4,13 +4,16 @@ The reference implementation here routes each instance with an explicit
 per-head CDF inequality instead of precomputed thresholds; both paths
 must make identical decisions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from eero.calibration import build_policy
 from eero.domain import BatchResult, BudgetSpec, ExitPolicy, HeadBank, HeadSlice
 from eero.errors import HeadCountMismatch, LabelLengthMismatch
-from eero import inference
+from eero.io import compute_risks
+from eero import inference, scoring
 from eero.inference import classify_batch, first_exceed, iter_classify, measure_budget
 from eero.scoring import (
     BLOCK,
@@ -24,7 +27,8 @@ from eero.scoring import (
     score_matrix,
     score_rows,
 )
-from eero.allocation import AllocationResult
+from eero.allocation import AllocationProblem, AllocationResult, default_prior, solve_allocation
+from eero.synth import default_spec, generate
 from conftest import cdf_linear, make_bank, random_bank
 
 
@@ -278,15 +282,24 @@ def test_each_head_scores_only_rows_that_reach_it(rng, monkeypatch):
     bank = random_bank(rng, n=n, m=m, k=5, budgets=[1.0, 2.0, 3.0, 4.0])
     policy = _policy([0.5, 0.3, 0.1, -np.inf], seq_rates=[0.3, 0.6, 0.8, 1.0], jitter=1e-5, seed=8)
     calls = {"score": [], "predict": []}
+    raw_rows, jittered = [], []
 
     def counted_scores(probs, rows, keys, head, spec):
-        calls["score"].append((head, len(rows)))
+        # a wide window scores every row that reaches a head raw, then hashes
+        # jitter for the rows near the threshold; a one-row window hashes its row
+        if spec.jitter_u:
+            jittered.append((head, rows.tolist(), np.asarray(keys).tolist()))
+        else:
+            calls["score"].append((head, len(rows)))
+            raw_rows.append(rows.tolist())
         return score_rows(probs, rows, keys, head, spec)
 
     def counted_predictions(probs):
         calls["predict"].append(len(probs))
         return predict_matrix(probs)
 
+    # wide windows score through `scoring.clears`, narrow ones directly
+    monkeypatch.setattr(scoring, "score_rows", counted_scores)
     monkeypatch.setattr(inference, "score_rows", counted_scores)
     monkeypatch.setattr(inference, "predict_matrix", counted_predictions)
     res = classify_batch(bank, policy)
@@ -300,6 +313,73 @@ def test_each_head_scores_only_rows_that_reach_it(rng, monkeypatch):
     first = _policy(np.full(m, -np.inf), seq_rates=[1.0] * m)
     classify_batch(bank, first)
     assert calls["score"] == [(0, n)]  # nobody survives head 1: the walk stops there
+
+    # a jitter wide enough that every head has rows in its band
+    u = 0.05
+    wide = _policy([0.5, 0.3, 0.1, -np.inf], seq_rates=[0.3, 0.6, 0.8, 1.0], jitter=u, seed=8)
+    raw_rows.clear()
+    jittered.clear()
+    res = classify_batch(bank, wide)
+    assert np.array_equal(res.exits, _route_dense(bank, wide)[0])
+    margin = 2 * u + 2**-48 * (1 + u)
+    for head in range(m - 1):
+        alive = np.flatnonzero(res.exits > head)
+        assert raw_rows[head] == alive.tolist()  # exactly the rows alive after heads 1..l-1
+        raw = score_matrix(bank.heads[head].probs[alive], wide.score_kind)
+        near = alive[np.abs(raw - wide.thresholds[head]) <= margin]
+        assert near.size > 0
+        assert jittered[head] == (head, near.tolist(), (TEST_KEY_BASE + near).tolist())
+    assert len(jittered) == m - 1
+    # one-row windows hash every row they score, with the same keys as before
+    raw_rows.clear()
+    jittered.clear()
+    assert [r[0] for r in iter_classify(bank, wide)] == res.exits.tolist()
+    assert raw_rows == []
+    assert jittered == [
+        (head, [i], [TEST_KEY_BASE + i])
+        for i in range(n)
+        for head in range(min(res.exits[i], m - 1))
+    ]
+
+
+@pytest.fixture(scope="module")
+def large_default_data():
+    data = generate(dataclasses.replace(default_spec(7), sizes=(2000, 1000, 50_000)))
+    budgets = data.calib_bank.budgets
+    allocation = solve_allocation(AllocationProblem(
+        risks=compute_risks(data.train_bank, data.train_labels),
+        budgets=budgets,
+        prior=default_prior(budgets),
+        beta=0.1,
+        mean_budget=4.0,
+    ))
+    return data, allocation
+
+
+@pytest.mark.parametrize("kind", SCORE_KINDS)
+def test_large_bank_routes_as_first_exceed(large_default_data, monkeypatch, kind):
+    # on a default-law batch large enough that raw scores land in the jitter
+    # band of a threshold, routing still takes the cached scores' exits
+    data, allocation = large_default_data
+    spec = ScoreSpec(kind=kind, seed=7)
+    policy = build_policy(data.calib_bank, allocation, spec)
+    hashed = []
+
+    def counted_scores(probs, rows, keys, head, spec):
+        if spec.jitter_u:
+            hashed.append(len(rows))
+        return score_rows(probs, rows, keys, head, spec)
+
+    monkeypatch.setattr(scoring, "score_rows", counted_scores)
+    res = classify_batch(data.test_bank, policy)
+    monkeypatch.undo()
+    scores = score_bank(data.test_bank, TEST_KEY_BASE, spec)
+    assert np.array_equal(res.exits, first_exceed(scores, policy.thresholds) + 1)
+    scored = int(np.minimum(res.exits, data.test_bank.num_heads - 1).sum())
+    if kind == "neg_entropy":
+        assert sum(hashed) == scored  # no band: every scored row is hashed
+    else:
+        assert 0 < sum(hashed) < scored // 1000  # the exact pass ran, on few rows
 
 
 @pytest.mark.parametrize("kind", SCORE_KINDS)

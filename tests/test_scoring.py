@@ -257,3 +257,62 @@ def test_score_rows_at_block_edges(monkeypatch, kind, jitter):
         _assert_scores_equal_reference(probs, rows, TEST_KEY_BASE + rows, 5, spec)
     if kind == "neg_entropy" and jitter == 1e308:
         assert np.all(np.isposinf(score_rows(probs, rows, rows, 0, spec)))
+
+
+@pytest.mark.parametrize("kind", ["max_prob", "breaking_ties"])
+@pytest.mark.parametrize("jitter", [0.0, 1e-5, 0.3, 1e3, 1e308])
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.sampled_from([scoring._NARROW - 1, scoring._NARROW, BLOCK + 1]),
+    where=st.sampled_from(["-inf", "inf", "zero", "own", "band"]),
+    level=st.floats(0.0, 1.0),
+    key_base=st.sampled_from([CALIBRATION_KEY_BASE, TEST_KEY_BASE]),
+    order=st.sampled_from(["shuffled", "repeated"]),
+    head=st.integers(0, 7),
+    seed=st.integers(0, 2**64 - 1),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_clears_equals_jittered_scores(
+    kind, jitter, n, where, level, key_base, order, head, seed, data_seed
+):
+    # the raw pass plus the band's exact pass takes every decision that
+    # thresholding the jittered scores takes, bit for bit
+    r = np.random.default_rng(data_seed)
+    k = 6
+    spec = ScoreSpec(kind, jitter, seed)
+    pool = n + 17
+    probs = _probs_with_ties(r, pool, k)
+    rows = _rows(r, n, pool, order)
+    thr = {"-inf": -np.inf, "inf": np.inf, "zero": 0.0, "band": level}.get(where)
+    if where == "own":
+        thr = score_rows(probs, rows, key_base + rows, head, spec)[r.integers(n)]
+    if where == "band":
+        # every third pool row scores raw at the threshold, 1-2 ulp off it, or
+        # one or two jitter widths off it: a lone entry over zeros scores
+        # exactly that entry by either kind
+        ulps = [np.nextafter(np.nextafter(thr, t), t) for t in (-np.inf, np.inf)]
+        ulps += [np.nextafter(thr, t) for t in (-np.inf, np.inf)]
+        spread = [thr + s * w for s in (-1, 1) for w in (jitter, 2 * jitter)]
+        targets = np.clip([thr] + ulps + spread, 0.0, 1.0)
+        lone = np.zeros((pool // 3 + 1, k))
+        lone[:, 0] = np.resize(targets, lone.shape[0])
+        probs[::3] = r.permuted(lone, axis=1)[: probs[::3].shape[0]]
+    calls = []
+
+    def recorded(probs, rows, keys, head, spec):
+        calls.append(len(rows))
+        return score_rows(probs, rows, keys, head, spec)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scoring, "score_rows", recorded)
+        got = scoring.clears(probs, rows, key_base, head, spec, thr)
+    want = score_rows(probs, rows, key_base + rows, head, spec) >= thr
+    assert got.dtype == bool and got.tobytes() == want.tobytes()
+    raw, band = calls[0], calls[1:]
+    assert raw == n
+    if jitter == 1e308:
+        assert band == [n]  # the margin overflows: every row takes the exact pass
+    elif np.isinf(thr):
+        assert band == []  # no finite raw score is near an infinite threshold
+    elif where == "band":
+        assert sum(band) >= np.sum(rows % 3 == 0)  # the lone rows are all in the band
