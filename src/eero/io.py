@@ -24,7 +24,9 @@ size and mtime; anything else is parsed again and the entry replaced.
 Every check on the table (id order, label range, class count, ids
 across heads) runs on cached tables too, a file that fails to parse is
 never cached, a directory that cannot be written is simply not cached
-in, and deleting `.eero_cache/` is always safe.
+in, and deleting `.eero_cache/` is always safe.  `write_dataset` seeds
+the entry of each CSV it writes from the table it wrote, so the first
+read after it parses nothing.
 
 All writers are deterministic (stable field order, floats rendered with
 17 significant digits, which round-trips IEEE doubles exactly) and
@@ -214,9 +216,10 @@ class _CsvSource:
     when the directory cannot be written.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, raw: bytes | None = None):
+        """`raw` is the file's bytes when the caller has them, else they are read."""
         self.path = Path(path)
-        self.raw = self.path.read_bytes()
+        self.raw = self.path.read_bytes() if raw is None else raw
         self.key = hashlib.sha256(self.raw).digest()
         self.entry = self.path.parent / CACHE_DIR / (self.path.name + ".table")
 
@@ -431,7 +434,9 @@ def read_probs_csv(path) -> tuple[np.ndarray, np.ndarray]:
     if table is None:
         ids, rows = _read_rows(src, _probs_header_ok, "instance_id,p_1,...,p_K", _parse_probs)
         table = ids, np.asarray(rows, dtype=np.float64)
-    unsorted = np.flatnonzero(np.diff(table[0]) <= 0)
+    ids = table[0]
+    # compared, not subtracted: a difference of int64 ids can overflow
+    unsorted = np.flatnonzero(ids[1:] <= ids[:-1])
     if unsorted.size:
         row = _row_number(src, int(unsorted[0]) + 1)
         raise ParseError("instance ids must be strictly increasing", file=str(path), row=row)
@@ -611,14 +616,16 @@ def write_dataset(data, out_dir) -> Path:
         split = ds.splits[name]
         bank = split.bank
         ids = (
-            split.instance_ids
+            np.asarray(split.instance_ids)
             if split.instance_ids is not None
             else np.arange(bank.num_instances)
         )
         heads_meta = []
         for head in range(bank.num_heads):
             fname = f"{name}_head_{head + 1}.csv"
-            _write_probs_csv(out / fname, ids, bank.heads[head].probs)
+            probs = bank.heads[head].probs
+            header = "instance_id," + ",".join(f"p_{j}" for j in range(1, probs.shape[1] + 1))
+            _write_table_csv(out / fname, header, ids, probs)
             meta = {
                 "probs_csv": fname,
                 "budget_gflops": bank.heads[head].budget_gflops,
@@ -629,7 +636,8 @@ def write_dataset(data, out_dir) -> Path:
         entry: dict = {"heads": heads_meta}
         if split.labels is not None:
             lname = f"{name}_labels.csv"
-            _write_labels_csv(out / lname, ids, split.labels)
+            labels = np.asarray(split.labels, dtype=np.int64) + 1
+            _write_table_csv(out / lname, "instance_id,label", ids, labels[:, None])
             entry["labels_csv"] = lname
         manifest["splits"][name] = entry
     manifest_path = out / MANIFEST_NAME
@@ -637,19 +645,24 @@ def write_dataset(data, out_dir) -> Path:
     return manifest_path
 
 
-def _write_probs_csv(path, ids: np.ndarray, probs: np.ndarray) -> None:
-    k = probs.shape[1]
-    lines = ["instance_id," + ",".join(f"p_{j}" for j in range(1, k + 1))]
-    for i, row in zip(ids, probs):
-        lines.append(f"{int(i)}," + ",".join(format(v, ".17g") for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def _write_table_csv(path, header: str, ids: np.ndarray, values: np.ndarray) -> None:
+    """Write an id-keyed float64 or int64 table as CSV and seed its parse cache.
 
-
-def _write_labels_csv(path, ids: np.ndarray, labels: np.ndarray) -> None:
-    lines = ["instance_id,label"]
-    for i, lab in zip(ids, labels):
-        lines.append(f"{int(i)},{int(lab) + 1}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    Each row is one `%` operation: `%d` renders an int as `str` does and
+    `%.17g` a float as `format(v, ".17g")` does.  17 significant digits
+    round-trip every float64, so the (ids, values) in hand are the table
+    a read of the written bytes parses, and the entry is stored under
+    those bytes' digest without reading them back.  Ids of a non-integer
+    dtype are written as `%d` renders them but not cached, since they are
+    not that table.
+    """
+    cell = "%.17g" if values.dtype.kind == "f" else "%d"
+    fmt = "%d," + ",".join([cell] * values.shape[1])
+    lines = [header, *(fmt % (i, *row) for i, row in zip(ids.tolist(), values.tolist()))]
+    raw = ("\n".join(lines) + "\n").encode("utf-8")
+    atomic_write_bytes(path, raw)
+    if ids.dtype.kind == "i":
+        _CsvSource(path, raw).store(ids, values)
 
 
 # ---------------------------------------------------------------------------
@@ -797,17 +810,19 @@ def write_per_instance_csv(path, result: BatchResult, labels=None, instance_ids=
         else np.asarray(instance_ids)
     )
     header = "instance_id,exit_head,prediction,cost"
+    fmt = "%d,%d,%d,%.17g"
     columns = [
-        map(str, map(int, ids.tolist())),
-        map(str, result.exits.tolist()),
-        map(str, result.predictions.tolist()),
-        (format(v, ".17g") for v in result.per_instance_cost.tolist()),
+        ids.tolist(),
+        result.exits.tolist(),
+        result.predictions.tolist(),
+        result.per_instance_cost.tolist(),
     ]
     if labels is not None:
         header += ",correct"
+        fmt += ",%d"
         correct = result.predictions - 1 == np.asarray(labels)
-        columns.append(map(str, correct.astype(np.int64).tolist()))
-    lines = [header, *map(",".join, zip(*columns))]
+        columns.append(correct.astype(np.int64).tolist())
+    lines = [header, *(fmt % row for row in zip(*columns))]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -13,7 +13,6 @@ for tie-breaking jitter and synthetic data.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 _GOLDEN_INT = 0x9E3779B97F4A7C15
 _MIX_A_INT = 0xBF58476D1CE4E5B9
@@ -128,8 +127,11 @@ def normal(seed: int, *words) -> np.ndarray:
     """Deterministic standard normals via the inverse CDF.
 
     The underlying uniform is shifted into the open interval (0, 1) so
-    the quantile function never returns an infinity.
+    the quantile function never returns an infinity.  scipy is imported
+    here, on first use, so that importing eero does not load it.
     """
+    from scipy.special import ndtri
+
     bits = hash_words(seed, *words) >> np.uint64(11)
     u = (bits.astype(np.float64) + 0.5) * _INV_U53
     return ndtri(u)

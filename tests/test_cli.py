@@ -1,6 +1,7 @@
 """Command line behavior: pipeline wiring, exit codes, determinism."""
 
 import contextlib
+import dataclasses
 import gzip
 import hashlib
 import io
@@ -11,6 +12,8 @@ import re
 import shlex
 import shutil
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +55,9 @@ def test_synth_writes_dataset(dataset):
     assert (dataset / "calib_head_3.csv").exists()
     assert (dataset / "test_labels.csv").exists()
     assert not (dataset / "calib_labels.csv").exists()
+    # and seeds the parse cache: one entry per CSV written
+    csvs = sorted(p.name for p in dataset.glob("*.csv"))
+    assert sorted(p.name for p in (dataset / eio.CACHE_DIR).iterdir()) == [f"{c}.table" for c in csvs]
 
 
 def test_missing_required_flag_is_usage_error():
@@ -611,6 +617,7 @@ def test_result_writers_keep_their_bytes_cold_and_warm(tmp_path, name):
         shutil.copytree(TINY, data, ignore=shutil.ignore_patterns(eio.CACHE_DIR))
     else:
         write_dataset(generate(default_spec(0)), data)
+        shutil.rmtree(data / eio.CACHE_DIR)  # the first run below must parse
     for run in ("cold", "warm"):
         out = tmp_path / run
         policy, result, rows = out / "policy.json", out / "infer.json", out / "per_instance.csv"
@@ -650,6 +657,44 @@ def test_cli_outputs_keep_their_bytes(tmp_path, name):
         for f in ("policy.json", "infer.json", "per_instance.csv", "sweep.csv"):
             got[f"{kind}/{f}"] = hashlib.sha256((out / f).read_bytes()).hexdigest()
     assert got == OUTPUT_DIGESTS[name]
+
+
+# run in a fresh interpreter: imports eero, runs every command but synth on
+# the tiny set, then generates a small set and prints a digest of its arrays
+_WITHOUT_SCIPY = """
+import dataclasses, hashlib, sys
+import eero, eero.cli
+assert "scipy" not in sys.modules, "import eero"
+data, out = sys.argv[1], sys.argv[2]
+for argv in (
+    ["calibrate", "--data", data, "--budget", "12", "--out", out + "/policy.json"],
+    ["infer", "--data", data, "--policy", out + "/policy.json", "--out", out + "/infer.json",
+     "--per-instance", out + "/per_instance.csv"],
+    ["oracle", "--data", data, "--budget", "12", "--out", out + "/oracle.json"],
+    ["sweep", "--data", data, "--budgets", "8,12,16", "--out", out + "/sweep.csv"],
+):
+    assert eero.cli.main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv[0]
+data = eero.generate(dataclasses.replace(eero.default_spec(5), sizes=(30, 20, 10)))
+assert "scipy" in sys.modules
+print(hashlib.sha256(b"".join(h.probs.tobytes() for h in data.test_bank.heads)).hexdigest())
+"""
+
+
+def test_commands_other_than_synth_never_load_scipy(tmp_path):
+    # scipy is imported by the synthetic generator on first use, and by nothing else
+    data = tmp_path / "tiny"
+    shutil.copytree(TINY, data, ignore=shutil.ignore_patterns(eio.CACHE_DIR))
+    src = str(Path(eero.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(data), str(tmp_path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    spec = dataclasses.replace(default_spec(5), sizes=(30, 20, 10))
+    probs = b"".join(h.probs.tobytes() for h in generate(spec).test_bank.heads)
+    assert done.stdout.splitlines()[-1] == hashlib.sha256(probs).hexdigest()
 
 
 def test_non_utf8_manifest_exits_3(tmp_path, capsys):

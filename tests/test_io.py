@@ -1,11 +1,14 @@
 """Manifest/CSV ingestion, canonical JSON, and lossless round trips."""
 
 import gzip
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eero import io as eio
 from eero.allocation import AllocationResult
@@ -14,7 +17,7 @@ from eero.domain import BudgetSpec, within_budget
 from eero.errors import LabelLengthMismatch, MissingLabels, ParseError
 from eero.inference import classify_batch, measure_budget
 from eero.scoring import ScoreSpec
-from eero.synth import generate, SynthSpec
+from eero.synth import default_spec, generate, SynthSpec
 from conftest import make_bank
 
 
@@ -364,6 +367,80 @@ def _per_instance_reference(result, labels, instance_ids):
             line += f",{int(result.predictions[i] - 1 == labels[i])}"
         lines.append(line)
     return "\n".join(lines) + "\n"
+
+
+# SHA-256 of every file write_dataset(generate(default_spec(0))) writes, as
+# written one format() call per value; the parse cache entries are not pinned
+DEFAULT_DATASET_DIGESTS = {
+    "manifest.json": "69688a23c692c2a30365d9c86933e809b44ff11e46a270e3b3b4b2bd6fd4c06d",
+    "calib_head_1.csv": "f25875b8c26e7a80ebee785e41bf8ead1682fc78f1f37908334ecbee4b3aa52f",
+    "calib_head_2.csv": "2e63f87a4274853538765427600c3f9adfd1d4e1b8e1fb3b31fdd13e932c8a7e",
+    "calib_head_3.csv": "2577f9bc32a238a012d8851b6090d6c7c6317ae601eff87ebfdc4465bfba77e9",
+    "calib_head_4.csv": "321f87ced02078519bf6ce10fda15fc18fe49e28724f2935bfe7d39360a1a5f9",
+    "calib_head_5.csv": "2ed536110ae5935afd903c2472268b7c6ac98935190791114b168c8880967799",
+    "calib_head_6.csv": "b52941d760885b7ee14cae5535e46d3bf370f2db2ee6e5eed7e9a9efb9b646fd",
+    "calib_head_7.csv": "7b7d078184e30181947ca6102f74f07e7c1f09dd9c7a24bd279369f073f515b2",
+    "calib_head_8.csv": "ee773d2536f5ef9b5a6a1d60e2a5eba9e6b0129cb95f2c2c41e7999bb581cddc",
+    "test_head_1.csv": "cd79690f0528279ed4c2452917e35439e99c48aaa6a2e84b9e2ac7bab7a4a6f7",
+    "test_head_2.csv": "35cefafbf950378c0225457c858e23568c0c327c3822176d3024defc41523b1e",
+    "test_head_3.csv": "96c16f92e62834fe84c00d4dfa404a251c38dab87e459e5e202b7387f5ee01e8",
+    "test_head_4.csv": "43a3f020bbd16088316311e342117ccd80d0e254f70421182c5563f595483e02",
+    "test_head_5.csv": "07b66f5f5eba64e2485a6b78681debad6319771cba5f715ee0a89c721367af21",
+    "test_head_6.csv": "62600577805fcbb3a7ee397e2a2ee7b48aba91bc217492b39c69c9f67031a355",
+    "test_head_7.csv": "5ca5f3875bda0dddda31a30d070879e242820b23862a28deb973c80f246c9e60",
+    "test_head_8.csv": "70b2c6d7cb65f7f2c39951782e6d270b8cf2e0eac1b598271e2eb9b6282be1f2",
+    "test_labels.csv": "fd9f5c465871402aa164b49f08fc7e116826b9154b632d4d2463041e837158a1",
+    "train_head_1.csv": "58ea4a2c487a6928bf99db1bcf168f72202f7df0fa146bbc404f200801f01958",
+    "train_head_2.csv": "93d24a0bba28adbe4b04c94438071973aa3e5d90c7162f1b456a3a866db3b0a0",
+    "train_head_3.csv": "bab1b8c52be6480b112562781e83f8dfe220123282a19471675f356d7104d9dc",
+    "train_head_4.csv": "ae085dc711eff0f53e4c51f9376512fdf6d45f60d7c9494c231371bb05eac069",
+    "train_head_5.csv": "e639ea7d108b591e5699364ec6bca5a7dfed80a042dd11d25dc66e32bc5e0606",
+    "train_head_6.csv": "3f87e75a1d6c5bf3363cbe6153dd260c787cf9f41e1950d6896a83cc5ddb1d40",
+    "train_head_7.csv": "895991e125af3cb5173625d94f228254e150e8e2e270d7abc7d16e895365a1af",
+    "train_head_8.csv": "b04f5c8ac2bdebb175bc0adbab1fde5a5b8014d9165bf0e9e51c321dcf238bb0",
+    "train_labels.csv": "ccb730649dbc0fdbf212241fceb347fb49590252443864f7c9b855a7097c4bb8",
+}
+
+
+def test_write_dataset_keeps_its_bytes(tmp_path):
+    eio.write_dataset(generate(default_spec(0)), tmp_path)
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir() if p.is_file()}
+    assert written == DEFAULT_DATASET_DIGESTS
+
+
+_SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
+# where %g switches between fixed and exponent notation, and other edges
+EDGE_FLOATS = [
+    0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, _SMALLEST_NORMAL, np.nextafter(_SMALLEST_NORMAL, 0.0),
+    float(np.nextafter(1e-4, 0.0)), 1e-4, float(np.nextafter(1e-4, 1.0)), -1e-4,
+    1e16, 1e17, float(np.nextafter(1e17, 0.0)), 0.1, 1.7976931348623157e308,
+]
+FINITE = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def _tables(draw):
+    """(ids, values): int64 ids and a float64 or int64 table of 1 to 4 columns."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 4))
+    cell = draw(st.sampled_from([FINITE, INT64]))
+    ids = np.array(draw(st.lists(INT64, min_size=rows, max_size=rows)), dtype=np.int64)
+    cells = draw(st.lists(cell, min_size=rows * cols, max_size=rows * cols))
+    dtype = np.float64 if cell is FINITE else np.int64
+    return ids, np.array(cells, dtype=dtype).reshape(rows, cols)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_tables())
+def test_table_rows_render_as_per_value_format(tmp_path, table):
+    ids, values = table
+    path = tmp_path / "table.csv"
+    eio._write_table_csv(path, "header", ids, values)
+    # the rendering before rows were one % operation: numpy scalars, one at a time
+    render = (lambda v: format(v, ".17g")) if values.dtype.kind == "f" else (lambda v: str(int(v)))
+    lines = ["header"] + [f"{int(i)}," + ",".join(render(v) for v in row) for i, row in zip(ids, values)]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_array_rendering_equals_element_rendering():

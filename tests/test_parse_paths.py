@@ -11,7 +11,9 @@ read must return the same bits without parsing, or fail alike.
 """
 
 import gzip
+import math
 import os
+import shutil
 import warnings
 import zlib
 from contextlib import contextmanager
@@ -24,7 +26,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eero import io as eio
+from eero.domain import HeadBank, HeadSlice
 from eero.errors import ParseError
+from eero.synth import SynthSpec, generate
 
 K = 3  # classes of the label files; the probability files have 2 columns
 PH = "instance_id,p_1,p_2"
@@ -431,6 +435,18 @@ def test_cached_labels_are_range_checked_on_every_read(tmp_path):
         assert str(e.value) == f"label 3 outside 1..2 [{path}, row 3, col 2]"
 
 
+def test_id_order_holds_across_the_whole_int64_range(tmp_path):
+    # ids further apart than 2**63: their difference does not fit an int64
+    lo, hi = -(2**63), 2**63 - 1
+    path = _write(tmp_path, f"{PH}\n{lo},0.25,0.75\n0,0.5,0.5\n{hi},1,0\n", False)
+    ids, _ = _read_cold_then_warm(eio.read_probs_csv, path)
+    assert ids.tolist() == [lo, 0, hi]
+    path = _write(tmp_path, f"{PH}\n{hi},0.25,0.75\n{lo},0.5,0.5\n", False)
+    assert _read_cold_then_warm(eio.read_probs_csv, path) == (
+        f"instance ids must be strictly increasing [{path}, row 3]"
+    )
+
+
 def test_id_order_row_is_the_same_on_a_cache_hit(tmp_path):
     # an entry holding the table of bytes that fail the id check, which a read
     # never stores itself: the row still comes from the bytes
@@ -439,3 +455,91 @@ def test_id_order_row_is_the_same_on_a_cache_hit(tmp_path):
     with _no_parsing(), pytest.raises(ParseError) as e:
         eio.read_probs_csv(path)
     assert str(e.value) == f"instance ids must be strictly increasing [{path}, row 6]"
+
+
+# ---------------------------------------------------------------------------
+# the entries write_dataset seeds
+
+
+def _arrays(ds):
+    """Every array of a loaded dataset, split by split."""
+    arrays = []
+    for name in sorted(ds.splits):
+        split = ds.splits[name]
+        arrays += [split.instance_ids, *(h.probs for h in split.bank.heads)]
+        arrays += [] if split.labels is None else [split.labels]
+    return arrays
+
+
+def _assert_first_load_is_seeded(data, out):
+    """write_dataset leaves one entry per CSV it writes, and the first load
+    parses nothing yet returns the bits of a load with the cache deleted."""
+    manifest = eio.write_dataset(data, out)
+    csvs = sorted(p.name for p in out.glob("*.csv"))
+    assert sorted(os.listdir(out / eio.CACHE_DIR)) == [f"{c}.table" for c in csvs]
+    with _no_parsing():
+        seeded = _arrays(eio.load_manifest(manifest))
+    shutil.rmtree(out / eio.CACHE_DIR)
+    cold = _arrays(eio.load_manifest(manifest))
+    assert len(seeded) == len(cold)
+    _assert_bitwise(seeded, cold)
+
+
+def test_generated_dataset_loads_from_the_seeded_cache(tmp_path):
+    spec = SynthSpec(
+        seed=4, num_classes=4, num_heads=3, head_accuracies=(0.6, 0.75, 0.9),
+        head_budgets=(1.0, 2.0, 4.0), confidence_sharpness=6.0, sizes=(30, 20, 40),
+    )
+    _assert_first_load_is_seeded(generate(spec), tmp_path / "data")
+
+
+# exact zeros, subnormals and the normals at their edge
+TINY_PROBS = [0.0, -0.0, 5e-324, 1e-310, float(np.nextafter(np.finfo(np.float64).tiny, 0.0)),
+              float(np.finfo(np.float64).tiny), 1e-300]
+
+
+@st.composite
+def _datasets(draw):
+    """A calib and a labeled test split over one drawn bank with extreme entries."""
+    n, k, m = draw(st.integers(1, 5)), draw(st.integers(2, 4)), draw(st.integers(2, 3))
+    small = st.one_of(st.sampled_from(TINY_PROBS), st.floats(0.0, 1.0 / k))
+    heads = []
+    for budget in range(1, m + 1):
+        rows = []
+        for _ in range(n):
+            row = draw(st.lists(small, min_size=k - 1, max_size=k - 1))
+            row.insert(draw(st.integers(0, k - 1)), 1.0 - math.fsum(row))
+            rows.append(row)
+        heads.append(HeadSlice(probs=np.array(rows), budget_gflops=float(budget)))
+    bank = HeadBank(heads=tuple(heads))
+    ids = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n, unique=True))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return eio.Dataset(num_classes=k, splits={
+        "calib": eio.Split(bank=bank),
+        "test": eio.Split(bank=bank, labels=np.array(labels), instance_ids=np.array(sorted(ids))),
+    })
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_datasets())
+def test_drawn_dataset_loads_from_the_seeded_cache(tmp_path, data):
+    out = tmp_path / "data"
+    shutil.rmtree(out, ignore_errors=True)
+    _assert_first_load_is_seeded(data, out)
+
+
+def test_write_dataset_with_an_unwritable_cache_dir_writes_no_entries(tmp_path):
+    data = generate(SynthSpec(
+        seed=1, num_classes=3, num_heads=2, head_accuracies=(0.6, 0.8),
+        head_budgets=(1.0, 2.0), confidence_sharpness=6.0, sizes=(10, 10, 10),
+    ))
+    out = tmp_path / "data"
+    out.mkdir()
+    # a file where the cache directory would go: no entry can be written, even by root
+    (out / eio.CACHE_DIR).write_bytes(b"")
+    manifest = eio.write_dataset(data, out)
+    assert (out / eio.CACHE_DIR).read_bytes() == b""
+    loaded = eio.load_manifest(manifest)
+    for name, split in eio.as_dataset(data).splits.items():
+        heads = zip(loaded.split(name).bank.heads, split.bank.heads)
+        _assert_bitwise(*zip(*((a.probs, b.probs) for a, b in heads)))
