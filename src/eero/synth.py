@@ -118,26 +118,9 @@ def default_spec(seed: int = 0) -> SynthSpec:
     )
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of a float array, as a new array.
-
-    The steps of `scipy.special.softmax` (subtract the row max, exp,
-    divide by the row sum), so the bits are the same, with the exp and
-    the division done in place in the result.  `logits` is left as it
-    is: computing in it too was no faster, and on the 200k-row pool
-    perfbench's `route_200k` builds, the heap it left made the routing
-    that followed in the same process page-fault about 1.8 times as
-    often and run about 14% slower.
-    """
-    probs = logits - logits.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    return probs
-
-
 def _split(spec: SynthSpec, split: int, n: int) -> tuple[HeadBank, np.ndarray]:
     # imported on first use, so that importing eero does not load scipy
-    from scipy.special import ndtr
+    from scipy.special import ndtr, softmax
 
     k = spec.num_classes
     m = spec.num_heads
@@ -183,7 +166,7 @@ def _split(spec: SynthSpec, split: int, n: int) -> tuple[HeadBank, np.ndarray]:
         np.take_along_axis(logits, predicted[:, :, None], axis=2) + margin[:, :, None],
         axis=2,
     )
-    probs = _softmax(logits)
+    probs = softmax(logits, axis=2)
 
     slices = tuple(
         HeadSlice(probs=probs[:, head, :], budget_gflops=spec.head_budgets[head])
