@@ -14,9 +14,24 @@ where mu >= 0 is the budget constraint's multiplier: zero when the
 unconstrained optimum already fits the budget, otherwise the root of
 the budget equation, found by bisection.  The expected budget under
 eps(mu) is non-increasing in mu (its derivative is a negative variance),
-which is what makes bisection safe: it halves the bracket until no
-float lies inside it and keeps the end that meets the budget, so a
-returned plan never costs more than its cap.
+which is what makes bisection safe: it doubles the multiplier from 1
+until the budget is met, halves the bracket until no float lies inside
+it and keeps the end that meets the budget, so a returned plan never
+costs more than its cap.
+
+`solve_allocations` solves many mean budgets of one problem at once,
+and `solve_allocation` is its one-budget case.  The doubling steps are
+the same for every budget, so each multiplier 2**j is evaluated once.
+The bisection then runs in lockstep: each step takes every open
+budget's midpoint, exactly the midpoint a budget solved alone takes,
+and evaluates their Gibbs weights as one (B, M) array and their
+expected budgets as one (B, M) @ budgets product.  That product
+(BLAS gemv) and the one-budget `eps @ budgets` (ddot, which fuses
+multiply-adds) may differ in the last bit, so a budget whose batched
+value lies within a relative 4 M 2**-53 or so of its target is
+recomputed with the one-budget product before the step is decided
+(`_band`, which proves the bound).  Every budget therefore takes the same steps, and
+returns the same bits, as it does alone.
 
 Everything is computed in log space so extreme risk/budget ratios or
 tiny temperatures cannot overflow.
@@ -115,21 +130,30 @@ def default_prior(budgets: np.ndarray) -> np.ndarray:
 
 
 def _gibbs(problem: AllocationProblem, energy: np.ndarray) -> np.ndarray:
-    """Normalized prior * exp(-energy / beta), computed in log space."""
+    """Normalized prior * exp(-energy / beta) of each row of a (B, M) energy, in log space."""
+    log_prior = np.log(problem.prior)
     with np.errstate(over="ignore"):  # a tiny beta sends weights to exp(-inf) = 0
-        logw = np.log(problem.prior) - energy / problem.beta
-        if logw.max() == -np.inf:  # all of them: shift the energies first
-            logw = np.log(problem.prior) - (energy - energy.min()) / problem.beta
-    logw -= logw.max()
+        logw = log_prior - energy / problem.beta
+        top = logw.max(axis=1, keepdims=True)
+        dead = top[:, 0] == -np.inf
+        if dead.any():  # all of a row's weights: shift its energies first
+            shifted = energy[dead] - energy[dead].min(axis=1, keepdims=True)
+            logw[dead] = log_prior - shifted / problem.beta
+            top[dead] = logw[dead].max(axis=1, keepdims=True)
+    logw -= top
     w = np.exp(logw)
-    return w / w.sum()
+    w /= w.sum(axis=1, keepdims=True)
+    return w
 
 
 def gibbs_epsilons(problem: AllocationProblem, mu: float) -> np.ndarray:
-    """Gibbs allocation at a fixed budget multiplier, in log space."""
+    """Gibbs allocation at a fixed budget multiplier, in log space.
+
+    A multiplier that is negative or NaN raises InvalidSpec.
+    """
     if not (mu >= 0.0):
-        raise ValueError(f"multiplier must be >= 0, got {mu}")
-    return _gibbs(problem, problem.risks + mu * problem.budgets)
+        raise InvalidSpec(f"multiplier must be >= 0, got {mu}")
+    return _gibbs(problem, (problem.risks + mu * problem.budgets)[None])[0]
 
 
 def allocation_objective(problem: AllocationProblem, epsilons: np.ndarray) -> float:
@@ -148,6 +172,66 @@ def _expected_budget(problem: AllocationProblem, mu: float) -> float:
     return float(gibbs_epsilons(problem, mu) @ problem.budgets)
 
 
+def _band(problem: AllocationProblem, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ends of the band around each target in which a batched expected budget is redone alone.
+
+    Outside [t - tol, t + tol], with tol = 4 M u t + M 2**-1070 for a
+    target t, u = 2**-53 and M heads, the batched product `eps @ budgets`
+    and the one-row product `eps[i] @ budgets` lie on the same side of t.
+
+    Proof: both sum the same M non-negative terms eps_l * b_l, in
+    different orders and with or without fused multiply-adds, so each
+    lies within g s + M 2**-1075 of the exact sum s, with
+    g = M u / (1 - M u) (the usual dot-product bound; the second term
+    covers products that underflow; M is far below 10**13).  As
+    s <= (e + M 2**-1075) / (1 - g) for the batched value e, the one-row
+    value lies within 2.01 M u e + 1.01 M 2**-1074 of e.  The ends are
+    taken one float past the rounded t +- tol, so they lie beyond
+    t +- (3.99 M u t + M 2**-1071).  Outside the band, e's distance to t
+    is larger than that bound, so the one-row value lies on e's side of t.
+    """
+    m = problem.num_heads
+    tol = targets * (4.0 * m * 2.0**-53) + m * 2.0**-1070
+    return np.nextafter(targets - tol, -np.inf), np.nextafter(targets + tol, np.inf)
+
+
+def _bisect(problem: AllocationProblem, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Epsilons and multipliers of budgets that bind, by doubling, then lockstep halving."""
+    risks, budgets = problem.risks, problem.budgets
+    lo, hi = np.zeros(targets.size), np.ones(targets.size)
+    # doubling takes every budget through the same multipliers 1, 2, 4, ...
+    top = 1.0
+    short = _expected_budget(problem, top) > targets
+    while short.any():
+        if top >= _MU_MAX:
+            raise InvalidSpec(
+                f"beta {problem.beta:.6g} is too large: no budget multiplier up to "
+                f"2**200 brings the expected budget down to {targets[short][0]:.6g}"
+            )
+        lo[short] = top
+        top *= 2.0
+        hi[short] = top
+        short &= _expected_budget(problem, top) > targets
+    # lo misses the budget and hi meets it; halve until they are adjacent floats.
+    # A step is decided by each midpoint's expected budget, batched, and redone
+    # alone where the batched value is too close to the target to tell (`_band`)
+    below, above = _band(problem, targets)
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = ((lo < mid) & (mid < hi)).nonzero()[0]
+        if live.size == 0:
+            break
+        at = mid[live]
+        eps = _gibbs(problem, risks + at[:, None] * budgets)
+        expected = eps @ budgets
+        over = expected > above[live]
+        for i in (~over & (expected >= below[live])).nonzero()[0]:
+            over[i] = eps[i] @ budgets > targets[live[i]]
+        lo[live[over]] = at[over]
+        hi[live[~over]] = at[~over]
+    return _gibbs(problem, risks + hi[:, None] * budgets), hi
+
+
 def _result(problem: AllocationProblem, eps: np.ndarray, mu: float) -> AllocationResult:
     pos = eps > 0.0
     kl = float(np.sum(eps[pos] * np.log(eps[pos] / problem.prior[pos])))
@@ -160,6 +244,44 @@ def _result(problem: AllocationProblem, eps: np.ndarray, mu: float) -> Allocatio
     )
 
 
+def solve_allocations(problem: AllocationProblem, mean_budgets) -> tuple[np.ndarray, np.ndarray]:
+    """`solve_allocation` at each of several mean budgets, solved together.
+
+    `problem` supplies the risks, budgets, prior and beta; its own
+    `mean_budget` is not read.  Returns the (B, M) epsilons and the (B,)
+    multipliers: row b is, bit for bit, what `solve_allocation` plans
+    for mean budget `mean_budgets[b]`, in whatever order the budgets
+    come and however often one repeats.  A mean budget that is not
+    positive or does not admit the cheapest head raises, as in
+    `AllocationProblem`, and so does one that no multiplier up to 2**200
+    meets; each check reports the first budget that fails it.
+    """
+    targets = np.asarray(mean_budgets, dtype=np.float64)
+    if targets.ndim != 1 or targets.size == 0:
+        raise ShapeMismatch("mean budgets must be a non-empty vector")
+    budgets = problem.budgets
+    bad = np.flatnonzero(~(targets > 0.0))
+    if bad.size:
+        raise InvalidSpec(f"mean budget must be > 0, got {float(targets[bad[0]])}")
+    short = np.flatnonzero(~within_budget(budgets[0], targets))
+    if short.size:
+        require_cheapest_covers(targets[short[0]], 1, budgets[0])
+    eps = np.empty((targets.size, budgets.size))
+    mu = np.zeros(targets.size)
+    # a budget no larger than the cheapest head: the limit plan on the heads that fit it
+    point = within_budget(targets, budgets[0])
+    if point.any():
+        fits = within_budget(budgets, targets[point, None])
+        eps[point] = _gibbs(problem, np.where(fits, problem.risks, np.inf))
+        mu[point] = np.inf
+    eps0 = gibbs_epsilons(problem, 0.0)
+    bind = ~point & (float(eps0 @ budgets) > targets)
+    eps[~point & ~bind] = eps0
+    if bind.any():
+        eps[bind], mu[bind] = _bisect(problem, targets[bind])
+    return eps, mu
+
+
 def solve_allocation(problem: AllocationProblem) -> AllocationResult:
     """Solve the allocation problem to the last bit of the multiplier.
 
@@ -167,6 +289,7 @@ def solve_allocation(problem: AllocationProblem) -> AllocationResult:
     Otherwise bisects the monotone budget equation until the bracket
     holds no further float and returns its upper end, whose expected
     budget is at most the cap: the plan never exceeds `mean_budget`.
+    This is the one-budget case of `solve_allocations`.
 
     A budget no larger than the cheapest head's cost under the budget
     rule (`domain.within_budget`) collapses to a point mass on the heads
@@ -177,36 +300,8 @@ def solve_allocation(problem: AllocationProblem) -> AllocationResult:
     than the cheapest head.  A beta so large that no multiplier up to
     2**200 meets the budget raises InvalidSpec.
     """
-    budgets = problem.budgets
-    target = problem.mean_budget
-
-    if within_budget(target, budgets[0]):
-        fits = within_budget(budgets, target)
-        eps = _gibbs(problem, np.where(fits, problem.risks, np.inf))
-        return _result(problem, eps, np.inf)
-
-    eps0 = gibbs_epsilons(problem, 0.0)
-    if float(eps0 @ budgets) <= target:
-        return _result(problem, eps0, 0.0)
-
-    lo, hi = 0.0, 1.0
-    while _expected_budget(problem, hi) > target:
-        if hi >= _MU_MAX:
-            raise InvalidSpec(
-                f"beta {problem.beta:.6g} is too large: no budget multiplier up to "
-                f"2**200 brings the expected budget down to {target:.6g}"
-            )
-        lo, hi = hi, hi * 2.0
-    # lo misses the budget and hi meets it; halve until they are adjacent floats
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if _expected_budget(problem, mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return _result(problem, gibbs_epsilons(problem, hi), hi)
+    eps, mu = solve_allocations(problem, [problem.mean_budget])
+    return _result(problem, eps[0], float(mu[0]))
 
 
 def single_head_rate(

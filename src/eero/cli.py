@@ -38,8 +38,9 @@ from .allocation import (
     AllocationProblem,
     default_prior,
     solve_allocation,
+    solve_allocations,
 )
-from .calibration import calibration_scores, policy_from_scores
+from .calibration import calibration_scores, fit_thresholds, policy_from_scores
 from .domain import BudgetSpec, HeadBank
 from .errors import EeroError, InvalidSpec, MissingLabels
 from .inference import classify_batch, first_exceed, measure_budget
@@ -53,6 +54,10 @@ EXIT_OK = 0
 EXIT_IO = 3
 # most budgets a `--budgets linspace:lo:hi:n` sweep may ask for
 MAX_SWEEP_BUDGETS = 10_000
+# a sweep routes its budgets a few at a time: one `first_exceed` pass holds
+# at most about this many (budget, head, instance) elements, so that its
+# (budgets, instances) arrays stay near the size of the test score matrix
+SWEEP_PASS_ELEMENTS = 1 << 19
 
 
 def _resolve_seed(value: int | None, fallback: int = 0) -> int:
@@ -108,6 +113,17 @@ def _risks_for(dataset: eio.Dataset) -> np.ndarray:
     return eio.compute_risks(train.bank, train.labels)
 
 
+def _problem(calib_bank: HeadBank, risks: np.ndarray, budget: BudgetSpec, beta: float):
+    budgets = calib_bank.budgets
+    return AllocationProblem(
+        risks=risks,
+        budgets=budgets,
+        prior=default_prior(budgets),
+        beta=beta,
+        mean_budget=budget.mean_budget,
+    )
+
+
 def _fit_policy(
     calib_bank: HeadBank,
     calib_scores: np.ndarray,
@@ -122,16 +138,58 @@ def _fit_policy(
     once however many budgets are fitted.
     """
     budget.validate_for(calib_bank)
-    budgets = calib_bank.budgets
-    problem = AllocationProblem(
-        risks=risks,
-        budgets=budgets,
-        prior=default_prior(budgets),
-        beta=beta,
-        mean_budget=budget.mean_budget,
-    )
-    allocation = solve_allocation(problem)
+    allocation = solve_allocation(_problem(calib_bank, risks, budget, beta))
     return allocation, policy_from_scores(calib_scores, allocation, spec)
+
+
+def _fit_thresholds(
+    calib_bank: HeadBank,
+    calib_scores: np.ndarray,
+    risks: np.ndarray,
+    totals: list[float],
+    batch_size: int,
+    beta: float,
+    spec: ScoreSpec,
+) -> np.ndarray:
+    """Exit thresholds (B, M) of the policy `_fit_policy` fits for each total budget.
+
+    All budgets are fitted together (`solve_allocations`,
+    `fit_thresholds`), with the same bits as one at a time.  A failure
+    raises the error that fitting them one at a time, in order, meets
+    first.
+    """
+    try:
+        budgets = [BudgetSpec(total_budget=total, batch_size=batch_size) for total in totals]
+        for budget in budgets:
+            budget.validate_for(calib_bank)
+        problem = _problem(calib_bank, risks, budgets[0], beta)
+        epsilons, _ = solve_allocations(problem, [b.mean_budget for b in budgets])
+        return fit_thresholds(calib_scores, epsilons)[1]
+    except EeroError:
+        for total in totals:
+            budget = BudgetSpec(total_budget=total, batch_size=batch_size)
+            _fit_policy(calib_bank, calib_scores, risks, budget, beta, spec)
+        raise
+
+
+def _route_sweep(
+    test_scores: np.ndarray, thresholds: np.ndarray, correctness: np.ndarray, costs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Accuracy and consumed budget on the test split for each row of thresholds.
+
+    The same decisions and sums as `classify_batch` on each policy,
+    routed a few policies per `first_exceed` pass.
+    """
+    b, m = thresholds.shape
+    t = test_scores.shape[1]
+    instances = np.arange(t)
+    accuracy, consumed = np.empty(b), np.empty(b)
+    step = max(1, SWEEP_PASS_ELEMENTS // (m * t))
+    for lo in range(0, b, step):
+        exits = first_exceed(test_scores, thresholds[lo : lo + step])
+        accuracy[lo : lo + step] = correctness[instances, exits].mean(axis=1)
+        consumed[lo : lo + step] = costs[exits].sum(axis=1)
+    return accuracy, consumed
 
 
 def cmd_calibrate(args) -> int:
@@ -255,17 +313,10 @@ def cmd_sweep(args) -> int:
     calib_scores = calibration_scores(calib.bank, spec)
     test_scores = score_bank(test.bank, TEST_KEY_BASE, spec)
     correctness = build_correctness(test.bank, test.labels)
-    instances = np.arange(t)
-
-    def eero_point(total: float):
-        bspec = BudgetSpec(total_budget=total, batch_size=t)
-        _, policy = _fit_policy(calib.bank, calib_scores, risks, bspec, args.beta, spec)
-        # the same decisions and sums as classify_batch on this policy
-        exit_head = first_exceed(test_scores, policy.thresholds)
-        return np.mean(correctness[instances, exit_head]), test.bank.budgets[exit_head].sum()
-
     # every budget is fitted before the oracle runs, so a fit's error comes first
-    eero_points = [eero_point(b) for b in budgets]
+    thresholds = _fit_thresholds(calib.bank, calib_scores, risks, budgets, t, args.beta, spec)
+    accuracy, consumed = _route_sweep(test_scores, thresholds, correctness, test.bank.budgets)
+    eero_points = zip(accuracy.tolist(), consumed.tolist())
     oracle_points = oracle_curve(correctness, test.bank.budgets, np.asarray(budgets))
     head_points = zip(correctness.mean(axis=0), test.bank.budgets * t)
     heads = [(acc, cost, f"head_{h}") for h, (acc, cost) in enumerate(head_points, start=1)]

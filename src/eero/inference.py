@@ -31,7 +31,7 @@ gets bit-identical decisions.
 A sweep routes one bank through many policies that share a scoring
 configuration.  It scores every head of every instance once
 (`scoring.score_bank`) and lets `first_exceed` take the same exit
-decisions from that matrix for each policy's thresholds.
+decisions from that matrix for a stack of policies' thresholds at once.
 """
 
 from __future__ import annotations
@@ -98,12 +98,18 @@ def first_exceed(scores: np.ndarray, thresholds) -> np.ndarray:
     above that head's threshold, else at the final head.  These must
     equal `_route`'s exit decisions on the same bank; the difference is
     only cost: every head is scored for every instance, once, so one
-    matrix serves any number of policies.
+    matrix serves any number of policies.  A (B, M) stack of policies'
+    thresholds gives a (B, T) matrix of exits, row b for policy b.
     """
-    m = scores.shape[0] + 1
-    leave = np.ones((m, scores.shape[1]), dtype=bool)
-    np.greater_equal(scores, np.asarray(thresholds[: m - 1])[:, None], out=leave[:-1])
-    return leave.argmax(axis=0)
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    shape = thresholds.shape[:-1] + scores.shape[1:]
+    alive = np.ones(shape, dtype=bool)
+    exits = np.zeros(shape, dtype=np.intp)
+    # an instance's exit head is the number of heads it passes before one takes it
+    for head in range(scores.shape[0]):
+        alive &= ~(scores[head] >= thresholds[..., head, None])
+        exits += alive
+    return exits
 
 
 def classify_batch(

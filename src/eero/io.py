@@ -103,10 +103,15 @@ def _render(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
-        if obj.ndim == 1 and obj.dtype.kind in "fiu":
+        if obj.ndim == 1 and obj.dtype.kind == "f":
+            # each distinct value rendered once, keyed by its bits so that -0.0 and 0.0 differ
+            bits = np.ascontiguousarray(obj, dtype=np.float64).view(np.uint64)
+            keys, which = np.unique(bits, return_inverse=True)
+            texts = [format_float(v) for v in keys.view(np.float64).tolist()]
+            return "[" + ", ".join(map(texts.__getitem__, which.tolist())) + "]"
+        if obj.ndim == 1 and obj.dtype.kind in "iu":
             # one join over Python scalars, not one _render call per element
-            render = format_float if obj.dtype.kind == "f" else str
-            return "[" + ", ".join(map(render, obj.tolist())) + "]"
+            return "[" + ", ".join(map(str, obj.tolist())) + "]"
         return _render(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_render(v) for v in obj) + "]"
@@ -244,7 +249,10 @@ class _CsvSource:
         """The cached (ids, values) of these bytes, or None."""
         try:
             with open(self.entry, "rb") as fh:
-                buf = bytearray(fh.read())  # writable arrays, as a parse returns
+                # read straight into a writable buffer: arrays as a parse returns, one copy
+                buf = bytearray(os.fstat(fh.fileno()).st_size)
+                if fh.readinto(buf) != len(buf):
+                    return None  # the file shrank while being read
         except OSError:
             return None
         dtype = np.dtype(value_type).newbyteorder("<")

@@ -13,7 +13,9 @@ cheapest optimal assignment.
 Ties are canonical: heads are ordered by (cost, index), and among equal
 raises the earliest instances are raised.  `oracle_curve` serves many
 budgets from one sort, with a single `searchsorted` over the raises'
-running total.
+running total.  Both report the cost of an assignment by one rule,
+`_cost`: the exact sum of its heads' costs, from how many instances
+each head takes, rounded once to the nearest float.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ class OracleInstance:
 class OracleResult:
     """An assignment (1-based head per instance) with its value and cost.
 
-    `cost` is the exactly rounded sum (`math.fsum`) of the declared
-    costs of the assigned heads.
+    `cost` is the exactly rounded sum of the declared costs of the
+    assigned heads, the value `math.fsum` gives.
     """
 
     assignment: np.ndarray
@@ -123,13 +125,26 @@ def _solve(instance: OracleInstance, budgets: np.ndarray):
     return base, target, ranked, counts
 
 
+def _cost(costs: np.ndarray, counts) -> float:
+    """Exact sum of counts[h] instances at costs[h], rounded once to the nearest float.
+
+    Every cost is an integer over a power of two, so over the largest
+    denominator the sum is an integer, and Python divides integers with
+    one correct rounding: the value `math.fsum` gives over the instances.
+    """
+    ratios = [c.as_integer_ratio() for c in costs.tolist()]
+    den = max(d for _, d in ratios)
+    return sum(n * (den // d) * k for (n, d), k in zip(ratios, counts)) / den
+
+
 def _result(instance: OracleInstance, base, target, raised) -> OracleResult:
     assignment = np.full(instance.num_instances, base, dtype=np.int64)
     assignment[raised] = target[raised]
+    counts = np.bincount(assignment, minlength=instance.num_heads)
     return OracleResult(
         assignment=assignment + 1,
         accuracy=raised.size / instance.num_instances,
-        cost=math.fsum(instance.costs[assignment]),
+        cost=_cost(instance.costs, counts.tolist()),
     )
 
 
@@ -148,8 +163,12 @@ def oracle_curve(
         correctness=correctness, costs=costs, budget=float(budgets.max())
     )
     base, target, ranked, counts = _solve(instance, budgets)
-    out = []
-    for k in counts:
-        res = _result(instance, base, target, ranked[:k])
-        out.append((res.accuracy, res.cost))
-    return out
+    t, m = instance.num_instances, instance.num_heads
+    # the instances each head takes at each budget: its share of the first k raises,
+    # and the base head the t - k instances left unraised
+    raised_to = target[ranked]
+    heads = np.stack(
+        [np.searchsorted(np.flatnonzero(raised_to == h), counts) for h in range(m)], axis=1
+    )
+    heads[:, base] += t - counts
+    return [(k / t, _cost(instance.costs, n)) for k, n in zip(counts.tolist(), heads.tolist())]

@@ -1,6 +1,9 @@
 """Exponential-weights budget allocation: frozen hand-derived cases,
 KKT residuals, limits in the temperature, and the two-head closed form."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,9 @@ from eero.allocation import (
     gibbs_epsilons,
     single_head_rate,
     solve_allocation,
+    solve_allocations,
 )
+from eero.domain import within_budget
 from eero.errors import (
     InfeasibleBudget,
     InvalidSpec,
@@ -364,3 +369,132 @@ def test_solver_output_always_on_simplex(m, seed, beta):
     assert abs(res.epsilons.sum() - 1.0) <= 1e-9
     assert float(res.epsilons @ budgets) == res.expected_budget <= p.mean_budget
     assert res.kl_to_prior >= 0.0
+
+
+# The one-budget bisection as it stood before budgets were solved in
+# lockstep, kept as the reference: 1-d Gibbs weights, one `eps @ budgets`
+# per step.  The lockstep solver must return its bits exactly.
+def _reference_gibbs(problem, energy):
+    with np.errstate(over="ignore"):
+        logw = np.log(problem.prior) - energy / problem.beta
+        if logw.max() == -np.inf:
+            logw = np.log(problem.prior) - (energy - energy.min()) / problem.beta
+    logw -= logw.max()
+    w = np.exp(logw)
+    return w / w.sum()
+
+
+def _reference_solve(problem):
+    """(epsilons, multiplier, expected budget) of the one-budget bisection."""
+    budgets, target = problem.budgets, problem.mean_budget
+
+    def eps_at(mu):
+        return _reference_gibbs(problem, problem.risks + mu * budgets)
+
+    def done(eps, mu):
+        return eps, mu, float(eps @ budgets)
+
+    if within_budget(target, budgets[0]):
+        fits = within_budget(budgets, target)
+        return done(_reference_gibbs(problem, np.where(fits, problem.risks, np.inf)), np.inf)
+    if float(eps_at(0.0) @ budgets) <= target:
+        return done(eps_at(0.0), 0.0)
+    lo, hi = 0.0, 1.0
+    while float(eps_at(hi) @ budgets) > target:
+        lo, hi = hi, hi * 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if float(eps_at(mid) @ budgets) > target:
+            lo = mid
+        else:
+            hi = mid
+    return done(eps_at(hi), hi)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(min_value=2, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32),
+    beta=st.one_of(
+        st.floats(min_value=0.01, max_value=5.0),
+        # every Gibbs weight underflows: the all -inf rows take the shifted fallback
+        st.floats(min_value=5e-324, max_value=1e-310),
+    ),
+    flat_prior=st.booleans(),
+    draws=st.integers(min_value=0, max_value=12),
+)
+def test_lockstep_solver_equals_one_budget_bisection(m, seed, beta, flat_prior, draws):
+    rng = np.random.default_rng(seed)
+    budgets = np.cumsum(rng.uniform(0.2, 3.0, size=m))
+    prior = default_prior(budgets) if flat_prior else rng.dirichlet(np.ones(m))
+    problem = AllocationProblem(
+        risks=rng.uniform(0.0, 1.0, size=m), budgets=budgets,
+        prior=np.maximum(prior, 1e-12) / np.maximum(prior, 1e-12).sum(),
+        beta=beta, mean_budget=float(budgets[-1]),
+    )
+    e0 = float(gibbs_epsilons(problem, 0.0) @ budgets)
+    b0 = float(budgets[0])
+    targets = [
+        b0, math.nextafter(b0, math.inf), b0 * (1.0 + 1e-12), e0,
+        math.nextafter(e0, -math.inf), math.nextafter(e0, math.inf), float(budgets[-1]),
+        *rng.uniform(b0, budgets[-1], size=draws),
+    ]
+    targets = [t for t in targets if within_budget(b0, t)]
+    # any order, with repeats
+    targets = list(rng.permutation(targets + targets[: draws % 4]))
+    eps, mu = solve_allocations(problem, targets)
+    assert eps.shape == (len(targets), m) and mu.shape == (len(targets),)
+    for row, (target, mult) in enumerate(zip(targets, mu)):
+        one = dataclasses.replace(problem, mean_budget=target)
+        ref_eps, ref_mu, ref_expected = _reference_solve(one)
+        assert _bits(eps[row]) == _bits(ref_eps), (target, row)
+        assert _bits(mult) == _bits(ref_mu), (target, row)
+        res = solve_allocation(one)
+        assert _bits(res.epsilons) == _bits(ref_eps)
+        assert _bits(res.multiplier) == _bits(ref_mu)
+        assert _bits(res.expected_budget) == _bits(ref_expected)
+
+
+def test_lockstep_solver_equals_one_budget_bisection_on_many_budgets():
+    # binding budgets by the thousand: the batched and the one-row expected
+    # budgets differ in the last bit often enough here that a band too
+    # narrow to cover that difference changes some multipliers
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 13))
+        budgets = np.cumsum(rng.uniform(0.2, 3.0, size=m))
+        problem = AllocationProblem(
+            risks=rng.uniform(0.0, 1.0, size=m), budgets=budgets, prior=default_prior(budgets),
+            beta=float(rng.uniform(0.01, 5.0)), mean_budget=float(budgets[-1]),
+        )
+        targets = rng.uniform(budgets[0], budgets[-1], size=20)
+        eps, mu = solve_allocations(problem, targets)
+        for row, target in enumerate(targets):
+            ref_eps, ref_mu, _ = _reference_solve(dataclasses.replace(problem, mean_budget=target))
+            assert _bits(eps[row]) == _bits(ref_eps), (seed, row)
+            assert _bits(mu[row]) == _bits(ref_mu), (seed, row)
+
+
+def test_lockstep_solver_raises_for_the_first_bad_budget():
+    p = two_head_problem(1.5)
+    with pytest.raises(InvalidSpec, match="got -1.0"):
+        solve_allocations(p, [1.5, -1.0, 0.5])
+    with pytest.raises(InfeasibleBudget, match="budget 0.5 "):
+        solve_allocations(p, [1.5, 0.5, 0.25])
+    # both 1.25 and 1.2 are out of reach; the first named is reported
+    with pytest.raises(InvalidSpec, match=r"down to 1\.25$"):
+        solve_allocations(dataclasses.replace(p, beta=1e200), [2.0, 1.25, 1.2])
+
+
+def test_negative_multiplier_is_a_documented_error():
+    with pytest.raises(InvalidSpec) as e:
+        gibbs_epsilons(two_head_problem(1.5), -1.0)
+    assert e.value.exit_code == 2
+    with pytest.raises(InvalidSpec):
+        gibbs_epsilons(two_head_problem(1.5), float("nan"))

@@ -13,6 +13,7 @@ from eero.allocation import AllocationResult  # re-exported dataclass path
 from eero.calibration import (
     build_policy,
     calibration_scores,
+    fit_thresholds,
     policy_from_scores,
     sequential_rates,
     threshold_for_rate,
@@ -229,6 +230,34 @@ def test_two_step_fit_equals_build_policy(rng):
                 assert split.seq_rates.tobytes() == whole.seq_rates.tobytes()
                 for field in ("score_kind", "jitter_u", "seed", "calibration_size"):
                     assert getattr(split, field) == getattr(whole, field)
+
+
+def test_stacked_fit_rows_equal_one_allocation_each(rng):
+    # every row of a stack of allocations is fitted as if it were alone,
+    # including tied calibration scores (no jitter on a few distinct rows)
+    probs = rng.dirichlet(np.ones(4), size=(3, 6))[:, rng.integers(0, 6, size=300)]
+    bank = make_bank(list(probs), budgets=[1.0, 2.0, 3.0])
+    stack = np.vstack([rng.dirichlet(np.ones(3), size=40), [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                                                           [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]]])
+    for kind in SCORE_KINDS:
+        spec = ScoreSpec(kind=kind, jitter_u=0.0)
+        scores = calibration_scores(bank, spec)
+        seq, thresholds = fit_thresholds(scores, stack)
+        assert seq.shape == thresholds.shape == stack.shape
+        for row, eps in enumerate(stack):
+            one = policy_from_scores(scores, _alloc(eps), spec)
+            assert seq[row].tobytes() == sequential_rates(eps, 300).tobytes() == one.seq_rates.tobytes()
+            assert thresholds[row].tobytes() == one.thresholds.tobytes()
+            for head in range(2):
+                assert thresholds[row, head] == _threshold_linear(scores[head], seq[row, head])
+            assert thresholds[row, -1] == -np.inf
+
+
+def test_rate_outside_unit_interval_is_a_documented_error():
+    for rate in (-0.1, 1.5, float("nan")):
+        with pytest.raises(InvalidSpec) as e:
+            threshold_for_rate(np.array([0.5, 0.1]), rate)
+        assert e.value.exit_code == 2
 
 
 def test_calibration_scores_are_sorted_per_head_scores(rng):

@@ -387,6 +387,59 @@ def test_sweep_rows_equal_classify_batch_default_data(tmp_path):
     )
 
 
+def _sweep_groups(data, budgets, extra, out):
+    """Each budget's rows of one sweep, in the order the budgets are given."""
+    argv = ["sweep", "--data", str(data), "--budgets", budgets, "--out", str(out)]
+    rc, err = _run_quiet(argv + extra)
+    assert rc == 0, err
+    groups = []
+    for line in out.read_text().splitlines()[1:]:
+        if line.endswith(",eero"):  # each budget's rows start with its eero row
+            groups.append([])
+        groups[-1].append(line)
+    return groups
+
+
+@pytest.mark.parametrize("extra", [["--seed", "0"], ["--score", "neg_entropy", "--jitter", "0"]])
+def test_sweep_rows_of_a_budget_do_not_depend_on_the_others(tmp_path, extra):
+    # budgets are fitted together and routed a few per pass; none may see another
+    data = tmp_path / "data"
+    write_dataset(generate(default_spec(0)), data)
+    step = eero.cli.SWEEP_PASS_ELEMENTS // (8 * 5000)  # budgets per routing pass here
+    grid = [float(b) for b in np.linspace(6000.0, 47000.0, 1000)]
+    many = _sweep_groups(data, "linspace:6000:47000:1000", extra, tmp_path / "many.csv")
+    assert len(many) == 1000 and 1 < step < 999
+    assert all(len(rows) == 10 for rows in many)
+    assert len({tuple(rows[0].split(",")[1:3]) for rows in many}) > 100  # eero rows differ
+    # 1 against 1000: the ends, and a budget on each side of a pass boundary
+    for i in (0, step - 1, step, 999):
+        assert _sweep_groups(data, repr(grid[i]), extra, tmp_path / "one.csv") == [many[i]], i
+    # unsorted, with repeats, across that boundary
+    picks = [step, 999, 0, step - 1, step, 0]
+    mixed = _sweep_groups(data, ",".join(repr(grid[i]) for i in picks), extra, tmp_path / "mixed.csv")
+    assert mixed == [many[i] for i in picks]
+
+
+FIT_FAULTS = [[], ["--score", "neg_entropy", "--jitter", "1e308"], ["--beta", "1e200"]]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    budgets=st.lists(st.sampled_from(["10", "399.9", "400", "500", "800", "1600", "inf", "nan"]),
+                     min_size=1, max_size=5),
+    extra=st.sampled_from(FIT_FAULTS),
+)
+def test_sweep_reports_the_first_failing_budget_s_own_error(dataset, tmp_path, budgets, extra):
+    # the batched fit fails as fitting the budgets one at a time in order does
+    def sweep(text):
+        return _run_quiet(["sweep", "--data", str(dataset), "--budgets", text,
+                           "--out", str(tmp_path / "s.csv")] + extra)
+
+    alone = [sweep(b) for b in budgets]
+    first = next((out for out in alone if out[0] != 0), (0, ""))
+    assert sweep(",".join(budgets)) == first
+
+
 def test_help_lists_flags(capsys):
     for cmd in ("synth", "calibrate", "infer", "oracle", "sweep"):
         with pytest.raises(SystemExit) as e:

@@ -3,6 +3,7 @@
 import gzip
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -456,6 +457,27 @@ def test_array_rendering_equals_element_rendering():
     ]
     for arr in arrays:
         assert eio._render(arr) == eio._render(arr.tolist())
+
+
+# repeated values, both zeros, NaNs with other payloads, infinities and subnormals
+RENDER_VALUES = st.sampled_from([
+    0.0, -0.0, 1.0, -1.0, 0.1, 1e16, 1e17, 5e-324, -5e-324, 2.2250738585072014e-308,
+    math.inf, -math.inf, math.nan, -math.nan, float.fromhex("0x1.8p+1"), 123456789.0,
+])
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(RENDER_VALUES, max_size=40), payload=st.booleans(),
+       dtype=st.sampled_from([np.float64, np.float32]))
+def test_float_arrays_render_each_value_as_format_float_does(values, payload, dtype):
+    arr = np.array(values, dtype=np.float64)
+    if payload and arr.size:  # a NaN whose bits differ from numpy's default NaN
+        arr[0] = np.array([0x7FF0000000000123], dtype=np.uint64).view(np.float64)[0]
+    with np.errstate(invalid="ignore"):  # NaN to float32
+        arr = arr.astype(dtype)
+    expected = "[" + ", ".join(eio.format_float(v) for v in arr.tolist()) + "]"
+    assert eio._render(arr) == expected
+    assert eio._render(arr[::-1]) == "[" + ", ".join(eio.format_float(v) for v in arr[::-1].tolist()) + "]"
 
 
 def test_sweep_csv_schema(tmp_path):

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eero.errors import InfeasibleBudget, InvalidSpec
 from eero.oracle import (
@@ -231,6 +233,37 @@ def test_oracle_curve_matches_pointwise(rng):
         assert consumed <= b * (1.0 + 1e-9)
         assert consumed == pytest.approx(res.cost, rel=1e-9, abs=1e-9)
     assert np.all(np.diff([a for a, _ in curve]) >= 0.0)
+
+
+# head costs from decimal fractions to magnitudes far apart, where a plain
+# float sum of the assigned costs loses bits that fsum keeps
+COSTS = st.lists(
+    st.one_of(
+        st.sampled_from([0.1, 0.2, 0.3, 1.6, 2.4, 1e-9, 1e16, 1e300, 5e-324]),
+        st.floats(min_value=1e-12, max_value=1e12),
+    ),
+    min_size=2, max_size=5, unique=True,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(costs=COSTS, seed=st.integers(0, 2**32), t=st.integers(1, 60))
+def test_oracle_cost_is_the_fsum_of_the_assigned_costs(costs, seed, t):
+    # oracle_exact and every point of oracle_curve: the correctly rounded
+    # sum of the assignment's costs, counted per head
+    rng = np.random.default_rng(seed)
+    costs = np.array(costs)
+    corr = rng.random((t, costs.size)) < 0.5
+    floor = t * costs.min()
+    budgets = np.unique(np.minimum(floor + rng.random(6) * t * costs.max(), 1e307 * t))
+    budgets = budgets[budgets * (1.0 + 1e-12) >= floor]
+    if budgets.size == 0:
+        return
+    curve = oracle_curve(corr, costs, budgets)
+    for b, (acc, cost) in zip(budgets, curve):
+        res = oracle_exact(OracleInstance(correctness=corr, costs=costs, budget=float(b)))
+        assert res.cost == math.fsum(costs[res.assignment - 1]) == cost
+        assert res.accuracy == acc
 
 
 def test_build_correctness_conventions(rng):

@@ -426,6 +426,19 @@ def test_read_only_directory_reads_and_writes_nothing(tmp_path, monkeypatch, sta
             d.chmod(0o755)
 
 
+def test_short_read_of_an_entry_is_a_miss(tmp_path, monkeypatch):
+    # an entry that shrinks between its size and its read is parsed afresh
+    path = _write(tmp_path, f"{PH}\n0,0.25,0.75\n1,0.5,0.5\n", False)
+    cold = eio.read_probs_csv(path)
+    size = _entry(path).stat().st_size
+    real = os.fstat
+    monkeypatch.setattr(eio.os, "fstat", lambda fd: os.stat_result((0,) * 6 + (size + 8,) + (0,) * 3))
+    assert eio._CsvSource(path).cached(np.float64) is None
+    monkeypatch.setattr(eio.os, "fstat", real)
+    with _no_parsing():
+        _assert_bitwise(eio.read_probs_csv(path), cold)
+
+
 def test_cached_labels_are_range_checked_on_every_read(tmp_path):
     path = _write(tmp_path, f"{LH}\n0,1\n1,3\n", False)
     _read_cold_then_warm(partial(eio.read_labels_csv, num_classes=3), path)
