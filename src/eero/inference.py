@@ -15,18 +15,21 @@ same cost model: head l is jittered and scored only on the instances
 still alive after heads 1..l-1, argmax predictions are taken only for
 the instances that leave at head l, and the final head, which takes
 every survivor, is neither jittered nor scored.  On a window of at
-least `scoring._NARROW` rows, each head's decision is `scoring.clears`:
-for a `max_prob` or `breaking_ties` policy it scores the alive rows
-raw and hashes jitter only for the rows whose raw score lies within the
-jitter band of the threshold (a margin of 2 jitter widths plus a few
-ulp, more than jitter can move such a score).  It returns the same bits
-as thresholding `scoring.score_rows`, the kernel that calibration and
-the sweep score with, which narrower windows, such as one-instance
-windows, call directly.  `classify_batch` runs the kernel once over the
-whole bank; `iter_classify` runs it over one-instance windows so each
-decision is ready as soon as its own heads are scored.  Jitter is
-counter-based, keyed by instance and head, so any window of the bank
-gets bit-identical decisions.
+least `scoring._NARROW` rows under a `max_prob` or `breaking_ties`
+policy, each head is one `_head_step`, which takes the alive rows a
+block at a time: it gathers a block once, scores it raw, hashes jitter
+only for the rows whose raw score lies within the jitter band of the
+threshold (a margin of 2 jitter widths plus a few ulp, more than jitter
+can move such a score), predicts the leaving rows from the same block
+and writes the survivors out for the next head.  Its decisions are the
+same bits as thresholding `scoring.score_rows`, the kernel that
+calibration and the sweep score with, which `neg_entropy` policies and
+narrower windows, such as one-instance windows, call directly.
+`classify_batch` runs the kernel once over the whole bank;
+`iter_classify` runs it over one-instance windows so each decision is
+ready as soon as its own heads are scored.  Jitter is counter-based,
+keyed by instance and head, so any window of the bank gets
+bit-identical decisions.
 
 A sweep routes one bank through many policies that share a scoring
 configuration.  It scores every head of every instance once
@@ -36,13 +39,22 @@ decisions from that matrix for a stack of policies' thresholds at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import BatchResult, BudgetSpec, ExitPolicy, HeadBank, _set, within_budget
 from .errors import HeadCountMismatch, LabelLengthMismatch
-from .scoring import _NARROW, TEST_KEY_BASE, ScoreSpec, clears, predict_matrix, score_rows
+from .scoring import (
+    _NARROW,
+    BLOCK,
+    TEST_KEY_BASE,
+    ScoreSpec,
+    predict_matrix,
+    reduce_class_major,
+    score_rows,
+)
 
 
 def _pinned_spec(bank: HeadBank, policy: ExitPolicy) -> ScoreSpec:
@@ -61,22 +73,19 @@ def _route(
 
     Returns the 0-based exit head and 0-based prediction of each row.
     `alive` holds the bank rows that no head has classified yet; the
-    walk stops as soon as it is empty.
+    walk stops as soon as it is empty.  Windows of at least `_NARROW`
+    rows under `max_prob` or `breaking_ties` go to `_route_blocks`.
     """
+    if hi - lo >= _NARROW and spec.kind != "neg_entropy":
+        return _route_blocks(bank, policy, spec, lo, hi)
     last = bank.num_heads - 1
     exits = np.full(hi - lo, last, dtype=np.int64)
     preds = np.empty(hi - lo, dtype=np.int64)
     alive = np.arange(lo, hi)
-    # the raw pass of `clears` saves hashing only where numpy's per-call
-    # overhead is not the cost, the same cut-off `score_rows` makes
-    wide = hi - lo >= _NARROW
     for head in range(last):
         probs = bank.heads[head].probs
         threshold = policy.thresholds[head]
-        if wide:
-            leave = clears(probs, alive, TEST_KEY_BASE, head, spec, threshold)
-        else:
-            leave = score_rows(probs, alive, TEST_KEY_BASE + alive, head, spec) >= threshold
+        leave = score_rows(probs, alive, TEST_KEY_BASE + alive, head, spec) >= threshold
         out = alive[leave]
         if out.size:
             exits[out - lo] = head
@@ -87,6 +96,112 @@ def _route(
     # the final head takes whatever remains, unscored
     preds[alive - lo] = predict_matrix(bank.heads[last].probs[alive])
     return exits, preds
+
+
+def _route_blocks(
+    bank: HeadBank, policy: ExitPolicy, spec: ScoreSpec, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_route` on a wide window under `max_prob` or `breaking_ties`.
+
+    The alive rows are kept as positions in the window, and each head
+    decides, predicts and splits them in one `_head_step`.  Survivors are
+    compacted into one buffer allocated per window.
+    """
+    n = hi - lo
+    last = bank.num_heads - 1
+    exits = np.full(n, last, dtype=np.int64)
+    preds = np.empty(n, dtype=np.int64)
+    alive = np.arange(n)
+    survivors = np.empty(n, dtype=np.intp)
+    for head in range(last):
+        probs = bank.heads[head].probs[lo:hi]
+        threshold = policy.thresholds[head]
+        alive = _head_step(
+            probs, alive, head == 0, TEST_KEY_BASE + lo, head, spec, threshold,
+            exits, preds, survivors,
+        )
+        if alive.size == 0:
+            return exits, preds
+    # the final head takes whatever remains, unscored
+    preds[alive] = predict_matrix(np.take(bank.heads[last].probs[lo:hi], alive, axis=0))
+    return exits, preds
+
+
+def _head_step(
+    probs: np.ndarray,
+    alive: np.ndarray,
+    whole: bool,
+    key_base: int,
+    head: int,
+    spec: ScoreSpec,
+    threshold,
+    exits: np.ndarray,
+    preds: np.ndarray,
+    survivors: np.ndarray,
+) -> np.ndarray:
+    """Decide, predict and split rows `alive` of `probs` at `head`, block by block.
+
+    `alive` holds sorted row positions, and row i takes jitter key
+    `key_base + i`; `whole` says that `alive` is every row in order.  A row
+    leaves when its `spec.kind` score (`max_prob` or `breaking_ties`) is
+    at or above `threshold`, exactly as thresholding `score_rows`
+    decides.  Each leaving row gets `exits[i] = head` and `preds[i]` its
+    argmax, and the survivors, in order, are returned as a prefix of
+    `survivors`, which may be the buffer that `alive` lies in.
+
+    Each block of at most `BLOCK` rows is gathered once (when `whole`, it
+    is a view of `probs`) and scored raw by `reduce_class_major`.  A row
+    whose raw score lies outside `threshold ± margin`, margin = 2u +
+    2**-48 (1 + u) for jitter width u, is settled by it, and only the
+    rows in that band are scored again with jitter, through `score_rows`
+    and with keys built for them alone.  The leaving rows' argmax is then
+    taken from the same in-cache block.  On a few rows the raw pass costs
+    more than the hashing it saves, hence the `_NARROW` cut-off in
+    `_route`.
+
+    Why the margin covers the jitter, with e = 2**-53 the unit roundoff
+    and probability entries p in [0, 2] (rows are non-negative and sum
+    to 1): a jittered entry is q = fl(p + fl(u U)) with U in [0, 1), and
+    rounding is monotone and exact on p and u, so p <= q <= fl(p + u)
+    and 0 <= q - p <= d = u + e (2 + u).  For `max_prob` the raw score
+    max p is exact and the jittered one max q, so they differ by at most
+    d.  For `breaking_ties` the largest and second-largest entries each
+    move by at most d, so their exact gaps differ by at most d, and the
+    two rounded subtractions add at most e (2 + d) each.  In all,
+    |jittered - raw| <= E = u + 8e (1 + u), below the margin even after
+    its own rounding.  `top` and `bottom` are taken one float past the
+    rounded `threshold ± margin`, so they lie outside the exact bounds:
+    raw >= top gives jittered >= raw - E > threshold, and raw < bottom
+    gives jittered < threshold.  A NaN bound (an infinite threshold and
+    an infinite margin, which a width near 1e308 gives) fails both
+    comparisons and settles no row.
+    """
+    threshold, u = float(threshold), spec.jitter_u
+    margin = 2.0 * u + 2.0**-48 * (1.0 + u)
+    top = math.nextafter(threshold + margin, math.inf)
+    bottom = math.nextafter(threshold - margin, -math.inf)
+    raw = np.empty(min(alive.size, BLOCK))
+    kept = 0
+    for start in range(0, alive.size, BLOCK):
+        rows = alive[start : start + BLOCK]
+        m = rows.size
+        # np.take and np.compress copy rows several times faster than fancy indexing
+        block = probs[start : start + m] if whole else np.take(probs, rows, axis=0)
+        score = reduce_class_major(block.T, spec.kind, raw[:m])
+        leave = score >= top
+        band = np.flatnonzero(~(leave | (score < bottom)))
+        if band.size:
+            near = rows[band]
+            leave[band] = score_rows(probs, near, key_base + near, head, spec) >= threshold
+        out = np.compress(leave, rows)
+        if out.size:
+            exits[out] = head
+            preds[out] = predict_matrix(np.compress(leave, block, axis=0))
+            rows = np.compress(~leave, rows)
+        # survivors never overtake the block being read, so they compact in place
+        survivors[kept : kept + rows.size] = rows
+        kept += rows.size
+    return survivors[:kept]
 
 
 def first_exceed(scores: np.ndarray, thresholds) -> np.ndarray:

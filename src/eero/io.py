@@ -91,6 +91,17 @@ def format_float(x: float) -> str:
     return s
 
 
+def _render_each(values, render) -> list[str]:
+    """`render` of each float of `values`, flattened, called once per distinct value.
+
+    Values are keyed by their bits, so -0.0 and 0.0 are rendered apart.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).ravel().view(np.uint64)
+    keys, which = np.unique(bits, return_inverse=True)
+    texts = [render(v) for v in keys.view(np.float64).tolist()]
+    return list(map(texts.__getitem__, which.tolist()))
+
+
 def _render(obj) -> str:
     if obj is None:
         return "null"
@@ -104,11 +115,7 @@ def _render(obj) -> str:
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
         if obj.ndim == 1 and obj.dtype.kind == "f":
-            # each distinct value rendered once, keyed by its bits so that -0.0 and 0.0 differ
-            bits = np.ascontiguousarray(obj, dtype=np.float64).view(np.uint64)
-            keys, which = np.unique(bits, return_inverse=True)
-            texts = [format_float(v) for v in keys.view(np.float64).tolist()]
-            return "[" + ", ".join(map(texts.__getitem__, which.tolist())) + "]"
+            return "[" + ", ".join(_render_each(obj, format_float)) + "]"
         if obj.ndim == 1 and obj.dtype.kind in "iu":
             # one join over Python scalars, not one _render call per element
             return "[" + ", ".join(map(str, obj.tolist())) + "]"
@@ -818,12 +825,13 @@ def write_per_instance_csv(path, result: BatchResult, labels=None, instance_ids=
         else np.asarray(instance_ids)
     )
     header = "instance_id,exit_head,prediction,cost"
-    fmt = "%d,%d,%d,%.17g"
+    fmt = "%d,%d,%d,%s"
     columns = [
         ids.tolist(),
         result.exits.tolist(),
         result.predictions.tolist(),
-        result.per_instance_cost.tolist(),
+        # costs take one value per head: each is rendered once
+        _render_each(result.per_instance_cost, "%.17g".__mod__),
     ]
     if labels is not None:
         header += ",correct"
@@ -841,7 +849,10 @@ def write_sweep_csv(path, rows) -> None:
     the budget rule, `domain.within_budget`.
     """
     lines = ["budget,accuracy,consumed,within_budget,source"]
-    for budget, accuracy, consumed, source in rows:
+    # budgets repeat on every row of their group and head rows in every group:
+    # each distinct value is rendered once
+    texts = _render_each([row[:3] for row in rows], format_float)
+    for i, (budget, _, consumed, source) in enumerate(rows):
         fits = "true" if within_budget(consumed, budget) else "false"
-        lines.append(",".join((*map(format_float, (budget, accuracy, consumed)), fits, source)))
+        lines.append(",".join((*texts[3 * i : 3 * i + 3], fits, source)))
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -21,21 +21,21 @@ and reduced in cache-sized buffers, so the n x K jittered matrix is
 never built.  Because jitter is counter-based, the scores do not depend
 on the block size.
 
-Routing needs only whether a score clears a threshold, and `clears`
-answers that with the same bits for less hashing.  Jitter moves a
+Routing needs only whether a score clears a threshold.  Jitter moves a
 `max_prob` or `breaking_ties` score by at most the jitter width plus
-rounding, so `clears` scores the rows raw, settles every row whose raw
-score lies outside a margin of 2 widths (plus a few ulp) around the
-threshold, and hashes jitter only for the rows in that band; its
-docstring proves that the margin covers the jitter.  Calibration and
-`score_bank` still score every row exactly, because thresholds are read
-off those scores.
+rounding, so on a wide window `inference` scores the alive rows raw
+(`reduce_class_major`), settles every row whose raw score lies outside a
+margin of 2 widths (plus a few ulp) around the threshold, and re-scores
+only the rows in that band through `score_rows`; the docstring of
+`inference._head_step` proves that the margin covers the jitter.
+Calibration and `score_bank` still score every row exactly, because
+thresholds are read off those scores.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,60 +172,27 @@ def score_rows(
             q = block.T
         if row_major:
             scores[lo:hi] = score_matrix(block, spec.kind)
-        elif spec.kind == "max_prob":
-            np.maximum.reduce(q, axis=0, out=scores[lo:hi])
         else:
-            _top2_gap(q, scores[lo:hi])
+            reduce_class_major(q, spec.kind, scores[lo:hi])
     return scores
 
 
-def clears(
-    probs: np.ndarray, rows: np.ndarray, key_base: int, head: int, spec: ScoreSpec, threshold
-) -> np.ndarray:
-    """Whether each row of `probs[rows]` scores at or above `threshold` at `head`.
+def reduce_class_major(q: np.ndarray, kind: str, out: np.ndarray) -> np.ndarray:
+    """`max_prob` or `breaking_ties` score of each column of class-major `q`, into `out`.
 
-    Returns `score_rows(probs, rows, key_base + rows, head, spec) >=
-    threshold` bit for bit; for `neg_entropy` it is exactly that.  For
-    `max_prob` and `breaking_ties` the rows are scored raw, through
-    `score_rows`' zero-jitter path; a row whose raw score lies outside
-    `threshold ± margin`, margin = 2u + 2**-48 (1 + u) for jitter width
-    u, is settled by it, and only the rows in that band are scored again
-    with jitter, their keys built for them alone.  On a few rows the
-    extra raw pass costs more than the hashing it saves, so routing calls
-    this only on windows of at least `_NARROW` rows.
-
-    Why the margin covers the jitter, with e = 2**-53 the unit roundoff
-    and probability entries p in [0, 2] (rows are non-negative and sum
-    to 1): a jittered entry is q = fl(p + fl(u U)) with U in [0, 1), and
-    rounding is monotone and exact on p and u, so p <= q <= fl(p + u)
-    and 0 <= q - p <= d = u + e (2 + u).  For `max_prob` the raw score
-    max p is exact and the jittered one max q, so they differ by at most
-    d.  For `breaking_ties` the largest and second-largest entries each
-    move by at most d, so their exact gaps differ by at most d, and the
-    two rounded subtractions add at most e (2 + d) each.  In all,
-    |jittered - raw| <= E = u + 8e (1 + u), below the margin even after
-    its own rounding.  `hi` and `lo` are taken one float past the
-    rounded `threshold ± margin`, so they lie outside the exact bounds:
-    raw >= hi gives jittered >= raw - E > threshold, and raw < lo gives
-    jittered < threshold.  A NaN bound (an infinite threshold and an
-    infinite margin, which a width near 1e308 gives) fails both
-    comparisons and settles no row.
+    `q` is K x n, one row per class (a transposed view of n probability
+    rows will do), and the result equals `score_matrix(q.T, kind)` bit
+    for bit: both kinds pick exact entries, and a running max (or
+    `_top2_gap`'s running top-2) over the K class rows picks the same
+    ones as `max` (or `partition`).  Returns `out`.
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    if spec.kind == "neg_entropy":
-        return score_rows(probs, rows, key_base + rows, head, spec) >= threshold
-    # at zero width the keys are never read
-    raw = score_rows(probs, rows, rows, head, replace(spec, jitter_u=0.0))
-    threshold, u = float(threshold), spec.jitter_u
-    margin = 2.0 * u + 2.0**-48 * (1.0 + u)
-    hi = math.nextafter(threshold + margin, math.inf)
-    lo = math.nextafter(threshold - margin, -math.inf)
-    leave = raw >= hi
-    band = np.flatnonzero(~(leave | (raw < lo)))
-    if band.size:
-        near = rows[band]
-        leave[band] = score_rows(probs, near, key_base + near, head, spec) >= threshold
-    return leave
+    if kind == "max_prob":
+        np.maximum(q[0], q[1], out=out)
+        for row in q[2:]:
+            np.maximum(out, row, out=out)
+    else:
+        _top2_gap(q, out)
+    return out
 
 
 def _top2_gap(q: np.ndarray, out: np.ndarray) -> None:

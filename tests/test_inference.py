@@ -13,7 +13,7 @@ from eero.calibration import build_policy
 from eero.domain import BatchResult, BudgetSpec, ExitPolicy, HeadBank, HeadSlice
 from eero.errors import HeadCountMismatch, LabelLengthMismatch
 from eero.io import compute_risks
-from eero import inference, scoring
+from eero import inference
 from eero.inference import classify_batch, first_exceed, iter_classify, measure_budget
 from eero.scoring import (
     BLOCK,
@@ -23,6 +23,7 @@ from eero.scoring import (
     ScoreSpec,
     jitter_matrix,
     predict_matrix,
+    reduce_class_major,
     score_bank,
     score_matrix,
     score_rows,
@@ -281,60 +282,64 @@ def test_each_head_scores_only_rows_that_reach_it(rng, monkeypatch):
     n, m = 500, 4
     bank = random_bank(rng, n=n, m=m, k=5, budgets=[1.0, 2.0, 3.0, 4.0])
     policy = _policy([0.5, 0.3, 0.1, -np.inf], seq_rates=[0.3, 0.6, 0.8, 1.0], jitter=1e-5, seed=8)
-    calls = {"score": [], "predict": []}
-    raw_rows, jittered = [], []
+    raw_blocks, jittered, predicted = [], [], []
+
+    def counted_raw(q, kind, out):
+        # a wide window scores each block of the rows that reach a head raw
+        raw_blocks.append(q.T.copy())
+        return reduce_class_major(q, kind, out)
 
     def counted_scores(probs, rows, keys, head, spec):
-        # a wide window scores every row that reaches a head raw, then hashes
-        # jitter for the rows near the threshold; a one-row window hashes its row
-        if spec.jitter_u:
-            jittered.append((head, rows.tolist(), np.asarray(keys).tolist()))
-        else:
-            calls["score"].append((head, len(rows)))
-            raw_rows.append(rows.tolist())
+        # then hashes jitter for the rows near the threshold; a one-row window
+        # hashes its row
+        jittered.append((head, rows.tolist(), np.asarray(keys).tolist()))
         return score_rows(probs, rows, keys, head, spec)
 
     def counted_predictions(probs):
-        calls["predict"].append(len(probs))
+        predicted.append(len(probs))
         return predict_matrix(probs)
 
-    # wide windows score through `scoring.clears`, narrow ones directly
-    monkeypatch.setattr(scoring, "score_rows", counted_scores)
+    monkeypatch.setattr(inference, "reduce_class_major", counted_raw)
     monkeypatch.setattr(inference, "score_rows", counted_scores)
     monkeypatch.setattr(inference, "predict_matrix", counted_predictions)
     res = classify_batch(bank, policy)
     reached = [int(np.sum(res.exits > head)) for head in range(m)]
     assert reached[m - 1] > 0
-    # head l scores only the rows alive after l-1 heads; the last head is never scored
-    assert calls["score"] == list(enumerate(reached[: m - 1]))
-    assert sum(rows for _, rows in calls["score"]) == int(np.minimum(res.exits, m - 1).sum()) < n * (m - 1)
-    assert sum(calls["predict"]) == n  # argmax only for the rows that leave
-    calls = {"score": [], "predict": []}
+    # head l scores exactly the rows alive after l-1 heads, in one block of
+    # fewer than BLOCK rows; the last head is never scored
+    assert len(raw_blocks) == m - 1
+    for head, block in enumerate(raw_blocks):
+        assert block.tobytes() == bank.heads[head].probs[res.exits > head].tobytes()
+    assert sum(map(len, raw_blocks)) == int(np.minimum(res.exits, m - 1).sum()) < n * (m - 1)
+    # argmax only for the rows that leave, once per head that some row leaves at
+    assert predicted == [c for c in np.bincount(res.exits, minlength=m + 1)[1:] if c]
+    raw_blocks.clear()
     first = _policy(np.full(m, -np.inf), seq_rates=[1.0] * m)
     classify_batch(bank, first)
-    assert calls["score"] == [(0, n)]  # nobody survives head 1: the walk stops there
+    assert [len(b) for b in raw_blocks] == [n]  # nobody survives head 1: the walk stops there
 
     # a jitter wide enough that every head has rows in its band
     u = 0.05
     wide = _policy([0.5, 0.3, 0.1, -np.inf], seq_rates=[0.3, 0.6, 0.8, 1.0], jitter=u, seed=8)
-    raw_rows.clear()
+    raw_blocks.clear()
     jittered.clear()
     res = classify_batch(bank, wide)
     assert np.array_equal(res.exits, _route_dense(bank, wide)[0])
     margin = 2 * u + 2**-48 * (1 + u)
     for head in range(m - 1):
         alive = np.flatnonzero(res.exits > head)
-        assert raw_rows[head] == alive.tolist()  # exactly the rows alive after heads 1..l-1
+        # exactly the rows alive after heads 1..l-1
+        assert raw_blocks[head].tobytes() == bank.heads[head].probs[alive].tobytes()
         raw = score_matrix(bank.heads[head].probs[alive], wide.score_kind)
         near = alive[np.abs(raw - wide.thresholds[head]) <= margin]
         assert near.size > 0
         assert jittered[head] == (head, near.tolist(), (TEST_KEY_BASE + near).tolist())
     assert len(jittered) == m - 1
     # one-row windows hash every row they score, with the same keys as before
-    raw_rows.clear()
+    raw_blocks.clear()
     jittered.clear()
     assert [r[0] for r in iter_classify(bank, wide)] == res.exits.tolist()
-    assert raw_rows == []
+    assert raw_blocks == []
     assert jittered == [
         (head, [i], [TEST_KEY_BASE + i])
         for i in range(n)
@@ -370,7 +375,7 @@ def test_large_bank_routes_as_first_exceed(large_default_data, monkeypatch, kind
             hashed.append(len(rows))
         return score_rows(probs, rows, keys, head, spec)
 
-    monkeypatch.setattr(scoring, "score_rows", counted_scores)
+    monkeypatch.setattr(inference, "score_rows", counted_scores)
     res = classify_batch(data.test_bank, policy)
     monkeypatch.undo()
     scores = score_bank(data.test_bank, TEST_KEY_BASE, spec)
@@ -410,6 +415,78 @@ def test_routing_past_one_block_equals_per_row_reference(rng, kind):
     assert np.array_equal(np.concatenate([p[0] for p in parts]) + 1, exits)
     assert np.array_equal(np.concatenate([p[1] for p in parts]) + 1, preds)
     assert [r[:2] for r in iter_classify(bank, policy)] == list(zip(exits.tolist(), preds.tolist()))
+
+
+def _assert_windows_route_as_cached_scores(bank, policy, windows):
+    """Each window's exits are `first_exceed` of the bank's cached test
+    scores, and its predictions the argmax at the exit head; returns the
+    whole bank's 0-based exits."""
+    spec = inference._pinned_spec(bank, policy)
+    exits = first_exceed(score_bank(bank, TEST_KEY_BASE, spec), policy.thresholds)
+    at_exit = np.stack([h.probs for h in bank.heads])[exits, np.arange(bank.num_instances)]
+    preds = predict_matrix(at_exit)
+    for lo, hi in windows:
+        got_exits, got_preds = inference._route(bank, policy, spec, lo, hi)
+        assert got_exits.tolist() == exits[lo:hi].tolist()
+        assert got_preds.tolist() == preds[lo:hi].tolist()
+    return exits
+
+
+@pytest.mark.parametrize("kind", ["max_prob", "breaking_ties"])
+def test_offset_windows_across_block_edges_route_as_cached_scores(rng, kind):
+    # windows that start past row 0 and straddle block edges; the jitter is
+    # wide enough that every head re-scores many band rows, keyed by bank row
+    n = 2 * BLOCK + 100
+    bank = random_bank(rng, n=n, m=3, k=4, budgets=[1.0, 2.0, 4.0])
+    spec = ScoreSpec(kind=kind, jitter_u=0.05, seed=9)
+    thresholds = _mid_thresholds(bank, spec, [0.6, 0.5])
+    policy = _policy(thresholds, seq_rates=[0.4, 0.7, 1.0], kind=kind, jitter=0.05, seed=9)
+    windows = [(0, n), (1, BLOCK + 1), (BLOCK - 5, 2 * BLOCK + 7), (BLOCK + 3, n)]
+    exits = _assert_windows_route_as_cached_scores(bank, policy, windows)
+    assert np.bincount(exits, minlength=3).min() > 0
+
+
+@pytest.mark.parametrize("kind", ["max_prob", "breaking_ties"])
+def test_heads_where_no_row_or_a_whole_block_leaves(rng, kind):
+    # no row leaves head 1 (threshold +inf), so head 2 gathers every row; its
+    # second block is one-hot, scores at least 1 - u by either kind and leaves
+    # whole; the jitter width u puts many rows of heads 2 and 3 in the band
+    n, k = 3 * BLOCK, 5
+    bank = random_bank(rng, n=n, m=4, k=k, budgets=[1.0, 2.0, 3.0, 4.0])
+    heads = list(bank.heads)
+    one_hot = heads[1].probs.copy()
+    one_hot[BLOCK : 2 * BLOCK] = np.eye(k)[rng.integers(k, size=BLOCK)]
+    heads[1] = HeadSlice(probs=one_hot, budget_gflops=2.0)
+    bank = HeadBank(heads=tuple(heads))
+    spec = ScoreSpec(kind=kind, jitter_u=0.05, seed=2)
+    thresholds = _mid_thresholds(bank, spec, [0.5, 0.5, 0.5])
+    thresholds[:2] = np.inf, 0.9
+    policy = _policy(thresholds, seq_rates=[0.3, 0.6, 0.8, 1.0], kind=kind, jitter=0.05, seed=2)
+    exits = _assert_windows_route_as_cached_scores(bank, policy, [(0, n), (7, n - 2)])
+    assert not np.any(exits == 0)
+    assert np.all(exits[BLOCK : 2 * BLOCK] == 1)
+    assert np.bincount(exits, minlength=4)[1:].min() > 0
+
+
+@pytest.mark.parametrize("kind", ["max_prob", "breaking_ties"])
+def test_first_head_band_rows_route_as_cached_scores(rng, kind):
+    # rows of the first head's contiguous blocks share one raw score, and the
+    # threshold sits half a jitter width above it, so only jitter decides them
+    n, u = BLOCK + 500, 1e-5
+    bank = random_bank(rng, n=n, m=3, k=4, budgets=[1.0, 2.0, 4.0])
+    heads = list(bank.heads)
+    probs = heads[0].probs.copy()
+    shared = np.arange(5, n, 67)
+    probs[shared] = probs[BLOCK + 17]
+    heads[0] = HeadSlice(probs=probs, budget_gflops=1.0)
+    bank = HeadBank(heads=tuple(heads))
+    spec = ScoreSpec(kind=kind, jitter_u=u, seed=3)
+    thresholds = _mid_thresholds(bank, spec, [0.5, 0.5])
+    thresholds[0] = score_matrix(probs[BLOCK + 17 : BLOCK + 18], kind)[0] + u / 2
+    policy = _policy(thresholds, seq_rates=[0.4, 0.7, 1.0], kind=kind, jitter=u, seed=3)
+    windows = [(0, n), (3, BLOCK + 200), (BLOCK + 1, n)]
+    exits = _assert_windows_route_as_cached_scores(bank, policy, windows)
+    assert 0 < np.sum(exits[shared] == 0) < shared.size
 
 
 @pytest.mark.parametrize("exit_head", [1, 2])

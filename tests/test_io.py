@@ -504,6 +504,27 @@ def test_sweep_csv_schema(tmp_path):
     assert flags[3:] == ["true", "false"]
 
 
+def test_sweep_csv_renders_repeated_values_and_signed_zeros(tmp_path):
+    # each distinct value is rendered once, keyed by its bits: repeats, both
+    # zeros and integral values still read as format_float writes each cell
+    rows = [
+        (2.0, 0.5, 2.0, "eero"),
+        (2.0, -0.0, 0.0, "oracle"),
+        (2.0, 0.0, -0.0, "head_1"),
+        (4.0, 0.5, 2.0, "eero"),
+        (4.0, -0.0, 0.1 + 0.2, "oracle"),
+        (4.0, 0.0, 0.3, "head_1"),
+    ]
+    path = tmp_path / "sweep.csv"
+    eio.write_sweep_csv(path, rows)
+    lines = path.read_text().splitlines()[1:]
+    assert [line.split(",")[:3] for line in lines] == [
+        list(map(eio.format_float, row[:3])) for row in rows
+    ]
+    assert lines[1].startswith("2.0,-0.0,0.0,") and lines[2].startswith("2.0,0.0,-0.0,")
+    assert lines[4].split(",")[2] != lines[5].split(",")[2]  # 0.1 + 0.2 is not 0.3
+
+
 def test_oracle_result_dict_marker():
     from eero.oracle import OracleResult
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eero import scoring
+from eero import inference, scoring
 from eero.domain import HeadBank, HeadSlice
 from eero.scoring import (
     BLOCK,
@@ -267,22 +267,23 @@ def test_score_rows_at_block_edges(monkeypatch, kind, jitter):
     where=st.sampled_from(["-inf", "inf", "zero", "own", "band"]),
     level=st.floats(0.0, 1.0),
     key_base=st.sampled_from([CALIBRATION_KEY_BASE, TEST_KEY_BASE]),
-    order=st.sampled_from(["shuffled", "repeated"]),
+    whole=st.booleans(),
     head=st.integers(0, 7),
     seed=st.integers(0, 2**64 - 1),
     data_seed=st.integers(0, 2**32 - 1),
 )
 def test_clears_equals_jittered_scores(
-    kind, jitter, n, where, level, key_base, order, head, seed, data_seed
+    kind, jitter, n, where, level, key_base, whole, head, seed, data_seed
 ):
-    # the raw pass plus the band's exact pass takes every decision that
-    # thresholding the jittered scores takes, bit for bit
+    # a routing head step (raw pass, then the band's exact pass) takes every
+    # decision that thresholding the jittered scores takes, bit for bit,
+    # predicts exactly the leaving rows and keeps the others in order
     r = np.random.default_rng(data_seed)
     k = 6
     spec = ScoreSpec(kind, jitter, seed)
     pool = n + 17
     probs = _probs_with_ties(r, pool, k)
-    rows = _rows(r, n, pool, order)
+    rows = np.arange(n) if whole else np.sort(r.permutation(pool)[:n])
     thr = {"-inf": -np.inf, "inf": np.inf, "zero": 0.0, "band": level}.get(where)
     if where == "own":
         thr = score_rows(probs, rows, key_base + rows, head, spec)[r.integers(n)]
@@ -297,6 +298,11 @@ def test_clears_equals_jittered_scores(
         lone = np.zeros((pool // 3 + 1, k))
         lone[:, 0] = np.resize(targets, lone.shape[0])
         probs[::3] = r.permuted(lone, axis=1)[: probs[::3].shape[0]]
+    exits = np.full(pool, -1)
+    preds = np.full(pool, -1)
+    # the survivors are compacted into the buffer that the alive rows lie in
+    buffer = np.full(pool, -1, dtype=np.intp)
+    buffer[:n] = rows
     calls = []
 
     def recorded(probs, rows, keys, head, spec):
@@ -304,14 +310,20 @@ def test_clears_equals_jittered_scores(
         return score_rows(probs, rows, keys, head, spec)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scoring, "score_rows", recorded)
-        got = scoring.clears(probs, rows, key_base, head, spec, thr)
+        patch.setattr(inference, "score_rows", recorded)
+        kept = inference._head_step(
+            probs, buffer[:n], whole, key_base, head, spec, thr, exits, preds, buffer
+        )
     want = score_rows(probs, rows, key_base + rows, head, spec) >= thr
-    assert got.dtype == bool and got.tobytes() == want.tobytes()
-    raw, band = calls[0], calls[1:]
-    assert raw == n
+    gone = rows[want]
+    assert kept.tolist() == rows[~want].tolist()
+    assert np.flatnonzero(exits >= 0).tolist() == gone.tolist()
+    assert np.all(exits[gone] == head)
+    assert np.flatnonzero(preds >= 0).tolist() == gone.tolist()
+    assert preds[gone].tolist() == predict_matrix(probs[gone]).tolist()
+    band = calls  # only the exact pass goes through score_rows
     if jitter == 1e308:
-        assert band == [n]  # the margin overflows: every row takes the exact pass
+        assert sum(band) == n  # the margin overflows: every row takes the exact pass
     elif np.isinf(thr):
         assert band == []  # no finite raw score is near an infinite threshold
     elif where == "band":
