@@ -123,7 +123,7 @@ class HeadSlice:
         if self.risk is not None:
             r = float(self.risk)
             if not (0.0 <= r <= 1.0):
-                raise ValueError(f"risk must lie in [0, 1], got {r}")
+                raise InvalidSpec(f"risk must lie in [0, 1], got {r}")
             _set(self, "risk", r)
 
     @property
@@ -248,13 +248,13 @@ class AllocationResult:
         _set(self, "epsilons", _frozen(eps))
         mult = float(self.multiplier)
         if not (mult >= 0.0):
-            raise ValueError(f"multiplier must be >= 0, got {mult}")
+            raise InvalidSpec(f"multiplier must be >= 0, got {mult}")
         if bool(self.saturated) != (mult > 0.0):
-            raise ValueError("saturated flag must equal (multiplier > 0)")
+            raise InvalidSpec("saturated flag must equal (multiplier > 0)")
         _set(self, "multiplier", mult)
         _set(self, "expected_budget", float(self.expected_budget))
         if float(self.kl_to_prior) < -1e-12:
-            raise ValueError("KL divergence cannot be negative")
+            raise InvalidSpec("KL divergence cannot be negative")
         _set(self, "kl_to_prior", max(0.0, float(self.kl_to_prior)))
         _set(self, "saturated", bool(self.saturated))
 
@@ -289,11 +289,11 @@ class ExitPolicy:
         if seq.ndim != 1 or thr.shape != seq.shape or seq.size < 1:
             raise ShapeMismatch("seq_rates and thresholds must be equal-length vectors")
         if np.any(np.diff(seq) < 0.0) or seq.min() < 0.0 or seq.max() > 1.0:
-            raise ValueError("sequential rates must be non-decreasing within [0, 1]")
+            raise InvalidSpec("sequential rates must be non-decreasing within [0, 1]")
         if seq[-1] != 1.0:
-            raise ValueError("the final sequential rate must be exactly 1")
+            raise InvalidSpec("the final sequential rate must be exactly 1")
         if np.any(np.isnan(thr)):
-            raise ValueError("thresholds must not be NaN")
+            raise InvalidSpec("thresholds must not be NaN")
         _set(self, "seq_rates", _frozen(seq))
         _set(self, "thresholds", _frozen(thr))
         _set(self, "score_kind", str(self.score_kind))
@@ -301,7 +301,7 @@ class ExitPolicy:
         _set(self, "seed", _integer(self.seed, "seed"))
         n = _integer(self.calibration_size, "calibration size")
         if n < 1:
-            raise ValueError("calibration size must be >= 1")
+            raise InvalidSpec("calibration size must be >= 1")
         _set(self, "calibration_size", n)
 
     @property
@@ -333,12 +333,12 @@ class BatchResult:
         if not (exits.shape == preds.shape == cost.shape) or exits.ndim != 1:
             raise ShapeMismatch("exits, predictions and costs must be aligned vectors")
         if exits.size and (exits.min() < 1 or preds.min() < 1):
-            raise ValueError("exits and predictions are 1-based indices")
+            raise InvalidSpec("exits and predictions are 1-based indices")
         props = np.asarray(self.exit_proportions, dtype=np.float64)
         if props.min() < -SIMPLEX_TOL or abs(props.sum() - 1.0) > SIMPLEX_TOL:
             raise NotOnSimplex("exit proportions must lie on the simplex")
         if abs(float(self.consumed_budget) - cost.sum()) > 1e-6 * max(1.0, cost.sum()):
-            raise ValueError("consumed budget must equal the summed per-instance cost")
+            raise InvalidSpec("consumed budget must equal the summed per-instance cost")
         _set(self, "exits", _frozen(exits, dtype=np.int64))
         _set(self, "predictions", _frozen(preds, dtype=np.int64))
         _set(self, "per_instance_cost", _frozen(cost))
@@ -347,7 +347,7 @@ class BatchResult:
         if self.accuracy is not None:
             a = float(self.accuracy)
             if not (0.0 <= a <= 1.0):
-                raise ValueError(f"accuracy must lie in [0, 1], got {a}")
+                raise InvalidSpec(f"accuracy must lie in [0, 1], got {a}")
             _set(self, "accuracy", a)
 
     @property

@@ -14,22 +14,24 @@ One cascade kernel, `_route`, does all routing, and its work follows the
 same cost model: head l is jittered and scored only on the instances
 still alive after heads 1..l-1, argmax predictions are taken only for
 the instances that leave at head l, and the final head, which takes
-every survivor, is neither jittered nor scored.  On a window of at
-least `scoring._NARROW` rows under a `max_prob` or `breaking_ties`
-policy, each head is one `_head_step`, which takes the alive rows a
-block at a time: it gathers a block once, scores it raw, hashes jitter
-only for the rows whose raw score lies within the jitter band of the
-threshold (a margin of 2 jitter widths plus a few ulp, more than jitter
-can move such a score), predicts the leaving rows from the same block
-and writes the survivors out for the next head.  Its decisions are the
-same bits as thresholding `scoring.score_rows`, the kernel that
-calibration and the sweep score with, which `neg_entropy` policies and
-narrower windows, such as one-instance windows, call directly.
-`classify_batch` runs the kernel once over the whole bank;
-`iter_classify` runs it over one-instance windows so each decision is
-ready as soon as its own heads are scored.  Jitter is counter-based,
-keyed by instance and head, so any window of the bank gets
-bit-identical decisions.
+every survivor, is neither jittered nor scored.  `_route` is the only
+walk over heads, and each head is one `_head_step` for every window and
+every score kind.  The step takes the alive rows a block at a time,
+decides them, predicts the leaving rows and writes the survivors out
+for the next head.  A row's decision is the same bits as thresholding
+`scoring.score_rows`, the kernel that calibration and the sweep score
+with.  On a window of at least `scoring._NARROW` rows under a
+`max_prob` or `breaking_ties` policy, the step first scores a gathered
+block raw and hashes jitter only for the rows whose raw score lies
+within the jitter band of the threshold (a margin of 2 jitter widths
+plus a few ulp, more than jitter can move such a score).  Otherwise,
+under `neg_entropy` or on a narrower window such as a one-instance
+window, every alive row counts as in the band and goes straight to
+`score_rows`.  `classify_batch` runs the kernel once over the whole
+bank; `iter_classify` runs it over one-instance windows so each
+decision is ready as soon as its own heads are scored.  Jitter is
+counter-based, keyed by instance and head, so any window of the bank
+gets bit-identical decisions.
 
 A sweep routes one bank through many policies that share a scoring
 configuration.  It scores every head of every instance once
@@ -72,40 +74,10 @@ def _route(
     """Cascade rows [lo, hi) of a bank through the policy.
 
     Returns the 0-based exit head and 0-based prediction of each row.
-    `alive` holds the bank rows that no head has classified yet; the
-    walk stops as soon as it is empty.  Windows of at least `_NARROW`
-    rows under `max_prob` or `breaking_ties` go to `_route_blocks`.
-    """
-    if hi - lo >= _NARROW and spec.kind != "neg_entropy":
-        return _route_blocks(bank, policy, spec, lo, hi)
-    last = bank.num_heads - 1
-    exits = np.full(hi - lo, last, dtype=np.int64)
-    preds = np.empty(hi - lo, dtype=np.int64)
-    alive = np.arange(lo, hi)
-    for head in range(last):
-        probs = bank.heads[head].probs
-        threshold = policy.thresholds[head]
-        leave = score_rows(probs, alive, TEST_KEY_BASE + alive, head, spec) >= threshold
-        out = alive[leave]
-        if out.size:
-            exits[out - lo] = head
-            preds[out - lo] = predict_matrix(probs[out])
-            alive = alive[~leave]
-            if alive.size == 0:
-                return exits, preds
-    # the final head takes whatever remains, unscored
-    preds[alive - lo] = predict_matrix(bank.heads[last].probs[alive])
-    return exits, preds
-
-
-def _route_blocks(
-    bank: HeadBank, policy: ExitPolicy, spec: ScoreSpec, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """`_route` on a wide window under `max_prob` or `breaking_ties`.
-
     The alive rows are kept as positions in the window, and each head
-    decides, predicts and splits them in one `_head_step`.  Survivors are
-    compacted into one buffer allocated per window.
+    decides, predicts and splits them in one `_head_step`; survivors are
+    compacted into one buffer allocated per window.  The walk stops as
+    soon as no row is alive.
     """
     n = hi - lo
     last = bank.num_heads - 1
@@ -123,7 +95,7 @@ def _route_blocks(
         if alive.size == 0:
             return exits, preds
     # the final head takes whatever remains, unscored
-    preds[alive] = predict_matrix(np.take(bank.heads[last].probs[lo:hi], alive, axis=0))
+    preds[alive] = predict_matrix(bank.heads[last].probs[lo:hi].take(alive, axis=0))
     return exits, preds
 
 
@@ -139,25 +111,27 @@ def _head_step(
     preds: np.ndarray,
     survivors: np.ndarray,
 ) -> np.ndarray:
-    """Decide, predict and split rows `alive` of `probs` at `head`, block by block.
+    """Decide, predict and split rows `alive` of window `probs` at `head`, block by block.
 
     `alive` holds sorted row positions, and row i takes jitter key
     `key_base + i`; `whole` says that `alive` is every row in order.  A row
-    leaves when its `spec.kind` score (`max_prob` or `breaking_ties`) is
-    at or above `threshold`, exactly as thresholding `score_rows`
-    decides.  Each leaving row gets `exits[i] = head` and `preds[i]` its
-    argmax, and the survivors, in order, are returned as a prefix of
-    `survivors`, which may be the buffer that `alive` lies in.
+    leaves when its `spec.kind` score is at or above `threshold`, exactly
+    as thresholding `score_rows` decides.  Each leaving row gets
+    `exits[i] = head` and `preds[i]` its argmax, and the survivors, in
+    order, are returned as a prefix of `survivors`, which may be the
+    buffer that `alive` lies in.
 
-    Each block of at most `BLOCK` rows is gathered once (when `whole`, it
-    is a view of `probs`) and scored raw by `reduce_class_major`.  A row
-    whose raw score lies outside `threshold ± margin`, margin = 2u +
-    2**-48 (1 + u) for jitter width u, is settled by it, and only the
-    rows in that band are scored again with jitter, through `score_rows`
-    and with keys built for them alone.  The leaving rows' argmax is then
-    taken from the same in-cache block.  On a few rows the raw pass costs
-    more than the hashing it saves, hence the `_NARROW` cut-off in
-    `_route`.
+    On a window of at least `_NARROW` rows under `max_prob` or
+    `breaking_ties`, each block of at most `BLOCK` alive rows is gathered
+    once (when `whole`, it is a view of `probs`) and scored raw by
+    `reduce_class_major`.  A row whose raw score lies outside `threshold
+    ± margin`, margin = 2u + 2**-48 (1 + u) for jitter width u, is
+    settled by it, and only the rows in that band are scored again with
+    jitter, through `score_rows` and with keys built for them alone.  The
+    leaving rows' argmax is then taken from the same in-cache block.  On
+    a few rows the raw pass costs more than the hashing it saves, and
+    `neg_entropy` has no proved margin, so otherwise every alive row
+    counts as in the band and goes straight to `score_rows`.
 
     Why the margin covers the jitter, with e = 2**-53 the unit roundoff
     and probability entries p in [0, 2] (rows are non-negative and sum
@@ -177,27 +151,37 @@ def _head_step(
     comparisons and settles no row.
     """
     threshold, u = float(threshold), spec.jitter_u
-    margin = 2.0 * u + 2.0**-48 * (1.0 + u)
-    top = math.nextafter(threshold + margin, math.inf)
-    bottom = math.nextafter(threshold - margin, -math.inf)
-    raw = np.empty(min(alive.size, BLOCK))
+    narrow = len(probs) < _NARROW
+    raw_pass = not narrow and spec.kind != "neg_entropy"
+    if raw_pass:
+        margin = 2.0 * u + 2.0**-48 * (1.0 + u)
+        top = math.nextafter(threshold + margin, math.inf)
+        bottom = math.nextafter(threshold - margin, -math.inf)
+        raw = np.empty(min(alive.size, BLOCK))
     kept = 0
     for start in range(0, alive.size, BLOCK):
         rows = alive[start : start + BLOCK]
-        m = rows.size
-        # np.take and np.compress copy rows several times faster than fancy indexing
-        block = probs[start : start + m] if whole else np.take(probs, rows, axis=0)
-        score = reduce_class_major(block.T, spec.kind, raw[:m])
-        leave = score >= top
-        band = np.flatnonzero(~(leave | (score < bottom)))
-        if band.size:
-            near = rows[band]
-            leave[band] = score_rows(probs, near, key_base + near, head, spec) >= threshold
-        out = np.compress(leave, rows)
+        if raw_pass:
+            m = rows.size
+            # the take and compress methods copy a block's rows several times
+            # faster than fancy or boolean indexing, and cost less per call
+            # than np.take and np.compress
+            block = probs[start : start + m] if whole else probs.take(rows, axis=0)
+            score = reduce_class_major(block.T, spec.kind, raw[:m])
+            leave = score >= top
+            band = np.flatnonzero(~(leave | (score < bottom)))
+            if band.size:
+                near = rows[band]
+                leave[band] = score_rows(probs, near, key_base + near, head, spec) >= threshold
+        else:
+            leave = score_rows(probs, rows, key_base + rows, head, spec) >= threshold
+        # on the few rows of a narrow window, boolean indexing is the cheaper call
+        out = rows[leave] if narrow else rows.compress(leave)
         if out.size:
             exits[out] = head
-            preds[out] = predict_matrix(np.compress(leave, block, axis=0))
-            rows = np.compress(~leave, rows)
+            leaving = block.compress(leave, axis=0) if raw_pass else probs.take(out, axis=0)
+            preds[out] = predict_matrix(leaving)
+            rows = rows[~leave] if narrow else rows.compress(~leave)
         # survivors never overtake the block being read, so they compact in place
         survivors[kept : kept + rows.size] = rows
         kept += rows.size

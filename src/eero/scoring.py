@@ -21,15 +21,17 @@ and reduced in cache-sized buffers, so the n x K jittered matrix is
 never built.  Because jitter is counter-based, the scores do not depend
 on the block size.
 
-Routing needs only whether a score clears a threshold.  Jitter moves a
-`max_prob` or `breaking_ties` score by at most the jitter width plus
-rounding, so on a wide window `inference` scores the alive rows raw
+Routing needs only whether a score clears a threshold, and each head of
+its one loop is an `inference._head_step`.  Jitter moves a `max_prob` or
+`breaking_ties` score by at most the jitter width plus rounding, so on a
+window of at least `_NARROW` rows the step scores the alive rows raw
 (`reduce_class_major`), settles every row whose raw score lies outside a
 margin of 2 widths (plus a few ulp) around the threshold, and re-scores
 only the rows in that band through `score_rows`; the docstring of
-`inference._head_step` proves that the margin covers the jitter.
-Calibration and `score_bank` still score every row exactly, because
-thresholds are read off those scores.
+`inference._head_step` proves that the margin covers the jitter.  Under
+`neg_entropy`, and on narrower windows, every alive row goes to
+`score_rows`.  Calibration and `score_bank` still score every row
+exactly, because thresholds are read off those scores.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ BLOCK = 4096
 # blocks narrower than this hash their keys in Python ints and reduce row-major
 # through `score_matrix`: on a handful of rows numpy's per-call overhead is
 # the cost, and this skips the ten calls of an array key hash and, for
-# breaking_ties, the 3K - 3 calls of the running top-2
+# breaking_ties, the 3K - 3 calls of the running top-2; for the same reason,
+# routing windows narrower than this skip the raw pass of `inference._head_step`
 _NARROW = 16
 
 
@@ -153,7 +156,7 @@ def score_rows(
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
         m = hi - lo
-        block = probs[rows[lo:hi]]
+        block = probs.take(rows[lo:hi], axis=0)
         narrow = m < _NARROW
         row_major = narrow or spec.kind == "neg_entropy"
         if spec.jitter_u:

@@ -245,3 +245,45 @@ def test_batch_result_invariants():
             exit_proportions=np.array([0.5, 0.4]),
             accuracy=None,
         )
+
+
+_VALID = {
+    HeadSlice: dict(probs=np.array([[0.5, 0.5]]), budget_gflops=1.0, risk=0.2),
+    AllocationResult: dict(
+        epsilons=np.array([0.8, 0.2]), multiplier=0.0, expected_budget=1.2,
+        kl_to_prior=0.1, saturated=False,
+    ),
+    ExitPolicy: dict(
+        score_kind="breaking_ties", jitter_u=1e-5, seed=0, seq_rates=np.array([0.5, 1.0]),
+        thresholds=np.array([0.25, -np.inf]), calibration_size=10,
+    ),
+    BatchResult: dict(
+        exits=np.array([1, 2, 1]), predictions=np.array([1, 2, 2]),
+        per_instance_cost=np.array([1.0, 2.0, 1.0]), consumed_budget=4.0,
+        exit_proportions=np.array([2 / 3, 1 / 3]), accuracy=0.5,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "cls, bad",
+    [
+        (HeadSlice, dict(risk=1.5)),
+        (AllocationResult, dict(multiplier=-1.0)),
+        (AllocationResult, dict(multiplier=1.0)),  # contradicts saturated=False
+        (AllocationResult, dict(kl_to_prior=-1.0)),
+        (ExitPolicy, dict(seq_rates=np.array([0.7, 0.5, 1.0]), thresholds=np.zeros(3))),
+        (ExitPolicy, dict(seq_rates=np.array([0.5, 0.9]))),
+        (ExitPolicy, dict(thresholds=np.array([np.nan, -np.inf]))),
+        (ExitPolicy, dict(calibration_size=0)),
+        (BatchResult, dict(exits=np.array([0, 2, 1]))),
+        (BatchResult, dict(consumed_budget=9.0)),
+        (BatchResult, dict(accuracy=1.5)),
+    ],
+)
+def test_value_type_invariants_raise_invalid_spec(cls, bad):
+    # each invariant fails with the documented error class, which is still a
+    # ValueError; the valid record itself constructs
+    cls(**_VALID[cls])
+    with pytest.raises(InvalidSpec):
+        cls(**{**_VALID[cls], **bad})

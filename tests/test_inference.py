@@ -16,6 +16,7 @@ from eero.io import compute_risks
 from eero import inference
 from eero.inference import classify_batch, first_exceed, iter_classify, measure_budget
 from eero.scoring import (
+    _NARROW,
     BLOCK,
     CALIBRATION_KEY_BASE,
     SCORE_KINDS,
@@ -335,13 +336,14 @@ def test_each_head_scores_only_rows_that_reach_it(rng, monkeypatch):
         assert near.size > 0
         assert jittered[head] == (head, near.tolist(), (TEST_KEY_BASE + near).tolist())
     assert len(jittered) == m - 1
-    # one-row windows hash every row they score, with the same keys as before
+    # one-row windows hash every row they score, with the same keys as before;
+    # the row is its position in the window
     raw_blocks.clear()
     jittered.clear()
     assert [r[0] for r in iter_classify(bank, wide)] == res.exits.tolist()
     assert raw_blocks == []
     assert jittered == [
-        (head, [i], [TEST_KEY_BASE + i])
+        (head, [0], [TEST_KEY_BASE + i])
         for i in range(n)
         for head in range(min(res.exits[i], m - 1))
     ]
@@ -432,16 +434,20 @@ def _assert_windows_route_as_cached_scores(bank, policy, windows):
     return exits
 
 
-@pytest.mark.parametrize("kind", ["max_prob", "breaking_ties"])
+@pytest.mark.parametrize("kind", SCORE_KINDS)
 def test_offset_windows_across_block_edges_route_as_cached_scores(rng, kind):
-    # windows that start past row 0 and straddle block edges; the jitter is
-    # wide enough that every head re-scores many band rows, keyed by bank row
+    # windows that start past row 0 and straddle block edges, and two offset
+    # windows on either side of the raw pass's cut-off; the jitter is wide
+    # enough that every head re-scores many band rows, keyed by bank row
     n = 2 * BLOCK + 100
     bank = random_bank(rng, n=n, m=3, k=4, budgets=[1.0, 2.0, 4.0])
     spec = ScoreSpec(kind=kind, jitter_u=0.05, seed=9)
     thresholds = _mid_thresholds(bank, spec, [0.6, 0.5])
     policy = _policy(thresholds, seq_rates=[0.4, 0.7, 1.0], kind=kind, jitter=0.05, seed=9)
-    windows = [(0, n), (1, BLOCK + 1), (BLOCK - 5, 2 * BLOCK + 7), (BLOCK + 3, n)]
+    windows = [
+        (0, n), (1, BLOCK + 1), (BLOCK - 5, 2 * BLOCK + 7), (BLOCK + 3, n),
+        (5, 5 + _NARROW - 1), (5, 5 + _NARROW),
+    ]
     exits = _assert_windows_route_as_cached_scores(bank, policy, windows)
     assert np.bincount(exits, minlength=3).min() > 0
 
