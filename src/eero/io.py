@@ -28,6 +28,13 @@ in, and deleting `.eero_cache/` is always safe.  `write_dataset` seeds
 the entry of each CSV it writes from the table it wrote, so the first
 read after it parses nothing.
 
+`load_manifest` reads each CSV's bytes one file ahead and hashes them
+on a helper thread while it checks and decodes the file before, so at
+most two files' bytes are held at once; a process that may use one CPU
+only hashes them inline.  Outputs and errors are those of reading one file
+at a time: a file that cannot be read ahead is read again, and its
+error raised, on its turn.
+
 All writers are deterministic (stable field order, floats rendered with
 17 significant digits, which round-trips IEEE doubles exactly) and
 atomic (temp file then rename), so partially written files never
@@ -43,9 +50,10 @@ import json
 import math
 import os
 import struct
+import threading
 import warnings
 import zlib
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from functools import partial
 from io import BytesIO, TextIOWrapper
@@ -228,11 +236,11 @@ class _CsvSource:
     when the directory cannot be written.
     """
 
-    def __init__(self, path, raw: bytes | None = None):
-        """`raw` is the file's bytes when the caller has them, else they are read."""
+    def __init__(self, path, raw: bytes | None = None, key: bytes | None = None):
+        """`raw` is the file's bytes and `key` their SHA-256 when the caller has them."""
         self.path = Path(path)
         self.raw = self.path.read_bytes() if raw is None else raw
-        self.key = hashlib.sha256(self.raw).digest()
+        self.key = hashlib.sha256(self.raw).digest() if key is None else key
         self.entry = self.path.parent / CACHE_DIR / (self.path.name + ".table")
 
     @contextmanager
@@ -432,16 +440,17 @@ def _parse_label(cells: list[str], num_classes: int) -> int:
     return lab - 1
 
 
-def read_probs_csv(path) -> tuple[np.ndarray, np.ndarray]:
+def read_probs_csv(path, source: _CsvSource | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Parse one head's probability rows; returns (ids, probs).
 
     Enforces the exact header, rectangular float rows and strictly
     increasing instance ids.  Raises ParseError with file/row/column
     context on the first violation.  The table comes from the parse
     cache when it holds these bytes; the id check runs either way, and
-    only a table that passes it is cached.
+    only a table that passes it is cached.  `source` is the file as
+    already read, when the caller has it.
     """
-    src = _CsvSource(path)
+    src = _CsvSource(path) if source is None else source
     table = src.cached(np.float64)
     fresh = table is None
     if fresh:
@@ -460,14 +469,17 @@ def read_probs_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
-def read_labels_csv(path, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+def read_labels_csv(
+    path, num_classes: int, source: _CsvSource | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Parse labels; returns (ids, labels) with labels shifted to 0-based.
 
     The parse cache holds the labels as written, so the range check
     against `num_classes` runs on every read; a label outside it is
-    reported by the row loop with its row and column.
+    reported by the row loop with its row and column.  `source` is the
+    file as already read, when the caller has it.
     """
-    src = _CsvSource(path)
+    src = _CsvSource(path) if source is None else source
     table = src.cached(np.int64)
     fresh = table is None
     if fresh:
@@ -484,6 +496,64 @@ def read_labels_csv(path, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
     labels = np.asarray(labels, dtype=np.int64)
     src.store(ids, labels[:, None] + 1)
     return ids, labels
+
+
+class _ReadAhead:
+    """The `_CsvSource` of each of a list of files in turn, read and hashed one file ahead.
+
+    Taking file i reads file i+1's bytes and queues them for a helper
+    thread to hash, so SHA-256, which releases the GIL, runs while the
+    caller decodes file i; at most two files' bytes are held.  The helper
+    only hashes, so no large buffer lands in a second thread's malloc
+    arena.  A process that may run on one CPU has no helper, and the same
+    loop hashes inline.  A file that cannot be read ahead is taken as
+    None and read again by its reader on its turn, so no later file's
+    error comes first.  `close` stops the helper.
+    """
+
+    def __init__(self, paths):
+        # imported on first use, so that importing eero does not load queue
+        from queue import SimpleQueue
+
+        self._paths = iter(paths)
+        self._keys = SimpleQueue()
+        self._helper = None
+        self._submit = self._hash
+        # the affinity mask, where the OS has one, says how many CPUs this process may use
+        affinity = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
+        if len(affinity(0)) > 1:
+            jobs = SimpleQueue()
+            self._helper = threading.Thread(target=self._hash_each, args=(jobs,), daemon=True)
+            self._helper.start()
+            self._submit = jobs.put
+        self._ahead = self._read(next(self._paths, None))
+
+    def _hash(self, raw: bytes) -> None:
+        self._keys.put(hashlib.sha256(raw).digest())
+
+    def _hash_each(self, jobs) -> None:
+        for raw in iter(jobs.get, None):
+            self._hash(raw)
+
+    def _read(self, path) -> tuple | None:
+        if path is None:
+            return None
+        try:
+            raw = path.read_bytes()
+        except OSError:
+            return path, None
+        self._submit(raw)
+        return path, raw
+
+    def take(self) -> tuple[Path, _CsvSource | None]:
+        """The next file's path and source; the source is None if the file could not be read."""
+        (path, raw), self._ahead = self._ahead, self._read(next(self._paths, None))
+        return path, None if raw is None else _CsvSource(path, raw, self._keys.get())
+
+    def close(self) -> None:
+        if self._helper is not None:
+            self._submit(None)
+            self._helper.join()
 
 
 # ---------------------------------------------------------------------------
@@ -536,14 +606,19 @@ def load_manifest(path, splits=SPLIT_NAMES) -> Dataset:
                 file=str(path),
             )
         entries[name] = heads, labels_csv
-    return Dataset(
-        num_classes=k,
-        splits={
-            name: _read_split(path, name, heads, labels_csv, k)
-            for name, (heads, labels_csv) in entries.items()
-            if name in splits
-        },
-    )
+    wanted = {name: entry for name, entry in entries.items() if name in splits}
+    files = []  # every CSV in the order _read_split takes them
+    for heads, labels_csv in wanted.values():
+        files += [path.parent / probs_csv for probs_csv, _, _ in heads]
+        files += [path.parent / labels_csv] if labels_csv else []
+    with closing(_ReadAhead(files)) as sources:
+        return Dataset(
+            num_classes=k,
+            splits={
+                name: _read_split(path, name, heads, labels_csv, k, sources.take)
+                for name, (heads, labels_csv) in wanted.items()
+            },
+        )
 
 
 def _split_entry(entry, name: str, path) -> tuple[list, str | None]:
@@ -580,13 +655,16 @@ def _split_entry(entry, name: str, path) -> tuple[list, str | None]:
     return heads, labels_csv
 
 
-def _read_split(path, name: str, heads: list, labels_csv: str | None, k: int) -> Split:
-    """Read one split's CSVs, named relative to the manifest at `path`."""
-    base = path.parent
+def _read_split(path, name: str, heads: list, labels_csv: str | None, k: int, take) -> Split:
+    """Read one split's CSVs, named relative to the manifest at `path`.
+
+    `take()` gives each file's path and `_CsvSource`, or None for its
+    reader to read it: heads in order, then the labels.
+    """
     slices = []
     split_ids: np.ndarray | None = None
     for probs_csv, budget, risk in heads:
-        ids, probs = read_probs_csv(base / probs_csv)
+        ids, probs = read_probs_csv(*take())
         if probs.shape[1] != k:
             raise ParseError(
                 f"{probs_csv} has {probs.shape[1]} classes, manifest declares {k}",
@@ -601,7 +679,8 @@ def _read_split(path, name: str, heads: list, labels_csv: str | None, k: int) ->
         slices.append(HeadSlice(probs=probs, budget_gflops=budget, risk=risk))
     labels = None
     if labels_csv:
-        lab_ids, labels = read_labels_csv(base / labels_csv, k)
+        csv_path, source = take()
+        lab_ids, labels = read_labels_csv(csv_path, k, source)
         if not np.array_equal(lab_ids, split_ids):
             raise ParseError(
                 f"label ids of split {name!r} do not match its probs ids", file=str(path)

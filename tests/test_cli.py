@@ -713,11 +713,12 @@ def test_cli_outputs_keep_their_bytes(tmp_path, name):
 
 
 # run in a fresh interpreter: imports eero, runs every command but synth on
-# the tiny set, then generates a small set and prints a digest of its arrays
+# the tiny set, then generates a small set and prints a digest of its arrays;
+# importing eero loads neither scipy nor the thread queues load_manifest uses
 _WITHOUT_SCIPY = """
 import dataclasses, hashlib, sys
 import eero, eero.cli
-assert "scipy" not in sys.modules, "import eero"
+assert not {"scipy", "queue", "concurrent.futures"} & sys.modules.keys(), "import eero"
 data, out = sys.argv[1], sys.argv[2]
 for argv in (
     ["calibrate", "--data", data, "--budget", "12", "--out", out + "/policy.json"],
@@ -805,6 +806,30 @@ def test_commands_that_read_train_fail_on_its_corrupt_file(dataset, tmp_path, ar
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "train_head_1.csv, row 2" in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "corrupt, missing, reported",
+    [(1, 2, "test_head_1.csv, row 2"), (2, 1, "No such file or directory")],
+    ids=["corrupt_then_missing", "missing_then_corrupt"],
+)
+def test_the_first_bad_file_is_reported_though_the_next_is_read_ahead(
+    dataset, tmp_path, monkeypatch, cpus, corrupt, missing, reported
+):
+    # load_manifest reads each file's bytes one file ahead (hashing them on a
+    # helper thread when it may use more than one CPU); the error is the one
+    # a load of one file at a time meets first
+    monkeypatch.setattr(eio.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    bad = tmp_path / "bad"
+    shutil.copytree(dataset, bad)
+    (bad / f"test_head_{corrupt}.csv").write_text("instance_id,p_1,p_2,p_3,p_4\n0,oops\n")
+    (bad / f"test_head_{missing}.csv").unlink()
+    rc, err = _run_quiet(["oracle", "--data", str(bad), "--budget", "800",
+                          "--out", str(tmp_path / "oracle.json")])
+    assert rc == 3, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert reported in err and "test_head_1.csv" in err and "test_head_2" not in err, err
 
 
 def test_infer_still_checks_budgets_of_splits_it_does_not_read(dataset, tmp_path):

@@ -11,13 +11,16 @@ read must return the same bits without parsing, or fail alike.
 """
 
 import gzip
+import hashlib
 import math
 import os
 import shutil
+import threading
 import warnings
 import zlib
 from contextlib import contextmanager
 from functools import partial
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -556,3 +559,107 @@ def test_write_dataset_with_an_unwritable_cache_dir_writes_no_entries(tmp_path):
     for name, split in eio.as_dataset(data).splits.items():
         heads = zip(loaded.split(name).bank.heads, split.bank.heads)
         _assert_bitwise(*zip(*((a.probs, b.probs) for a, b in heads)))
+
+
+# ---------------------------------------------------------------------------
+# load_manifest reads and hashes one file ahead
+
+
+def _written(out):
+    """A small three-split dataset written to `out`; returns its manifest path."""
+    return eio.write_dataset(generate(SynthSpec(
+        seed=2, num_classes=3, num_heads=3, head_accuracies=(0.6, 0.75, 0.9),
+        head_budgets=(1.0, 2.0, 4.0), confidence_sharpness=6.0, sizes=(30, 20, 40),
+    )), out)
+
+
+def _cpus(monkeypatch, n):
+    """Let io see `n` CPUs in this process's affinity mask."""
+    monkeypatch.setattr(eio.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["cold", "warm"])
+def test_the_helper_hashes_and_changes_no_bit(tmp_path, monkeypatch, cached):
+    manifest = _written(tmp_path / "data")
+    hashed_on = []
+
+    def sha256(raw):
+        hashed_on.append(threading.get_ident())
+        return hashlib.sha256(raw)
+
+    monkeypatch.setattr(eio, "hashlib", SimpleNamespace(sha256=sha256))
+    loads = {}
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        if not cached:
+            shutil.rmtree(manifest.parent / eio.CACHE_DIR, ignore_errors=True)
+        hashed_on.clear()
+        loads[cpus] = _arrays(eio.load_manifest(manifest))
+        # 11 files, three heads per split and the train and test labels, each
+        # hashed inline on one CPU and on the helper thread on more
+        helper = cpus > 1
+        assert len(hashed_on) == 11
+        assert all((ident != threading.get_ident()) == helper for ident in hashed_on)
+    _assert_bitwise(loads[1], loads[2])
+    assert len(loads[1]) == len(loads[2]) == 14  # and an id array per split
+
+
+def test_an_edited_file_and_a_stale_entry_are_parsed_again(tmp_path, monkeypatch):
+    _cpus(monkeypatch, 2)
+    manifest = _written(tmp_path / "data")
+    data = manifest.parent
+    before = eio.load_manifest(manifest)
+    # swap two cells of the first row of test head 2: same size, same mtime
+    edited = data / "test_head_2.csv"
+    stat = edited.stat()
+    header, row, rest = edited.read_text().split("\n", 2)
+    cells = row.split(",")
+    cells[1], cells[2] = cells[2], cells[1]
+    edited.write_text("\n".join([header, ",".join(cells), rest]))
+    os.utime(edited, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert edited.stat().st_size == stat.st_size
+    # and give calib head 2 the entry of calib head 1, its CRC intact
+    shutil.copyfile(_entry(data / "calib_head_1.csv"), _entry(data / "calib_head_2.csv"))
+    parsed = []
+    real = eio._load_table
+
+    def recording(src, *args):
+        parsed.append(src.path.name)
+        return real(src, *args)
+
+    monkeypatch.setattr(eio, "_load_table", recording)
+    after = eio.load_manifest(manifest)
+    assert parsed == ["calib_head_2.csv", "test_head_2.csv"]
+    expected = before.split("test").bank.heads[1].probs.copy()
+    expected[0, [0, 1]] = expected[0, [1, 0]]
+    _assert_bitwise([after.split("test").bank.heads[1].probs], [expected])
+
+    def others(ds):  # every array but the edited one, calib head 2's included
+        return [a for a in _arrays(ds) if a is not ds.split("test").bank.heads[1].probs]
+
+    _assert_bitwise(others(after), others(before))
+    assert len(others(after)) == 13
+    monkeypatch.undo()
+    with _no_parsing():  # both entries now hold the files' own tables
+        _assert_bitwise(_arrays(eio.load_manifest(manifest)), _arrays(after))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("fault", [None, "corrupt", "missing", "unsorted_labels"])
+def test_a_load_leaves_no_thread_behind(tmp_path, monkeypatch, cpus, fault):
+    _cpus(monkeypatch, cpus)
+    manifest = _written(tmp_path / "data")
+    data = manifest.parent
+    if fault == "corrupt":  # the first file: the helper is still hashing the next
+        (data / "train_head_1.csv").write_text("instance_id,p_1,p_2,p_3\n0,oops\n")
+    elif fault == "missing":
+        (data / "calib_head_2.csv").unlink()
+    elif fault == "unsorted_labels":  # the last file: nothing is left to hash
+        (data / "test_labels.csv").write_text("instance_id,label\n1,1\n0,2\n")
+    before = threading.active_count()
+    if fault is None:
+        eio.load_manifest(manifest)
+    else:
+        with pytest.raises((ParseError, FileNotFoundError)):
+            eio.load_manifest(manifest)
+    assert threading.active_count() == before
