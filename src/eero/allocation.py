@@ -24,14 +24,11 @@ and `solve_allocation` is its one-budget case.  The doubling steps are
 the same for every budget, so each multiplier 2**j is evaluated once.
 The bisection then runs in lockstep: each step takes every open
 budget's midpoint, exactly the midpoint a budget solved alone takes,
-and evaluates their Gibbs weights as one (B, M) array and their
-expected budgets as one (B, M) @ budgets product.  That product
-(BLAS gemv) and the one-budget `eps @ budgets` (ddot, which fuses
-multiply-adds) may differ in the last bit, so a budget whose batched
-value lies within a relative 4 M 2**-53 or so of its target is
-recomputed with the one-budget product before the step is decided
-(`_band`, which proves the bound).  Every budget therefore takes the same steps, and
-returns the same bits, as it does alone.
+and evaluates their Gibbs weights as one (B, M) array.  Each row's
+expected budget is its own vector dot with the head budgets
+(`_expected`), the kernel a one-budget `eps @ budgets` runs, so every
+budget takes the same steps, and returns the same bits, as it does
+alone.
 
 Everything is computed in log space so extreme risk/budget ratios or
 tiny temperatures cannot overflow.
@@ -168,31 +165,15 @@ def allocation_objective(problem: AllocationProblem, epsilons: np.ndarray) -> fl
     return float(eps @ problem.risks) + problem.beta * kl
 
 
-def _expected_budget(problem: AllocationProblem, mu: float) -> float:
-    return float(gibbs_epsilons(problem, mu) @ problem.budgets)
+def _expected(problem: AllocationProblem, eps: np.ndarray) -> np.ndarray:
+    """Expected budget of each row of eps, one vector dot per row.
 
-
-def _band(problem: AllocationProblem, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ends of the band around each target in which a batched expected budget is redone alone.
-
-    Outside [t - tol, t + tol], with tol = 4 M u t + M 2**-1070 for a
-    target t, u = 2**-53 and M heads, the batched product `eps @ budgets`
-    and the one-row product `eps[i] @ budgets` lie on the same side of t.
-
-    Proof: both sum the same M non-negative terms eps_l * b_l, in
-    different orders and with or without fused multiply-adds, so each
-    lies within g s + M 2**-1075 of the exact sum s, with
-    g = M u / (1 - M u) (the usual dot-product bound; the second term
-    covers products that underflow; M is far below 10**13).  As
-    s <= (e + M 2**-1075) / (1 - g) for the batched value e, the one-row
-    value lies within 2.01 M u e + 1.01 M 2**-1074 of e.  The ends are
-    taken one float past the rounded t +- tol, so they lie beyond
-    t +- (3.99 M u t + M 2**-1071).  Outside the band, e's distance to t
-    is larger than that bound, so the one-row value lies on e's side of t.
+    A stacked matmul of (1, M) rows runs, row by row, the dot that a
+    single `eps[i] @ budgets` runs, so a row's value does not depend on
+    the rows computed with it (a (B, M) @ budgets product may differ
+    from it in the last bit).
     """
-    m = problem.num_heads
-    tol = targets * (4.0 * m * 2.0**-53) + m * 2.0**-1070
-    return np.nextafter(targets - tol, -np.inf), np.nextafter(targets + tol, np.inf)
+    return np.matmul(eps[..., None, :], problem.budgets)[..., 0]
 
 
 def _bisect(problem: AllocationProblem, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,7 +182,7 @@ def _bisect(problem: AllocationProblem, targets: np.ndarray) -> tuple[np.ndarray
     lo, hi = np.zeros(targets.size), np.ones(targets.size)
     # doubling takes every budget through the same multipliers 1, 2, 4, ...
     top = 1.0
-    short = _expected_budget(problem, top) > targets
+    short = _expected(problem, gibbs_epsilons(problem, top)) > targets
     while short.any():
         if top >= _MU_MAX:
             raise InvalidSpec(
@@ -211,22 +192,15 @@ def _bisect(problem: AllocationProblem, targets: np.ndarray) -> tuple[np.ndarray
         lo[short] = top
         top *= 2.0
         hi[short] = top
-        short &= _expected_budget(problem, top) > targets
-    # lo misses the budget and hi meets it; halve until they are adjacent floats.
-    # A step is decided by each midpoint's expected budget, batched, and redone
-    # alone where the batched value is too close to the target to tell (`_band`)
-    below, above = _band(problem, targets)
+        short &= _expected(problem, gibbs_epsilons(problem, top)) > targets
+    # lo misses the budget and hi meets it; halve until they are adjacent floats
     while True:
         mid = 0.5 * (lo + hi)
         live = ((lo < mid) & (mid < hi)).nonzero()[0]
         if live.size == 0:
             break
         at = mid[live]
-        eps = _gibbs(problem, risks + at[:, None] * budgets)
-        expected = eps @ budgets
-        over = expected > above[live]
-        for i in (~over & (expected >= below[live])).nonzero()[0]:
-            over[i] = eps[i] @ budgets > targets[live[i]]
+        over = _expected(problem, _gibbs(problem, risks + at[:, None] * budgets)) > targets[live]
         lo[live[over]] = at[over]
         hi[live[~over]] = at[~over]
     return _gibbs(problem, risks + hi[:, None] * budgets), hi
@@ -238,7 +212,7 @@ def _result(problem: AllocationProblem, eps: np.ndarray, mu: float) -> Allocatio
     return AllocationResult(
         epsilons=eps,
         multiplier=mu,
-        expected_budget=float(eps @ problem.budgets),
+        expected_budget=float(_expected(problem, eps)),
         kl_to_prior=max(0.0, kl),
         saturated=mu > 0.0,
     )
@@ -275,7 +249,7 @@ def solve_allocations(problem: AllocationProblem, mean_budgets) -> tuple[np.ndar
         eps[point] = _gibbs(problem, np.where(fits, problem.risks, np.inf))
         mu[point] = np.inf
     eps0 = gibbs_epsilons(problem, 0.0)
-    bind = ~point & (float(eps0 @ budgets) > targets)
+    bind = ~point & (_expected(problem, eps0) > targets)
     eps[~point & ~bind] = eps0
     if bind.any():
         eps[bind], mu[bind] = _bisect(problem, targets[bind])

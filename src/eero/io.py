@@ -71,7 +71,7 @@ from .domain import (
     HeadSlice,
     within_budget,
 )
-from .errors import MissingLabels, ParseError, ShapeMismatch
+from .errors import InvalidSpec, MissingLabels, ParseError, ShapeMismatch
 from .inference import BudgetReport
 from .oracle import OracleResult, build_correctness
 from .scoring import ScoreSpec
@@ -645,13 +645,11 @@ def _split_entry(entry, name: str, path) -> tuple[list, str | None]:
                 raise ParseError(
                     f"risk of {where} must lie in [0, 1], got {risk}", file=str(path)
                 )
-        heads.append((meta["probs_csv"], budget, risk))
+        probs_csv = _manifest_file(meta["probs_csv"], f"probs_csv of {where}", path)
+        heads.append((probs_csv, budget, risk))
     labels_csv = entry.get("labels_csv")
-    if labels_csv is not None and not isinstance(labels_csv, str):
-        raise ParseError(
-            f"labels_csv of split {name!r} must be a file name, got {labels_csv!r}",
-            file=str(path),
-        )
+    if labels_csv is not None:
+        _manifest_file(labels_csv, f"labels_csv of split {name!r}", path)
     return heads, labels_csv
 
 
@@ -696,6 +694,19 @@ def _manifest_number(value, what: str, path) -> float:
     if not math.isfinite(number):
         raise ParseError(f"{what} must be a finite number, got {value!r}", file=str(path))
     return number
+
+
+def _manifest_file(value, what: str, path) -> str:
+    """A file name from the manifest, checked to be one the OS can open."""
+    try:  # a NUL byte or a lone surrogate cannot reach the OS
+        ok = isinstance(value, str) and b"\0" not in os.fsencode(value)
+    except UnicodeEncodeError:
+        ok = False
+    if not ok:
+        raise ParseError(
+            f"{what} must be a file name the OS can open, got {value!r}", file=str(path)
+        )
+    return value
 
 
 def write_dataset(data, out_dir) -> Path:
@@ -829,7 +840,13 @@ def budget_from_dict(doc: dict) -> BudgetSpec:
     """
     if not isinstance(doc, dict) or not {"total_budget", "batch_size"} <= doc.keys():
         raise ValueError("budget_spec needs total_budget and batch_size")
-    return BudgetSpec(total_budget=doc["total_budget"], batch_size=doc["batch_size"])
+    budget = BudgetSpec(total_budget=doc["total_budget"], batch_size=doc["batch_size"])
+    if not budget.mean_budget > 0.0:  # no policy is fitted for a per-instance budget of 0
+        raise InvalidSpec(
+            f"total budget {budget.total_budget!r} is 0 per instance "
+            f"over a batch of {budget.batch_size}"
+        )
+    return budget
 
 
 def save_policy(

@@ -462,9 +462,9 @@ def test_lockstep_solver_equals_one_budget_bisection(m, seed, beta, flat_prior, 
 
 
 def test_lockstep_solver_equals_one_budget_bisection_on_many_budgets():
-    # binding budgets by the thousand: the batched and the one-row expected
-    # budgets differ in the last bit often enough here that a band too
-    # narrow to cover that difference changes some multipliers
+    # binding budgets by the thousand: a (B, M) @ budgets product differs from
+    # the one-row `eps @ budgets` in the last bit often enough here that a
+    # solver using it for the expected budgets changes some multipliers
     for seed in range(100):
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 13))

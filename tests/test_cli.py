@@ -14,6 +14,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -450,7 +451,7 @@ def test_help_lists_flags(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, risk, code",
+    "argv, edit, code",
     [
         (["oracle", "--budget", "-3"], None, 2),
         (["sweep", "--budgets", "500,800", "--jitter", "-1"], None, 2),
@@ -471,13 +472,17 @@ def test_help_lists_flags(capsys):
         (["sweep", "--budgets", "10,800", "--score", "neg_entropy", "--jitter", "1e308"], None, 4),
         (["sweep", "--budgets", "1,x"], None, 2),
         (["sweep", "--budgets", ","], None, 2),
+        # file names the OS cannot open, on the first file a load reads
+        (["calibrate", "--budget", "800"], {"probs_csv": "head\x00.csv"}, 3),
+        (["calibrate", "--budget", "800"], {"probs_csv": "\ud800.csv"}, 3),
     ],
 )
-def test_invalid_input_exits_with_one_line_error(dataset, tmp_path, capsys, argv, risk, code):
-    if risk is not None:  # a manifest risk outside [0, 1] or not a number
+def test_invalid_input_exits_with_one_line_error(dataset, tmp_path, capsys, argv, edit, code):
+    if edit is not None:  # to head 1 of the train split; a bare value is its risk
         manifest = dataset / "manifest.json"
         doc = json.loads(manifest.read_text())
-        doc["splits"]["train"]["heads"][0]["risk"] = risk
+        head = doc["splits"]["train"]["heads"][0]
+        head.update(edit if isinstance(edit, dict) else {"risk": edit})
         manifest.write_text(json.dumps(doc))
     capsys.readouterr()
     rc = main(argv[:1] + ["--data", str(dataset), "--out", str(tmp_path / "out")] + argv[1:])
@@ -507,6 +512,9 @@ FILE_FAULTS = {
     "budget_batch_size_x": ("policy", ["budget_spec", "batch_size"], '"x"', "'x'"),
     "budget_list": ("policy", ["budget_spec"], "[12.0, 6]", "total_budget"),
     "budget_negative": ("policy", ["budget_spec", "total_budget"], "-12.0", "total budget"),
+    "budget_subnormal": (
+        "policy", ["budget_spec", "total_budget"], "5e-324", "is 0 per instance over a batch of 6"
+    ),
     "seed_infinity": ("policy", ["seed"], "Infinity", "not a policy document"),
     "seed_1e400": ("policy", ["seed"], "1e400", "not a policy document"),
     "size_infinity": ("policy", ["calibration_size"], "Infinity", "not a policy document"),
@@ -913,6 +921,97 @@ def test_fuzz_numeric_flags_end_in_documented_exit_codes(
             rc, err = _run_quiet(["infer", *data, "--policy", policy,
                                   "--out", str(tmp_path / "r.json")])
             assert rc == 0, (err, (tmp_path / "p.json").read_text())
+
+
+# values for the fields of a manifest or policy document: numbers that are
+# non-finite (json writes NaN and Infinity), huge or past 64 bits; file names
+# the OS cannot open or that name no file; and values of any JSON type
+JSON_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.integers(-3, 3),
+    st.sampled_from([1e308, -1e308, 5e-324, 2**63, -(2**70), 10**400]),
+)
+FILE_NAMES = st.sampled_from(
+    ["a\x00.csv", "\ud800.csv", "\udc80.csv", "", ".", "x" * 300, "nope.csv"]
+)
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), JSON_NUMBERS, st.text(max_size=3), FILE_NAMES,
+    st.lists(st.integers(0, 3), max_size=3), st.dictionaries(st.text(max_size=2), st.none()),
+)
+
+
+def _fields(node, path=()):
+    """(key path, value) of every field of a JSON tree, with a head's
+    optional risk and a split's optional labels_csv as None where absent."""
+    items = list(node.items() if isinstance(node, dict) else enumerate(node))
+    if isinstance(node, dict) and "probs_csv" in node and "risk" not in node:
+        items.append(("risk", None))
+    if isinstance(node, dict) and "heads" in node and "labels_csv" not in node:
+        items.append(("labels_csv", None))
+    for key, value in items:
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _fields(value, path + (key,))
+
+
+# edit kind -> (which fields it may pick, given key and value; the values it
+# sets there, or None to delete the field)
+EDITS = {
+    "file name": (lambda key, value: str(key).endswith("_csv"), FILE_NAMES),
+    "number": (lambda key, value: key == "risk" or type(value) in (int, float), JSON_NUMBERS),
+    "any": (lambda key, value: True, JSON_VALUES),
+    "delete": (lambda key, value: True, None),
+}
+
+
+def _fuzzed(doc, draw):
+    """A copy of a JSON document with one to three of its fields edited."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 3), label="edits")):
+        picks, values = EDITS[draw(st.sampled_from(sorted(EDITS)), label="kind")]
+        fields = [path for path, value in _fields(doc) if picks(path[-1], value)]
+        if not fields:
+            continue
+        *up, key = draw(st.sampled_from(fields), label="field")
+        node = doc
+        for k in up:
+            node = node[k]
+        if values is not None:
+            node[key] = draw(values, label="value")
+        elif isinstance(node, dict):
+            node.pop(key, None)
+        else:
+            del node[key]
+    return doc
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), target=st.sampled_from(["manifest", "policy"]))
+def test_fuzz_manifest_and_policy_documents_end_in_documented_exit_codes(tmp_path, data, target):
+    # hypothesis reuses tmp_path across examples: copy the set and fit its policy once
+    good = tmp_path / "good"
+    if not good.exists():
+        shutil.copytree(TINY, good, ignore=shutil.ignore_patterns(eio.CACHE_DIR))
+        assert main(["calibrate", "--data", str(good), "--budget", "12",
+                     "--out", str(good / "policy.json")]) == 0
+    manifest = json.loads((good / "manifest.json").read_text())
+    policy = json.loads((good / "policy.json").read_text())
+    if target == "manifest":
+        manifest = _fuzzed(manifest, data.draw)
+    else:
+        policy = _fuzzed(policy, data.draw)
+    (good / "fuzzed.json").write_text(json.dumps(manifest))
+    (tmp_path / "policy.json").write_text(json.dumps(policy))
+    fuzzed = str(good / "fuzzed.json")
+    runs = [["infer", "--data", fuzzed, "--policy", str(tmp_path / "policy.json")]]
+    if target == "manifest":
+        runs.append(["calibrate", "--data", fuzzed, "--budget", "12"])
+    for argv in runs:
+        before = threading.active_count()
+        rc, err = _run_quiet([*argv, "--out", str(tmp_path / "out.json")])
+        assert rc in (0, 2, 3, 4, 5), (argv, rc, err)
+        if rc != 0:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert threading.active_count() == before, argv
 
 
 @pytest.mark.parametrize("budget, code", [("5.9999999994", 4), ("6", 0)])

@@ -12,6 +12,7 @@ read must return the same bits without parsing, or fail alike.
 
 import gzip
 import hashlib
+import json
 import math
 import os
 import shutil
@@ -645,12 +646,19 @@ def test_an_edited_file_and_a_stale_entry_are_parsed_again(tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("fault", [None, "corrupt", "missing", "unsorted_labels"])
+@pytest.mark.parametrize(
+    "fault", [None, "corrupt", "missing", "unsorted_labels", "nul_name", "surrogate_name"]
+)
 def test_a_load_leaves_no_thread_behind(tmp_path, monkeypatch, cpus, fault):
     _cpus(monkeypatch, cpus)
     manifest = _written(tmp_path / "data")
     data = manifest.parent
-    if fault == "corrupt":  # the first file: the helper is still hashing the next
+    if fault in ("nul_name", "surrogate_name"):  # the first file's name: nothing may be read
+        doc = json.loads(manifest.read_text())
+        bad = "train_head_1.csv\x00" if fault == "nul_name" else "\ud800.csv"
+        doc["splits"]["train"]["heads"][0]["probs_csv"] = bad
+        manifest.write_text(json.dumps(doc))
+    elif fault == "corrupt":  # the first file: the helper is still hashing the next
         (data / "train_head_1.csv").write_text("instance_id,p_1,p_2,p_3\n0,oops\n")
     elif fault == "missing":
         (data / "calib_head_2.csv").unlink()
