@@ -193,16 +193,16 @@ def _route_sweep(
 
 
 def cmd_calibrate(args) -> int:
-    # the test split only supplies the default batch size
-    splits = ("train", "calib") if args.batch_size is not None else eio.SPLIT_NAMES
-    dataset = eio.load_manifest(args.data, splits=splits)
+    dataset = eio.load_manifest(args.data, splits=("train", "calib"))
+    # the test split only supplies the default batch size, counted from one of its files
+    test_size = eio.split_size(args.data, "test") if args.batch_size is None else None
     calib = dataset.split("calib")
     risks = _risks_for(dataset)
     batch_size = args.batch_size
     if batch_size is None:
-        if "test" not in dataset.splits:
+        if test_size is None:
             raise InvalidSpec("--batch-size is required when there is no test split")
-        batch_size = dataset.split("test").bank.num_instances
+        batch_size = test_size
     budget = BudgetSpec(total_budget=args.budget, batch_size=batch_size)
     spec = ScoreSpec(kind=args.score, jitter_u=args.jitter, seed=_resolve_seed(args.seed))
     calib_scores = calibration_scores(calib.bank, spec)

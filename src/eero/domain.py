@@ -28,6 +28,8 @@ from .errors import (
 )
 
 ROW_SUM_TOL = 1e-6
+# a row whose sum is further than this from 1 is divided by its sum
+RENORM_TOL = 1e-12
 SIMPLEX_TOL = 1e-9
 # relative slack on a budget, so that a total which meets the budget
 # exactly in decimal arithmetic is not lost to binary rounding
@@ -80,8 +82,18 @@ class HeadSlice:
     probs : ndarray of shape (n_instances, n_classes)
         Conditional class probabilities, one row per instance.  Rows must
         be finite, entrywise non-negative and sum to 1 within 1e-6; rows
-        off by more than float noise are renormalized exactly once so
+        whose sum is off by more than 1e-12 are divided by it once, so
         that stored rows always sum to 1 to within a few ulp.
+
+        The row sums are screened with one matvec, `probs @ ones`.  Any
+        order of summing K non-negative terms in float64 lands within
+        (K - 1) * 2**-53 times their exact sum of it, so a screened sum
+        and `probs.sum(axis=1)` differ by at most twice that.  When every
+        screened sum lies within 1e-12 - 64 * K * 2**-53 of 1, the exact
+        sums could neither reject nor divide any row, and they are not
+        computed; otherwise they run and decide as before.  The screen
+        never passes for K > 140, and its bits, which vary with the BLAS
+        kernel, never reach the stored rows or an error message.
     budget_gflops : float
         Cumulative cost of computing this head's output for one instance.
     risk : float or None
@@ -102,18 +114,23 @@ class HeadSlice:
             raise RowNotNormalized("probability rows must be finite")
         if p.min() < 0.0:
             raise RowNotNormalized("probability rows must be entrywise >= 0")
-        sums = p.sum(axis=1)
-        bad = np.abs(sums - 1.0) > ROW_SUM_TOL
-        if bad.any():
-            raise RowNotNormalized(
-                f"row {int(np.argmax(bad))} sums to {sums[np.argmax(bad)]:.8f}"
-            )
-        # exact cleanup, skipped when already normalized to float noise so
-        # that write/read round trips are bitwise stable
-        off = np.abs(sums - 1.0) > 1e-12
-        if off.any():
-            p = p.copy()
-            p[off] /= sums[off, None]
+        # one matvec screens the row sums; only when it cannot vouch for
+        # every row do the exact per-row sums below run
+        k = p.shape[1]
+        screen = p @ np.ones(k)
+        if not np.abs(screen - 1.0).max() <= RENORM_TOL - 64 * k * 2.0**-53:
+            sums = p.sum(axis=1)
+            bad = np.abs(sums - 1.0) > ROW_SUM_TOL
+            if bad.any():
+                raise RowNotNormalized(
+                    f"row {int(np.argmax(bad))} sums to {sums[np.argmax(bad)]:.8f}"
+                )
+            # exact cleanup, skipped when already normalized to float noise so
+            # that write/read round trips are bitwise stable
+            off = np.abs(sums - 1.0) > RENORM_TOL
+            if off.any():
+                p = p.copy()
+                p[off] /= sums[off, None]
         _set(self, "probs", _frozen(p))
         if not (float(self.budget_gflops) > 0.0):
             raise NonIncreasingBudgets(

@@ -28,12 +28,16 @@ in, and deleting `.eero_cache/` is always safe.  `write_dataset` seeds
 the entry of each CSV it writes from the table it wrote, so the first
 read after it parses nothing.
 
-`load_manifest` reads each CSV's bytes one file ahead and hashes them
-on a helper thread while it checks and decodes the file before, so at
-most two files' bytes are held at once; a process that may use one CPU
-only hashes them inline.  Outputs and errors are those of reading one file
-at a time: a file that cannot be read ahead is read again, and its
-error raised, on its turn.
+`load_manifest` hashes its CSVs on two threads, the caller and one
+helper, each claiming whole files in manifest order and streaming them
+through a fixed chunk buffer; the caller hashes whenever the file it
+needs next is still being hashed, and a process that may use one CPU
+only hashes on the caller.  On a cache hit no file's bytes are held at
+all; on a miss the reader reads the file itself and stores the entry
+under the digest of the bytes it parsed, and a file with no entry is
+hashed by its reader alone.  Outputs and errors are those
+of reading one file at a time: a file whose hashing fails is read
+again, and its error raised, on its turn.
 
 All writers are deterministic (stable field order, floats rendered with
 17 significant digits, which round-trips IEEE doubles exactly) and
@@ -222,10 +226,17 @@ _CACHE_MAGIC = b"EEROCSV\n"
 # magic, format version, value dtype, rows, columns, SHA-256 of the source
 # bytes: 64 bytes, so the arrays that follow stay 8-byte aligned
 _CACHE_HEAD = struct.Struct("<8sI4sQQ32s")
+# bytes a hashing thread reads and hashes at a time
+_HASH_CHUNK = 1 << 18
+
+
+def _entry_path(path: Path) -> Path:
+    """Where the parse cache keeps the entry of the CSV at `path`."""
+    return path.parent / CACHE_DIR / (path.name + ".table")
 
 
 class _CsvSource:
-    """One CSV file, read once: its bytes, their cache key, its parse cache entry.
+    """One CSV file: its bytes, read at most once, their cache key, its parse cache entry.
 
     The entry lives in `CACHE_DIR` beside the file, one per file name.  It
     holds the format version, the SHA-256 of the file's bytes (gzip
@@ -237,11 +248,23 @@ class _CsvSource:
     """
 
     def __init__(self, path, raw: bytes | None = None, key: bytes | None = None):
-        """`raw` is the file's bytes and `key` their SHA-256 when the caller has them."""
+        """`raw` is the file's bytes when the caller has them.
+
+        `key` is the SHA-256 the file had when the caller hashed it.  The
+        bytes are then read only when a reader needs them, and an entry
+        is stored under the digest of the bytes read, not under `key`.
+        """
         self.path = Path(path)
-        self.raw = self.path.read_bytes() if raw is None else raw
+        self._raw = raw
+        self._key_is_of_raw = key is None
         self.key = hashlib.sha256(self.raw).digest() if key is None else key
-        self.entry = self.path.parent / CACHE_DIR / (self.path.name + ".table")
+        self.entry = _entry_path(self.path)
+
+    @property
+    def raw(self) -> bytes:
+        if self._raw is None:
+            self._raw = self.path.read_bytes()
+        return self._raw
 
     @contextmanager
     def open(self):
@@ -293,10 +316,9 @@ class _CsvSource:
         """Cache a parsed table under these bytes' key; an OSError skips it."""
         dtype = values.dtype.newbyteorder("<")
         rows, cols = values.shape
+        key = self.key if self._key_is_of_raw else hashlib.sha256(self.raw).digest()
         body = b"".join((
-            _CACHE_HEAD.pack(
-                _CACHE_MAGIC, _CACHE_VERSION, dtype.str.encode(), rows, cols, self.key
-            ),
+            _CACHE_HEAD.pack(_CACHE_MAGIC, _CACHE_VERSION, dtype.str.encode(), rows, cols, key),
             ids.astype("<i8").tobytes(),
             values.astype(dtype).tobytes(),
         ))
@@ -498,61 +520,109 @@ def read_labels_csv(
     return ids, labels
 
 
-class _ReadAhead:
-    """The `_CsvSource` of each of a list of files in turn, read and hashed one file ahead.
+def _digest(path: Path, entry: Path, buffer: bytearray) -> bytes | None:
+    """SHA-256 of the file at `path`, read through `buffer`; None if `entry` does not exist.
 
-    Taking file i reads file i+1's bytes and queues them for a helper
-    thread to hash, so SHA-256, which releases the GIL, runs while the
-    caller decodes file i; at most two files' bytes are held.  The helper
-    only hashes, so no large buffer lands in a second thread's malloc
-    arena.  A process that may run on one CPU has no helper, and the same
-    loop hashes inline.  A file that cannot be read ahead is taken as
-    None and read again by its reader on its turn, so no later file's
-    error comes first.  `close` stops the helper.
+    A key is only ever compared with the file's cache entry, so a file
+    without one is left for its reader, which hashes the bytes it parses.
+    """
+    if not entry.exists():
+        return None
+    sha = hashlib.sha256()
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buffer):
+            sha.update(view[:size])
+    return sha.digest()
+
+
+_PENDING = object()  # the key of a file that a thread is hashing or will hash
+
+
+class _Hasher:
+    """Each of a list of CSVs as a `_CsvSource` keyed by its SHA-256, hashed by two threads.
+
+    The caller and one helper thread claim whole files in list order and
+    hash each through a chunk buffer, so no file's bytes are held for its
+    key; SHA-256 and unbuffered reads release the GIL.  The caller
+    allocated both buffers, so nothing large lands in a second thread's
+    malloc arena.  `take` waits for the next file's key, and while the
+    helper is still hashing that file the caller hashes the next
+    unclaimed one.  A process that may run on one CPU starts no helper,
+    and the same loop hashes each file as it is taken.  A file whose
+    hashing raises, whatever the exception, gets no key, like a file with
+    no cache entry: it is taken as None, and its reader reads it on its
+    turn and meets the error there, after every file before it.  `close`
+    stops the helper.
     """
 
     def __init__(self, paths):
-        # imported on first use, so that importing eero does not load queue
-        from queue import SimpleQueue
-
-        self._paths = iter(paths)
-        self._keys = SimpleQueue()
+        self._paths = list(paths)
+        # built on the calling thread: pathlib interns path parts, and when an
+        # intern grows the interpreter's table of interned strings (about 2 MB
+        # here), the new table lands in the malloc arena of the thread that grew it
+        self._entries = [_entry_path(path) for path in self._paths]
+        self._keys = [_PENDING] * len(self._paths)
+        self._claimed = 0  # files claimed by a thread: a prefix of the list
+        self._taken = 0
+        self._changed = threading.Condition(threading.Lock())
+        self._buffer = bytearray(_HASH_CHUNK)
         self._helper = None
-        self._submit = self._hash
         # the affinity mask, where the OS has one, says how many CPUs this process may use
         affinity = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
         if len(affinity(0)) > 1:
-            jobs = SimpleQueue()
-            self._helper = threading.Thread(target=self._hash_each, args=(jobs,), daemon=True)
+            buffer = bytearray(_HASH_CHUNK)
+            self._helper = threading.Thread(target=self._hash_each, args=(buffer,), daemon=True)
             self._helper.start()
-            self._submit = jobs.put
-        self._ahead = self._read(next(self._paths, None))
 
-    def _hash(self, raw: bytes) -> None:
-        self._keys.put(hashlib.sha256(raw).digest())
-
-    def _hash_each(self, jobs) -> None:
-        for raw in iter(jobs.get, None):
-            self._hash(raw)
-
-    def _read(self, path) -> tuple | None:
-        if path is None:
+    def _claim(self) -> int | None:
+        """The first unclaimed file's index, now claimed; call it holding `_changed`."""
+        if self._claimed == len(self._paths):
             return None
+        self._claimed += 1
+        return self._claimed - 1
+
+    def _hash(self, i: int, buffer: bytearray) -> None:
+        key = None
         try:
-            raw = path.read_bytes()
-        except OSError:
-            return path, None
-        self._submit(raw)
-        return path, raw
+            key = _digest(self._paths[i], self._entries[i], buffer)
+        except Exception:
+            pass  # the file's reader meets the error again, on the file's turn
+        finally:  # even on an exception that propagates, so that no one waits on file i
+            with self._changed:
+                self._keys[i] = key
+                self._changed.notify_all()
+
+    def _hash_each(self, buffer: bytearray) -> None:
+        while True:
+            with self._changed:
+                i = self._claim()
+            if i is None:
+                return
+            self._hash(i, buffer)
+
+    def _key(self, i: int) -> bytes | None:
+        """File i's key; until it is known, this thread hashes unclaimed files."""
+        while True:
+            with self._changed:
+                if self._keys[i] is not _PENDING:
+                    return self._keys[i]
+                j = self._claim()
+                if j is None:  # the helper is hashing file i
+                    self._changed.wait()
+                    continue
+            self._hash(j, self._buffer)
 
     def take(self) -> tuple[Path, _CsvSource | None]:
-        """The next file's path and source; the source is None if the file could not be read."""
-        (path, raw), self._ahead = self._ahead, self._read(next(self._paths, None))
-        return path, None if raw is None else _CsvSource(path, raw, self._keys.get())
+        """The next file's path and source; the source is None if the file has no key."""
+        path, key = self._paths[self._taken], self._key(self._taken)
+        self._taken += 1
+        return path, None if key is None else _CsvSource(path, key=key)
 
     def close(self) -> None:
+        with self._changed:
+            self._claimed = len(self._paths)  # the helper claims no further file
         if self._helper is not None:
-            self._submit(None)
             self._helper.join()
 
 
@@ -567,6 +637,45 @@ def load_manifest(path, splits=SPLIT_NAMES) -> Dataset:
     included, so a bad manifest fails alike whichever splits are asked
     for.  Then only the requested splits' CSVs are read; a requested
     split that the manifest does not declare is absent from the result.
+    """
+    path, k, entries = _read_manifest(path)
+    wanted = {name: entry for name, entry in entries.items() if name in splits}
+    files = []  # every CSV in the order _read_split takes them
+    for heads, labels_csv in wanted.values():
+        files += [path.parent / probs_csv for probs_csv, _, _ in heads]
+        files += [path.parent / labels_csv] if labels_csv else []
+    with closing(_Hasher(files)) as sources:
+        return Dataset(
+            num_classes=k,
+            splits={
+                name: _read_split(path, name, heads, labels_csv, k, sources.take)
+                for name, (heads, labels_csv) in wanted.items()
+            },
+        )
+
+
+def split_size(path, name: str) -> int | None:
+    """How many instances split `name` of a dataset has; None if it has no such split.
+
+    The manifest is checked as `load_manifest` checks it, and then one
+    file of the split is read and counted: its labels CSV when it has
+    one, else its first head's CSV.  Its other files are not read.
+    """
+    path, k, entries = _read_manifest(path)
+    if name not in entries:
+        return None
+    heads, labels_csv = entries[name]
+    if labels_csv:
+        ids, _ = read_labels_csv(path.parent / labels_csv, k)
+    else:
+        ids, _ = read_probs_csv(path.parent / heads[0][0])
+    return ids.size
+
+
+def _read_manifest(path) -> tuple[Path, int, dict]:
+    """A checked manifest: its path, num_classes and {split: (heads, labels_csv)}.
+
+    Each split's entry is as `_split_entry` returns it, in SPLIT_NAMES order.
     """
     path = Path(path)
     if path.is_dir():
@@ -606,19 +715,7 @@ def load_manifest(path, splits=SPLIT_NAMES) -> Dataset:
                 file=str(path),
             )
         entries[name] = heads, labels_csv
-    wanted = {name: entry for name, entry in entries.items() if name in splits}
-    files = []  # every CSV in the order _read_split takes them
-    for heads, labels_csv in wanted.values():
-        files += [path.parent / probs_csv for probs_csv, _, _ in heads]
-        files += [path.parent / labels_csv] if labels_csv else []
-    with closing(_ReadAhead(files)) as sources:
-        return Dataset(
-            num_classes=k,
-            splits={
-                name: _read_split(path, name, heads, labels_csv, k, sources.take)
-                for name, (heads, labels_csv) in wanted.items()
-            },
-        )
+    return path, k, entries
 
 
 def _split_entry(entry, name: str, path) -> tuple[list, str | None]:

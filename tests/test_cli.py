@@ -858,12 +858,14 @@ def test_infer_still_checks_budgets_of_splits_it_does_not_read(dataset, tmp_path
     [
         (["infer", "--policy", "<policy>"], ["test"]),
         (["oracle", "--budget", "800"], ["test"]),
-        (["calibrate", "--budget", "800"], ["train", "calib", "test"]),
+        # without --batch-size, calibrate counts the test split from its labels file
+        (["calibrate", "--budget", "800"], ["train", "calib", "test_labels.csv"]),
         (["calibrate", "--budget", "800", "--batch-size", "400"], ["train", "calib"]),
         (["sweep", "--budgets", "800"], ["train", "calib", "test"]),
     ],
 )
 def test_each_command_reads_each_file_of_its_splits_once(dataset, tmp_path, monkeypatch, argv, splits):
+    # `splits` names whole splits, or single files read on their own
     policy = tmp_path / "policy.json"
     assert main(["calibrate", "--data", str(dataset), "--budget", "800", "--out", str(policy)]) == 0
     reads = []
@@ -881,6 +883,9 @@ def test_each_command_reads_each_file_of_its_splits_once(dataset, tmp_path, monk
     assert rc == 0, err
     expected = []
     for split in splits:
+        if split.endswith(".csv"):
+            expected.append(split)
+            continue
         expected += [f"{split}_head_{h}.csv" for h in (1, 2, 3)]
         expected += [] if split == "calib" else [f"{split}_labels.csv"]
     assert reads == expected
@@ -1154,6 +1159,38 @@ def test_calibrate_without_test_split_needs_batch_size(dataset, tmp_path, capsys
     out = tmp_path / "policy.json"
     argv = ["calibrate", "--data", str(dataset), "--budget", "800", "--out", str(out)]
     assert "--batch-size is required" in _one_line_error(capsys, argv, 2)
+    assert not out.exists()
+    assert main([*argv, "--batch-size", "400"]) == 0
+
+
+@pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "unlabeled"])
+def test_calibrate_counts_the_test_split_from_one_file(dataset, tmp_path, labeled):
+    # the test split only gives the default batch size: calibrate counts its
+    # labels file, or its first head without one, and reads no other test file
+    if not labeled:
+        _edit_manifest(dataset, lambda doc: doc["splits"]["test"].pop("labels_csv"))
+    written = {}
+    for damaged in (False, True):
+        if damaged:
+            (dataset / "test_head_2.csv").write_text("instance_id,p_1,p_2,p_3,p_4\n0,oops\n")
+        out = tmp_path / f"policy_{damaged}.json"
+        rc, err = _run_quiet(["calibrate", "--data", str(dataset), "--budget", "800",
+                              "--seed", "0", "--out", str(out)])
+        assert rc == 0, err
+        written[damaged] = out.read_bytes()
+    assert written[True] == written[False]
+    assert json.loads(written[True])["budget_spec"]["batch_size"] == SPEC["sizes"][2]
+
+
+@pytest.mark.parametrize("counted", ["test_labels.csv", "test_head_1.csv"])
+def test_calibrate_fails_on_the_damaged_file_it_counts(dataset, tmp_path, capsys, counted):
+    if counted == "test_head_1.csv":
+        _edit_manifest(dataset, lambda doc: doc["splits"]["test"].pop("labels_csv"))
+    header = "instance_id,label" if counted == "test_labels.csv" else "instance_id,p_1,p_2,p_3,p_4"
+    (dataset / counted).write_text(f"{header}\n0,oops\n")
+    out = tmp_path / "policy.json"
+    argv = ["calibrate", "--data", str(dataset), "--budget", "800", "--out", str(out)]
+    assert f"{counted}, row 2" in _one_line_error(capsys, argv, 3)
     assert not out.exists()
     assert main([*argv, "--batch-size", "400"]) == 0
 

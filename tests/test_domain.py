@@ -63,6 +63,120 @@ def test_clean_rows_survive_bitwise():
     assert np.array_equal(s.probs, row)
 
 
+# ---------------------------------------------------------------------------
+# the row-sum screen: HeadSlice must store and reject exactly as the exact
+# per-row sums alone did, whatever bits the BLAS kernel's matvec gives
+
+ULP = 2.0**-52
+
+
+def _exact_probs(p):
+    """The rows HeadSlice stores, by the exact per-row sums alone; raises as it does."""
+    p = np.asarray(p, dtype=np.float64)
+    sums = p.sum(axis=1)
+    bad = np.abs(sums - 1.0) > 1e-6
+    if bad.any():
+        raise RowNotNormalized(f"row {int(np.argmax(bad))} sums to {sums[np.argmax(bad)]:.8f}")
+    off = np.abs(sums - 1.0) > 1e-12
+    if off.any():
+        p = p.copy()
+        p[off] /= sums[off, None]
+    return p
+
+
+def _outcome(make):
+    """The stored probs or the (type, message) of the error that `make()` raises."""
+    try:
+        return make()
+    except RowNotNormalized as e:
+        return type(e), str(e)
+
+
+def _assert_same_as_exact(p):
+    """HeadSlice on `p` stores the bits, or raises the error, of `_exact_probs`."""
+    got = _outcome(lambda: HeadSlice(probs=p, budget_gflops=1.0).probs)
+    want = _outcome(lambda: _exact_probs(p))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
+    return want
+
+
+def _rows(rng, n, k, sums):
+    """n random non-negative rows of k classes; row i sums to about sums[i % len(sums)]."""
+    base = rng.dirichlet(np.ones(k), size=n)
+    target = np.resize(np.asarray(sums, dtype=np.float64), n)
+    return base * (target / base.sum(axis=1))[:, None]
+
+
+def _near(offset):
+    """1 plus `offset`, and a few ulp to either side of it."""
+    return [1.0 + offset + j * ULP for j in range(-4, 5)]
+
+
+@pytest.mark.parametrize("k", [2, 3, 10, 64])
+def test_row_sum_screen_keeps_rows_that_sum_to_one(rng, k):
+    exact = np.zeros((64, k))
+    exact[np.arange(64), rng.integers(0, k, 64)] = 1.0  # one-hot rows sum to 1 exactly
+    halves = np.zeros((8, k))
+    halves[:, :2] = 0.5
+    for p in (exact, halves, _rows(rng, 500, k, [1.0])):
+        assert isinstance(_assert_same_as_exact(p), np.ndarray)
+
+
+@pytest.mark.parametrize("k", [2, 3, 10, 64])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_row_sum_screen_near_the_renormalization_edge(rng, k, sign):
+    p = _rows(rng, 2000, k, _near(sign * 1e-12))
+    stored = _assert_same_as_exact(p)
+    # rows on both sides of the edge: some are divided by their sums, some kept
+    kept = np.all(stored == p, axis=1)
+    assert kept.any() and not kept.all()
+
+
+@pytest.mark.parametrize("k", [2, 3, 10, 64])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_row_sum_screen_near_the_rejection_edge(rng, k, sign):
+    outcomes = set()
+    for offset in _near(sign * 1e-6):
+        # clean rows with one row near the edge, and every row near it
+        p = _rows(rng, 50, k, [1.0])
+        p[rng.integers(0, 50)] = _rows(rng, 1, k, [offset])
+        for q in (p, _rows(rng, 50, k, [offset])):
+            outcomes.add(isinstance(_assert_same_as_exact(q), np.ndarray))
+    assert outcomes == {True, False}  # some accepted, some rejected
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-12, -1e-12, 1e-6, -1e-6])
+def test_row_sum_screen_on_strided_rows(rng, offset):
+    # as synth builds its heads: probs[:, head, :] of an (n, heads, classes) array
+    n, m, k = 300, 4, 10
+    probs = _rows(rng, n * m, k, [1.0] + _near(offset)).reshape(n, m, k)
+    for head in range(m):
+        view = probs[:, head, :]
+        assert not view.flags.c_contiguous
+        _assert_same_as_exact(view)
+
+
+@pytest.mark.parametrize("k", [10, 64])
+def test_row_sum_screen_leaves_room_for_the_matvec_rounding(rng, k):
+    # only rows whose matvec sum lies within 1e-12 of 1; where the kernel rounds
+    # unlike the exact sums, some of those lie further, and only the screen's
+    # margin sends them to the exact sums
+    p = _rows(rng, 20000, k, _near(1e-12) + _near(-1e-12))
+    p = p[np.abs(p @ np.ones(k) - 1.0) <= 1e-12]
+    _assert_same_as_exact(p)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-13, 1e-12, 1e-9])
+def test_row_sum_screen_never_passes_for_very_many_classes(rng, offset):
+    # K = 141 leaves no room inside 1e-12 for 64 * K ulp: every table takes the exact sums
+    k = 141
+    assert 1e-12 - 64 * k * 2.0**-53 < 0
+    _assert_same_as_exact(_rows(rng, 200, k, _near(offset)))
+
+
 def test_shape_mismatch_between_heads():
     with pytest.raises(ShapeMismatch):
         make_bank(

@@ -16,12 +16,13 @@ import json
 import math
 import os
 import shutil
+import sys
 import threading
+import time
 import warnings
 import zlib
 from contextlib import contextmanager
 from functools import partial
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -579,30 +580,136 @@ def _cpus(monkeypatch, n):
     monkeypatch.setattr(eio.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
+class _Hashing:
+    """Stands in for `hashlib`: records the thread and digest of each file hashed.
+
+    A thread is "caller" when it is `caller` (by default the thread that
+    made this), else "helper".  With `fail_on` ("caller" or "helper"), the
+    first update on that thread raises MemoryError; with `wait`, the other
+    thread's first update waits until it has, so that both threads hash a
+    file.  With `slow`, each update on the helper after its first file
+    sleeps that long first, and the caller hashes nothing until the helper
+    has begun a file.
+    """
+
+    def __init__(self, fail_on=None, wait=False, slow=0.0):
+        self.hashed = []
+        self.caller = threading.get_ident()
+        self.fail_on, self.wait, self.slow = fail_on, wait, slow
+        self.failed = threading.Event()
+        self.helping = threading.Event()
+
+    def thread(self):
+        return "caller" if threading.get_ident() == self.caller else "helper"
+
+    def sha256(self, *data):
+        return _Sha256(self, data)
+
+
+class _Sha256:
+    def __init__(self, hashing, data):
+        self._hashing = hashing
+        self._sha = hashlib.sha256()
+        for chunk in data:
+            self.update(chunk)
+
+    def update(self, data):
+        hashing = self._hashing
+        if hashing.slow and hashing.thread() == "helper":
+            hashing.helping.set()
+            if any(thread == "helper" for thread, _ in hashing.hashed):
+                time.sleep(hashing.slow)
+        elif hashing.slow:
+            assert hashing.helping.wait(10)
+        if hashing.fail_on is not None and not hashing.failed.is_set():
+            if hashing.thread() == hashing.fail_on:
+                hashing.failed.set()
+                raise MemoryError("injected")
+            if hashing.wait:
+                assert hashing.failed.wait(10)
+        self._sha.update(data)
+
+    def digest(self):
+        digest = self._sha.digest()
+        self._hashing.hashed.append((self._hashing.thread(), digest))
+        return digest
+
+
 @pytest.mark.parametrize("cached", [False, True], ids=["cold", "warm"])
 def test_the_helper_hashes_and_changes_no_bit(tmp_path, monkeypatch, cached):
     manifest = _written(tmp_path / "data")
-    hashed_on = []
-
-    def sha256(raw):
-        hashed_on.append(threading.get_ident())
-        return hashlib.sha256(raw)
-
-    monkeypatch.setattr(eio, "hashlib", SimpleNamespace(sha256=sha256))
+    # 11 files, three heads per split and the train and test labels
+    names = {hashlib.sha256(f.read_bytes()).digest(): f.name for f in manifest.parent.glob("*.csv")}
+    assert len(names) == 11
+    hashing = _Hashing()
+    hashed = hashing.hashed
+    monkeypatch.setattr(eio, "hashlib", hashing)
     loads = {}
     for cpus in (1, 2):
         _cpus(monkeypatch, cpus)
         if not cached:
             shutil.rmtree(manifest.parent / eio.CACHE_DIR, ignore_errors=True)
-        hashed_on.clear()
+        hashed.clear()
         loads[cpus] = _arrays(eio.load_manifest(manifest))
-        # 11 files, three heads per split and the train and test labels, each
-        # hashed inline on one CPU and on the helper thread on more
-        helper = cpus > 1
-        assert len(hashed_on) == 11
-        assert all((ident != threading.get_ident()) == helper for ident in hashed_on)
+        # either thread may hash a file, and each file is hashed once: by the
+        # caller or the helper when it has an entry, else by its reader
+        assert sorted(names[digest] for _, digest in hashed) == sorted(names.values())
+        if cpus == 1:
+            assert {thread for thread, _ in hashed} == {"caller"}
     _assert_bitwise(loads[1], loads[2])
     assert len(loads[1]) == len(loads[2]) == 14  # and an id array per split
+
+
+def test_concurrent_loads_under_fast_switching_hash_each_file_once(tmp_path, monkeypatch):
+    # four loads at a time on two CPUs, each with its helper, switching threads
+    # every microsecond: a claim lost or made twice hashes a file twice or never
+    _cpus(monkeypatch, 2)
+    manifest = _written(tmp_path / "data")
+    reference = _arrays(eio.load_manifest(manifest))
+    hashing = _Hashing()
+    monkeypatch.setattr(eio, "hashlib", hashing)
+    loads, rounds = [], 5
+
+    def load():
+        for _ in range(rounds):
+            loads.append(_arrays(eio.load_manifest(manifest)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        loaders = [threading.Thread(target=load, daemon=True) for _ in range(4)]
+        for loader in loaders:
+            loader.start()
+        for loader in loaders:
+            loader.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(loader.is_alive() for loader in loaders)
+    assert len(loads) == 4 * rounds
+    for arrays in loads:
+        _assert_bitwise(arrays, reference)
+    assert len(hashing.hashed) == 11 * 4 * rounds
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["cold", "warm"])
+def test_the_helper_interns_no_string(tmp_path, monkeypatch, cached):
+    # pathlib interns path parts; an intern on the helper that grows the
+    # interpreter's interned-string table would leave the grown table, about
+    # 2 MB in a CLI session, in the helper's malloc arena
+    _cpus(monkeypatch, 2)
+    manifest = _written(tmp_path / "data")
+    if not cached:
+        shutil.rmtree(manifest.parent / eio.CACHE_DIR)
+    interned_on = set()
+    real = sys.intern
+
+    def intern(text):
+        interned_on.add(threading.current_thread() is threading.main_thread())
+        return real(text)
+
+    monkeypatch.setattr(sys, "intern", intern)
+    eio.load_manifest(manifest)
+    assert False not in interned_on
 
 
 def test_an_edited_file_and_a_stale_entry_are_parsed_again(tmp_path, monkeypatch):
@@ -647,18 +754,45 @@ def test_an_edited_file_and_a_stale_entry_are_parsed_again(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize(
-    "fault", [None, "corrupt", "missing", "unsorted_labels", "nul_name", "surrogate_name"]
+    "fault",
+    [None, "corrupt", "missing", "unsorted_labels", "nul_name", "surrogate_name",
+     "caller_raises", "helper_raises", "corrupt_while_hashing"],
 )
 def test_a_load_leaves_no_thread_behind(tmp_path, monkeypatch, cpus, fault):
     _cpus(monkeypatch, cpus)
     manifest = _written(tmp_path / "data")
     data = manifest.parent
+    if fault in ("caller_raises", "helper_raises"):
+        # hashing a file raises MemoryError on that thread: its reader reads
+        # and hashes it on its turn, and the load returns the usual bits
+        clean = _arrays(eio.load_manifest(manifest))
+        thread = fault.split("_")[0]
+        hashing = _Hashing(fail_on=thread, wait=cpus > 1)
+        monkeypatch.setattr(eio, "hashlib", hashing)
+        loaded = []
+
+        def load():  # on a thread of its own, so that a load that waits forever fails
+            hashing.caller = threading.get_ident()
+            loaded.append(_arrays(eio.load_manifest(manifest)))
+
+        before = threading.active_count()
+        loader = threading.Thread(target=load, daemon=True)
+        loader.start()
+        loader.join(30)
+        assert not loader.is_alive(), "the load waits on a file that no thread hashes"
+        assert threading.active_count() == before
+        _assert_bitwise(loaded[0], clean)
+        # with one CPU there is no helper to fail
+        assert hashing.failed.is_set() == (cpus > 1 or thread == "caller")
+        return
     if fault in ("nul_name", "surrogate_name"):  # the first file's name: nothing may be read
         doc = json.loads(manifest.read_text())
         bad = "train_head_1.csv\x00" if fault == "nul_name" else "\ud800.csv"
         doc["splits"]["train"]["heads"][0]["probs_csv"] = bad
         manifest.write_text(json.dumps(doc))
-    elif fault == "corrupt":  # the first file: the helper is still hashing the next
+    elif fault in ("corrupt", "corrupt_while_hashing"):  # the first file
+        if fault == "corrupt_while_hashing" and cpus > 1:  # the helper is still hashing
+            monkeypatch.setattr(eio, "hashlib", _Hashing(slow=0.2))
         (data / "train_head_1.csv").write_text("instance_id,p_1,p_2,p_3\n0,oops\n")
     elif fault == "missing":
         (data / "calib_head_2.csv").unlink()
