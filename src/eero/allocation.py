@@ -25,10 +25,9 @@ the same for every budget, so each multiplier 2**j is evaluated once.
 The bisection then runs in lockstep: each step takes every open
 budget's midpoint, exactly the midpoint a budget solved alone takes,
 and evaluates their Gibbs weights as one (B, M) array.  Each row's
-expected budget is its own vector dot with the head budgets
-(`_expected`), the kernel a one-budget `eps @ budgets` runs, so every
-budget takes the same steps, and returns the same bits, as it does
-alone.
+expected budget is a sum in a fixed order (`_expected`), the same for
+one row as for many and on any BLAS, so every budget takes the same
+steps, and returns the same bits, as it does alone.
 
 Everything is computed in log space so extreme risk/budget ratios or
 tiny temperatures cannot overflow.
@@ -166,14 +165,8 @@ def allocation_objective(problem: AllocationProblem, epsilons: np.ndarray) -> fl
 
 
 def _expected(problem: AllocationProblem, eps: np.ndarray) -> np.ndarray:
-    """Expected budget of each row of eps, one vector dot per row.
-
-    A stacked matmul of (1, M) rows runs, row by row, the dot that a
-    single `eps[i] @ budgets` runs, so a row's value does not depend on
-    the rows computed with it (a (B, M) @ budgets product may differ
-    from it in the last bit).
-    """
-    return np.matmul(eps[..., None, :], problem.budgets)[..., 0]
+    """Expected budget of each row of eps, summed along the row by numpy, not BLAS."""
+    return np.add.reduce(eps * problem.budgets, axis=-1)
 
 
 def _bisect(problem: AllocationProblem, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

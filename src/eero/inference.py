@@ -5,7 +5,8 @@ jittered confidence score is at or above that head's threshold; the
 final head's rate is 1 so nothing survives past it.  Jitter only
 decides exits: the prediction is the plain argmax of the exit head's
 raw probability row (`scoring.predict_matrix`), the rule that risks and
-the oracle use too.  The instance is charged the exit head's cumulative
+the oracle use too, and jitter, which only raises that argmax entry,
+never changes it.  The instance is charged the exit head's cumulative
 budget and nothing else: costs of the heads it merely passed through
 are already inside that cumulative number, and heads it never reached
 cost nothing.
@@ -134,19 +135,20 @@ def _head_step(
     counts as in the band and goes straight to `score_rows`.
 
     Why the margin covers the jitter, with e = 2**-53 the unit roundoff
-    and probability entries p in [0, 2] (rows are non-negative and sum
-    to 1): a jittered entry is q = fl(p + fl(u U)) with U in [0, 1), and
-    rounding is monotone and exact on p and u, so p <= q <= fl(p + u)
-    and 0 <= q - p <= d = u + e (2 + u).  For `max_prob` the raw score
-    max p is exact and the jittered one max q, so they differ by at most
-    d.  For `breaking_ties` the largest and second-largest entries each
-    move by at most d, so their exact gaps differ by at most d, and the
-    two rounded subtractions add at most e (2 + d) each.  In all,
-    |jittered - raw| <= E = u + 8e (1 + u), below the margin even after
-    its own rounding.  `top` and `bottom` are taken one float past the
-    rounded `threshold ± margin`, so they lie outside the exact bounds:
-    raw >= top gives jittered >= raw - E > threshold, and raw < bottom
-    gives jittered < threshold.  A NaN bound (an infinite threshold and
+    and probability entries in [0, 2] (rows are non-negative and sum to
+    1): jitter moves only a row's first largest entry t, to q = fl(t +
+    fl(u U)) with U in [0, 1).  Rounding is monotone and exact on t and
+    u, so t <= q <= fl(t + u) and 0 <= q - t <= d = u + e (2 + u), and
+    q is still the row's largest entry.  For `max_prob` the raw score is
+    t and the jittered one q, so they differ by at most d.  For
+    `breaking_ties` the second-largest entry s keeps its value (a tie
+    for the top leaves s = t), so the exact gaps t - s and q - s differ
+    by at most d, and the two rounded subtractions add at most e (2 + d)
+    each.  In all, |jittered - raw| <= E = u + 8e (1 + u), below the
+    margin even after its own rounding.  `top` and `bottom` are taken
+    one float past the rounded `threshold ± margin`, so they lie outside
+    the exact bounds: raw >= top gives jittered >= raw - E > threshold,
+    and raw < bottom gives jittered < threshold.  A NaN bound (an infinite threshold and
     an infinite margin, which a width near 1e308 gives) fails both
     comparisons and settles no row.
     """

@@ -4,22 +4,20 @@ Scores drive the exit decision: an instance leaves at the first head
 whose score clears that head's calibrated threshold.  A tiny additive
 uniform jitter makes the score distribution atomless, so empirical
 quantiles behave as if scores were continuous and exact ties cannot
-produce ambiguous thresholds.  Jitter touches only scores: what a head
-predicts is the argmax of its raw probability row (`predict_matrix`),
+produce ambiguous thresholds.  Each row takes one draw, added to its
+first largest entry, the one `predict_matrix` picks, so jitter never
+changes a prediction: a head predicts the argmax of its probability row
 everywhere -- routing, risk estimates and the oracle.
 
-Jitter draws are counter-based, keyed by (seed, head, instance, class):
-the same row always receives the same perturbation no matter how the
-batch is chunked or parallelized.  Calibration and test rows use
-disjoint instance-key ranges so the two score samples never share
-jitter draws.
+Jitter draws are counter-based, keyed by (seed, head, instance): the
+same row always receives the same draw no matter how the batch is
+chunked or parallelized.  Calibration and test rows use disjoint
+instance-key ranges so the two score samples never share jitter draws.
 
 `jitter_matrix` and `score_matrix` are the reference definition of a
 score.  Every caller scores through `score_rows`, which computes the
-same bits block by block: BLOCK rows at a time are gathered, jittered
-and reduced in cache-sized buffers, so the n x K jittered matrix is
-never built.  Because jitter is counter-based, the scores do not depend
-on the block size.
+same bits BLOCK rows at a time without building the n x K jittered
+matrix, so the scores do not depend on the block size.
 
 Routing needs only whether a score clears a threshold, and each head of
 its one loop is an `inference._head_step`.  Jitter moves a `max_prob` or
@@ -55,12 +53,12 @@ JITTER_DOMAIN = 0x4A49
 CALIBRATION_KEY_BASE = 0
 TEST_KEY_BASE = 1 << 32
 
-# rows per scoring block: a block's two K x BLOCK uint64 buffers (640 KiB at
-# K = 10) stay in cache through every step of `score_rows`
+# rows per scoring block: a gathered block (320 KiB at K = 10) stays in cache
+# through every step of `score_rows`
 BLOCK = 4096
 # blocks narrower than this hash their keys in Python ints and reduce row-major
 # through `score_matrix`: on a handful of rows numpy's per-call overhead is
-# the cost, and this skips the ten calls of an array key hash and, for
+# the cost, and this skips the eight calls of an array key hash and, for
 # breaking_ties, the 3K - 3 calls of the running top-2; for the same reason,
 # routing windows narrower than this skip the raw pass of `inference._head_step`
 _NARROW = 16
@@ -88,22 +86,24 @@ class ScoreSpec:
 def jitter_matrix(
     probs: np.ndarray, head: int, instance_keys: np.ndarray, spec: ScoreSpec
 ) -> np.ndarray:
-    """Add per-entry uniform jitter on [0, jitter_u) to probability rows.
+    """Add one uniform draw on [0, jitter_u) to each row's first largest entry.
 
     `instance_keys` are the global jitter keys of the rows (calibration
-    and test splits pass keys from disjoint ranges).  At zero width the
-    float64 input itself is returned, not a copy, so callers must not
-    mutate the result.
+    and test splits pass keys from disjoint ranges).  Only the entry that
+    `predict_matrix` picks moves, and only upward, so the argmax is kept.
+    At zero width the float64 input itself is returned, not a copy, so
+    callers must not mutate the result.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2:
         raise ValueError("jitter_matrix expects a (n, K) matrix")
     if spec.jitter_u == 0.0:
         return probs
-    keys = np.asarray(instance_keys, dtype=np.uint64)[:, None]
-    classes = np.arange(probs.shape[1], dtype=np.uint64)[None, :]
-    u = rng.uniform(spec.seed, JITTER_DOMAIN, head, keys, classes)
-    return probs + spec.jitter_u * u
+    keys = np.asarray(instance_keys, dtype=np.uint64)
+    u = rng.uniform(spec.seed, JITTER_DOMAIN, head, keys)
+    out = probs.copy()
+    out[np.arange(len(out)), predict_matrix(probs)] += spec.jitter_u * u
+    return out
 
 
 def score_matrix(jittered: np.ndarray, kind: str) -> np.ndarray:
@@ -131,52 +131,51 @@ def score_rows(
     """Scores of rows `probs[rows]` at `head`, computed block by block.
 
     Returns `score_matrix(jitter_matrix(probs[rows], head, instance_keys,
-    spec), spec.kind)` bit for bit without building that n x K jittered
-    matrix: BLOCK rows at a time are gathered, jittered in class-major
-    (K x rows) buffers and reduced across the K class rows.  `neg_entropy`
-    and narrow blocks are reduced row-major by `score_matrix` itself, so
-    its log and summation order stay numpy's.  Jitter is counter-based,
-    so the result does not depend on the block size.  `rows` may be in
-    any order and may repeat.
+    spec), spec.kind)` bit for bit.  BLOCK rows at a time are gathered
+    and each row's draw is hashed, in Python ints on a narrow block and
+    in numpy otherwise.  A wide `max_prob` or `breaking_ties` block is
+    reduced class-major, and the draw is added to its running top, the
+    entry jitter moves.  `neg_entropy` and narrow blocks are jittered in
+    place and reduced by `score_matrix` itself, so its log and summation
+    order stay numpy's.  `rows` may be in any order and may repeat.
     """
     probs = np.asarray(probs, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.intp)
     keys = np.asarray(instance_keys, dtype=np.uint64)
-    n, k = rows.size, probs.shape[1]
+    n = rows.size
     scores = np.empty(n)
-    width = min(n, BLOCK)
     if spec.jitter_u:
         seed_hash = rng.hash_int(spec.seed, JITTER_DOMAIN, head)
-        classes = np.arange(k, dtype=np.uint64)[:, None]
-        row_hash = np.empty(width, dtype=np.uint64)
-        bits = np.empty((k, width), dtype=np.uint64)
-        scratch = np.empty((k, width), dtype=np.uint64)
-        # the finalizer's scratch is free once the bits are final: it holds the jitter
-        noise = scratch.view(np.float64)
+        bits = np.empty(min(n, BLOCK), dtype=np.uint64)
+        scratch = np.empty_like(bits)
+        # the finalizer's scratch is free once the bits are final: it holds the draws
+        draws = scratch.view(np.float64)
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
         m = hi - lo
         block = probs.take(rows[lo:hi], axis=0)
         narrow = m < _NARROW
-        row_major = narrow or spec.kind == "neg_entropy"
+        out = scores[lo:hi]
         if spec.jitter_u:
             if narrow:
-                row_hash[:m] = [rng.fold_int(seed_hash, key) for key in keys[lo:hi].tolist()]
+                bits[:m] = [rng.fold_int(seed_hash, key) for key in keys[lo:hi].tolist()]
             else:
-                rng.fold_into(seed_hash, keys[lo:hi], row_hash[:m], scratch[0, :m])
-            rng.fold_into(row_hash[:m], classes, bits[:, :m], scratch[:, :m])
-            u = rng.uniform_into(bits[:, :m], noise[:, :m])
-            np.multiply(u, spec.jitter_u, u)
-            if row_major:
-                np.add(block, u.T, block)
-            else:
-                q = np.add(u, block.T, u)
-        elif not row_major:
-            q = block.T
-        if row_major:
-            scores[lo:hi] = score_matrix(block, spec.kind)
+                rng.fold_into(seed_hash, keys[lo:hi], bits[:m], scratch[:m])
+            jitter = rng.uniform_into(bits[:m], draws[:m])
+            np.multiply(jitter, spec.jitter_u, jitter)
+        if narrow or spec.kind == "neg_entropy":
+            if spec.jitter_u:
+                block[np.arange(m), predict_matrix(block)] += jitter
+            out[:] = score_matrix(block, spec.kind)
+        elif spec.kind == "max_prob":
+            reduce_class_major(block.T, spec.kind, out)
+            if spec.jitter_u:
+                np.add(out, jitter, out)
         else:
-            reduce_class_major(q, spec.kind, scores[lo:hi])
+            top, second = _top2(block.T)
+            if spec.jitter_u:
+                np.add(top, jitter, top)
+            np.subtract(top, second, out)
     return scores
 
 
@@ -186,23 +185,23 @@ def reduce_class_major(q: np.ndarray, kind: str, out: np.ndarray) -> np.ndarray:
     `q` is K x n, one row per class (a transposed view of n probability
     rows will do), and the result equals `score_matrix(q.T, kind)` bit
     for bit: both kinds pick exact entries, and a running max (or
-    `_top2_gap`'s running top-2) over the K class rows picks the same
-    ones as `max` (or `partition`).  Returns `out`.
+    `_top2`'s running top-2) over the K class rows picks the same ones as
+    `max` (or `partition`).  Returns `out`.
     """
     if kind == "max_prob":
         np.maximum(q[0], q[1], out=out)
         for row in q[2:]:
             np.maximum(out, row, out=out)
     else:
-        _top2_gap(q, out)
+        np.subtract(*_top2(q), out)
     return out
 
 
-def _top2_gap(q: np.ndarray, out: np.ndarray) -> None:
-    """Largest minus second-largest entry of each column of class-major `q`.
+def _top2(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest and second-largest entry of each column of class-major `q`.
 
     A running top-2 over the class rows: the same two values as
-    `score_matrix`'s partition, so the same difference.
+    `score_matrix`'s partition.  A tie for the top counts twice.
     """
     top = np.maximum(q[0], q[1])
     second = np.minimum(q[0], q[1])
@@ -211,7 +210,7 @@ def _top2_gap(q: np.ndarray, out: np.ndarray) -> None:
         np.minimum(top, row, out=lower)
         np.maximum(top, row, out=top)
         np.maximum(second, lower, out=second)
-    np.subtract(top, second, out)
+    return top, second
 
 
 def score_bank(bank, key_base: int, spec: ScoreSpec) -> np.ndarray:

@@ -272,7 +272,7 @@ def _kkt_ok(problem, result, n_probe=2_000, rng=None):
     eps = result.epsilons
     assert abs(eps.sum() - 1.0) <= 1e-9
     assert eps.min() >= 0.0
-    spent = float(eps @ problem.budgets)
+    spent = float(np.add.reduce(eps * problem.budgets))
     assert spent == result.expected_budget <= problem.mean_budget
     if result.saturated and np.isfinite(result.multiplier):
         assert abs(spent - problem.mean_budget) <= 1e-8 * problem.mean_budget
@@ -367,13 +367,14 @@ def test_solver_output_always_on_simplex(m, seed, beta):
     )
     res = solve_allocation(p)
     assert abs(res.epsilons.sum() - 1.0) <= 1e-9
-    assert float(res.epsilons @ budgets) == res.expected_budget <= p.mean_budget
+    assert float(np.add.reduce(res.epsilons * budgets)) == res.expected_budget <= p.mean_budget
     assert res.kl_to_prior >= 0.0
 
 
 # The one-budget bisection as it stood before budgets were solved in
-# lockstep, kept as the reference: 1-d Gibbs weights, one `eps @ budgets`
-# per step.  The lockstep solver must return its bits exactly.
+# lockstep, kept as the reference: 1-d Gibbs weights, one expected budget
+# per step, summed in numpy's fixed order.  The lockstep solver must return
+# its bits exactly.
 def _reference_gibbs(problem, energy):
     with np.errstate(over="ignore"):
         logw = np.log(problem.prior) - energy / problem.beta
@@ -391,22 +392,25 @@ def _reference_solve(problem):
     def eps_at(mu):
         return _reference_gibbs(problem, problem.risks + mu * budgets)
 
+    def spent(eps):
+        return float(np.add.reduce(eps * budgets))
+
     def done(eps, mu):
-        return eps, mu, float(eps @ budgets)
+        return eps, mu, spent(eps)
 
     if within_budget(target, budgets[0]):
         fits = within_budget(budgets, target)
         return done(_reference_gibbs(problem, np.where(fits, problem.risks, np.inf)), np.inf)
-    if float(eps_at(0.0) @ budgets) <= target:
+    if spent(eps_at(0.0)) <= target:
         return done(eps_at(0.0), 0.0)
     lo, hi = 0.0, 1.0
-    while float(eps_at(hi) @ budgets) > target:
+    while spent(eps_at(hi)) > target:
         lo, hi = hi, hi * 2.0
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if float(eps_at(mid) @ budgets) > target:
+        if spent(eps_at(mid)) > target:
             lo = mid
         else:
             hi = mid
@@ -438,7 +442,7 @@ def test_lockstep_solver_equals_one_budget_bisection(m, seed, beta, flat_prior, 
         prior=np.maximum(prior, 1e-12) / np.maximum(prior, 1e-12).sum(),
         beta=beta, mean_budget=float(budgets[-1]),
     )
-    e0 = float(gibbs_epsilons(problem, 0.0) @ budgets)
+    e0 = float(np.add.reduce(gibbs_epsilons(problem, 0.0) * budgets))
     b0 = float(budgets[0])
     targets = [
         b0, math.nextafter(b0, math.inf), b0 * (1.0 + 1e-12), e0,
@@ -464,7 +468,7 @@ def test_lockstep_solver_equals_one_budget_bisection(m, seed, beta, flat_prior, 
 def test_lockstep_solver_equals_one_budget_bisection_on_many_budgets():
     # binding budgets by the thousand: a (B, M) @ budgets product differs from
     # the one-row `eps @ budgets` in the last bit often enough here that a
-    # solver using it for the expected budgets changes some multipliers
+    # solver using it for the expected budgets would change some multipliers
     for seed in range(100):
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 13))

@@ -632,38 +632,38 @@ def test_cached_labels_with_lowered_num_classes_exit_3(tmp_path, capsys):
 
 
 # SHA-256 of every file the CLI writes, for each score kind at the default
-# jitter, as written before routing scored block by block.  A change to any
-# of these bytes is a change to eero's output and must be intended.
+# jitter, as written since each row takes one jitter draw per head.  A change
+# to any of these bytes is a change to eero's output and must be intended.
 OUTPUT_RUNS = {"tiny": ("12", "8,12,16"), "default_seed_0": ("20000", "6000,20000,47000")}
 OUTPUT_DIGESTS = {
     "default_seed_0": {
         "oracle.json": "2d2854275227219392d22bd97f48944e89950a449a9953c2129424a2a4091d06",
-        "breaking_ties/infer.json": "e2b0cdb3eed14a40188e74617a120f1db168be53f8f15a564ff1b1ff759885cc",
-        "breaking_ties/per_instance.csv": "46409d4bed3d168eb0cf7d777a25a297c4552295ab1246006fc24c12a234355c",
-        "breaking_ties/policy.json": "27eeabfad2469f1b34af0a312cfc4c45d4670c4389185b0d1757e70c35ed3d8a",
-        "breaking_ties/sweep.csv": "dc98e1f48b91c46363aa82de3a767e8f1c0ee887e88c94ff82efe4b594e10c14",
+        "breaking_ties/infer.json": "7aefabd6da57cbe4798f26b6df30cb2e141b6ef51857b5f99728ae84145d29a7",
+        "breaking_ties/per_instance.csv": "46b99be29ea815e6338d3372f9fb3f10afb2fa0deec0fc35b9605f9e7b255b0c",
+        "breaking_ties/policy.json": "aabda4d4415045bcc9ad837f6e60cefb199f5dd79b573568104ce8120e4bc3fd",
+        "breaking_ties/sweep.csv": "df3527aaf04eeb0619ee38739a06f1822475ccefb1f82369d72caf2442796247",
         "max_prob/infer.json": "f392ec7ef8c32d9be78085358a3ca568f5d69fc2579c1e7ef60fbaefb75a1536",
         "max_prob/per_instance.csv": "05147426ba2da193283f85fff7d3efde656be9d7770e6d10b39f222b89bac791",
-        "max_prob/policy.json": "daba426c935d5bd52ec456c2e1ff00249f60ad758e5a6c3b171a99f072765543",
-        "max_prob/sweep.csv": "c44227531d0546a93f23d07caef4ef2963ab77a3ef6a327210ae77456579ac74",
-        "neg_entropy/infer.json": "060b053d6d699b75c604e2d5d1813dbd84a1e522d0a31c49e1a109d8be3da2a9",
-        "neg_entropy/per_instance.csv": "b77ffbe4cbb4f975f8bb4f51b70ffabc7baa9923f2a26fe832fde72bf529fcf0",
-        "neg_entropy/policy.json": "cc133296463b48e7edea9e4cc31f5712a6752faa95e35277545a25f37adb5a19",
-        "neg_entropy/sweep.csv": "735e6d8b72b737c7bdf494309d4d7b9d6dc14baa2287c8a91336ef6c8d7a8724",
+        "max_prob/policy.json": "d4b45c4b5d82a47c1090b8daf93c732608ded3471640e200fd835e4c1d7f964f",
+        "max_prob/sweep.csv": "cfad9e6e30ce7f258d770cecfe39b679f51185074059b52a2f134c980265f3e7",
+        "neg_entropy/infer.json": "025cd80352d4be39c2c643b70c98b8fed8f3dbc51ce9c25226a5bb9cc460fcab",
+        "neg_entropy/per_instance.csv": "c8cbad4a19b8fe6f200e9c3ca770271deb4fbc75a9885ae1067afb0a117352ab",
+        "neg_entropy/policy.json": "1094d52534b9801bac9cb0065ef699d27c48c721fff528fa044d215285da18fa",
+        "neg_entropy/sweep.csv": "1aa16a0b54eff5969d06aaa1ed53f428a9da9bf1f04677e3696ba31fff642f55",
     },
     "tiny": {
         "oracle.json": "6e85a1917b925aeb32b2bfef66a7963681239fc69d63baa89955d4c6623d26a2",
         "breaking_ties/infer.json": "3fde03625ccb4aa45b9d540476713a34479b3a244b87cfb149f0c1d98efdd818",
         "breaking_ties/per_instance.csv": "a21b30468a5414cc4f2f50e1e04deb516a5d3fc39778310d8bb1be30bf479617",
-        "breaking_ties/policy.json": "0a54c601a25032404dc3d23a2d5521fec86fa79606f89a7403fbbefb9d548de8",
+        "breaking_ties/policy.json": "d0f56fd0f09de8afec44381762dd3d72e4dceb812300efba66c10a241882a35f",
         "breaking_ties/sweep.csv": "a4ec2401426a2303a568f03ca7e9fede8748c70976f178c709876af2ec7d6912",
         "max_prob/infer.json": "ff2ada4189b36d89290070e8047595937eb79d7cfe145f8e86831467dc220c88",
         "max_prob/per_instance.csv": "176a438f5bc3057cbd6d6295bcca1ad26f32fff9d6f9dec0033adfde717856c1",
-        "max_prob/policy.json": "939d30a3827478132e38645ad994c786e7af1d539ceef0bbe57b347baf6a0cdd",
+        "max_prob/policy.json": "71f6a7795f77531f7adf755c526dd880542e34400a000eb9cd29ed52aee24081",
         "max_prob/sweep.csv": "803a974ec16c2c03d5e01929eacf2b0227527da1dc63a18f40444cd1033b762a",
         "neg_entropy/infer.json": "ff2ada4189b36d89290070e8047595937eb79d7cfe145f8e86831467dc220c88",
         "neg_entropy/per_instance.csv": "176a438f5bc3057cbd6d6295bcca1ad26f32fff9d6f9dec0033adfde717856c1",
-        "neg_entropy/policy.json": "81e08d3f1a8e085da585d6a43222f30e67192901de1754eee8e448dc4e29e681",
+        "neg_entropy/policy.json": "a9e2e0d49c2e8ec9ae4b89ca98c2f92a940c0b2cb0a10a8f26cca977830b5f4b",
         "neg_entropy/sweep.csv": "803a974ec16c2c03d5e01929eacf2b0227527da1dc63a18f40444cd1033b762a",
     },
 }

@@ -1,5 +1,7 @@
 """Confidence scores, argmax predictions, and the deterministic jitter."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from eero import inference, scoring
 from eero.domain import HeadBank, HeadSlice
+from eero.rng import uniform
 from eero.scoring import (
     BLOCK,
     CALIBRATION_KEY_BASE,
@@ -118,17 +121,47 @@ def test_calibration_and_test_key_spaces_disjoint():
     assert not np.array_equal(a, b)
 
 
-def test_argmax_stable_when_margin_exceeds_jitter():
-    spec = ScoreSpec(jitter_u=1e-5, seed=7)
-    rng = np.random.default_rng(3)
-    probs = rng.dirichlet(np.ones(5), size=2_000)
-    keys = np.arange(2_000, dtype=np.uint64)
-    raw_pred = predict_matrix(probs)
-    jit_pred = predict_matrix(jitter_matrix(probs, 0, keys, spec))
-    part = np.partition(probs, -2, axis=1)
-    margin = part[:, -1] - part[:, -2]
-    stable = margin > 2e-5
-    assert np.array_equal(raw_pred[stable], jit_pred[stable])
+def test_jitter_moves_only_the_first_top_entry_and_keeps_the_argmax():
+    # one draw per row, added to the entry predict_matrix picks: every other
+    # entry keeps its bits, so exact and near ties keep their argmax
+    u = 1e-5
+    spec = ScoreSpec(jitter_u=u, seed=7)
+    r = np.random.default_rng(3)
+    n, k = 2_000, 5
+    rows = np.arange(n)
+    probs = r.dirichlet(np.ones(k), size=n)
+    top = predict_matrix(probs)
+    rival = (top + r.integers(1, k, size=n)) % k
+    # even rows tie exactly for the top, odd rows miss it by less than u
+    gap = np.where(rows % 2 == 0, 0.0, r.uniform(0.0, u, size=n))
+    probs[rows, rival] = probs[rows, top] - gap
+    pred = predict_matrix(probs)
+    jit = jitter_matrix(probs, 0, rows.astype(np.uint64), spec)
+    assert np.array_equal(predict_matrix(jit), pred)
+    shift = jit[rows, pred] - probs[rows, pred]
+    assert shift.min() >= 0.0 and 0.0 < shift.max() < u
+    unmoved = jit.copy()
+    unmoved[rows, pred] = probs[rows, pred]
+    assert unmoved.tobytes() == probs.tobytes()
+
+
+def test_a_draw_has_the_same_bits_hashed_in_python_ints_or_numpy():
+    # a zero row at width 1 scores its own draw under max_prob; a narrow block
+    # hashes its keys in Python ints, a wide one in numpy
+    r = np.random.default_rng(17)
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    keys = np.concatenate([np.array(edges, dtype=np.uint64),
+                           r.integers(0, 2**64, size=58, dtype=np.uint64)])
+    spec = ScoreSpec("max_prob", 1.0, seed=2**63 + 5)
+    probs = np.zeros((1, 4))
+    rows = np.zeros(keys.size, dtype=np.intp)
+    wide = score_rows(probs, rows, keys, 3, spec)
+    narrow = np.concatenate([score_rows(probs, rows[:1], keys[i : i + 1], 3, spec)
+                             for i in range(keys.size)])
+    assert keys.size >= scoring._NARROW
+    assert wide.tobytes() == narrow.tobytes()
+    assert wide.tobytes() == uniform(spec.seed, scoring.JITTER_DOMAIN, 3, keys).tobytes()
+    assert np.unique(wide).size == keys.size
 
 
 def test_jitter_bounded_score_shift():
@@ -256,7 +289,10 @@ def test_score_rows_at_block_edges(monkeypatch, kind, jitter):
         monkeypatch.setattr(scoring, "BLOCK", block)
         _assert_scores_equal_reference(probs, rows, TEST_KEY_BASE + rows, 5, spec)
     if kind == "neg_entropy" and jitter == 1e308:
-        assert np.all(np.isposinf(score_rows(probs, rows, rows, 0, spec)))
+        # a row's one draw overflows its score unless the draw is small
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.any(np.isposinf(score_rows(probs, rows, rows, 0, spec)))
 
 
 @pytest.mark.parametrize("kind", ["max_prob", "breaking_ties"])
