@@ -19,17 +19,9 @@ score.  Every caller scores through `score_rows`, which computes the
 same bits BLOCK rows at a time without building the n x K jittered
 matrix, so the scores do not depend on the block size.
 
-Routing needs only whether a score clears a threshold, and each head of
-its one loop is an `inference._head_step`.  Jitter moves a `max_prob` or
-`breaking_ties` score by at most the jitter width plus rounding, so on a
-window of at least `_NARROW` rows the step scores the alive rows raw
-(`reduce_class_major`), settles every row whose raw score lies outside a
-margin of 2 widths (plus a few ulp) around the threshold, and re-scores
-only the rows in that band through `score_rows`; the docstring of
-`inference._head_step` proves that the margin covers the jitter.  Under
-`neg_entropy`, and on narrower windows, every alive row goes to
-`score_rows`.  Calibration and `score_bank` still score every row
-exactly, because thresholds are read off those scores.
+Routing thresholds `score_rows` on the rows alive at each head, so its
+exits are those of thresholding `score_bank`, the sweep's cached scores,
+by construction.
 """
 
 from __future__ import annotations
@@ -59,8 +51,7 @@ BLOCK = 4096
 # blocks narrower than this hash their keys in Python ints and reduce row-major
 # through `score_matrix`: on a handful of rows numpy's per-call overhead is
 # the cost, and this skips the eight calls of an array key hash and, for
-# breaking_ties, the 3K - 3 calls of the running top-2; for the same reason,
-# routing windows narrower than this skip the raw pass of `inference._head_step`
+# breaking_ties, the 3K - 3 calls of the running top-2
 _NARROW = 16
 
 
@@ -168,7 +159,11 @@ def score_rows(
                 block[np.arange(m), predict_matrix(block)] += jitter
             out[:] = score_matrix(block, spec.kind)
         elif spec.kind == "max_prob":
-            reduce_class_major(block.T, spec.kind, out)
+            # a running max over the class rows picks the same entry as `max`
+            q = block.T
+            np.maximum(q[0], q[1], out=out)
+            for row in q[2:]:
+                np.maximum(out, row, out=out)
             if spec.jitter_u:
                 np.add(out, jitter, out)
         else:
@@ -177,24 +172,6 @@ def score_rows(
                 np.add(top, jitter, top)
             np.subtract(top, second, out)
     return scores
-
-
-def reduce_class_major(q: np.ndarray, kind: str, out: np.ndarray) -> np.ndarray:
-    """`max_prob` or `breaking_ties` score of each column of class-major `q`, into `out`.
-
-    `q` is K x n, one row per class (a transposed view of n probability
-    rows will do), and the result equals `score_matrix(q.T, kind)` bit
-    for bit: both kinds pick exact entries, and a running max (or
-    `_top2`'s running top-2) over the K class rows picks the same ones as
-    `max` (or `partition`).  Returns `out`.
-    """
-    if kind == "max_prob":
-        np.maximum(q[0], q[1], out=out)
-        for row in q[2:]:
-            np.maximum(out, row, out=out)
-    else:
-        np.subtract(*_top2(q), out)
-    return out
 
 
 def _top2(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

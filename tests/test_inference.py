@@ -24,7 +24,6 @@ from eero.scoring import (
     ScoreSpec,
     jitter_matrix,
     predict_matrix,
-    reduce_class_major,
     score_bank,
     score_matrix,
     score_rows,
@@ -282,71 +281,55 @@ def test_route_windows_equal_whole_bank(rng):
 def test_each_head_scores_only_rows_that_reach_it(rng, monkeypatch):
     n, m = 500, 4
     bank = random_bank(rng, n=n, m=m, k=5, budgets=[1.0, 2.0, 3.0, 4.0])
-    policy = _policy([0.5, 0.3, 0.1, -np.inf], seq_rates=[0.3, 0.6, 0.8, 1.0], jitter=1e-5, seed=8)
-    raw_blocks, jittered, predicted = [], [], []
-
-    def counted_raw(q, kind, out):
-        # a wide window scores each block of the rows that reach a head raw
-        raw_blocks.append(q.T.copy())
-        return reduce_class_major(q, kind, out)
+    scored, predicted = [], []
 
     def counted_scores(probs, rows, keys, head, spec):
-        # then hashes jitter for the rows near the threshold; a one-row window
-        # hashes its row
-        jittered.append((head, rows.tolist(), np.asarray(keys).tolist()))
+        scored.append((head, rows.tolist(), np.asarray(keys).tolist(), probs[rows].tobytes()))
         return score_rows(probs, rows, keys, head, spec)
 
     def counted_predictions(probs):
         predicted.append(len(probs))
         return predict_matrix(probs)
 
-    monkeypatch.setattr(inference, "reduce_class_major", counted_raw)
+    def reaching(exits, lo, hi):
+        """One call per head that window [lo, hi) reaches: exactly the rows
+        alive after heads 1..l-1, keyed by bank row; the last head is never
+        scored, and the walk stops once no row is alive."""
+        calls = []
+        for head in range(m - 1):
+            alive = np.flatnonzero(exits[lo:hi] > head)
+            if alive.size == 0:
+                break
+            calls.append((head, alive.tolist(), (TEST_KEY_BASE + lo + alive).tolist(),
+                          bank.heads[head].probs[lo + alive].tobytes()))
+        return calls
+
     monkeypatch.setattr(inference, "score_rows", counted_scores)
     monkeypatch.setattr(inference, "predict_matrix", counted_predictions)
-    res = classify_batch(bank, policy)
-    reached = [int(np.sum(res.exits > head)) for head in range(m)]
-    assert reached[m - 1] > 0
-    # head l scores exactly the rows alive after l-1 heads, in one block of
-    # fewer than BLOCK rows; the last head is never scored
-    assert len(raw_blocks) == m - 1
-    for head, block in enumerate(raw_blocks):
-        assert block.tobytes() == bank.heads[head].probs[res.exits > head].tobytes()
-    assert sum(map(len, raw_blocks)) == int(np.minimum(res.exits, m - 1).sum()) < n * (m - 1)
-    # argmax only for the rows that leave, once per head that some row leaves at
-    assert predicted == [c for c in np.bincount(res.exits, minlength=m + 1)[1:] if c]
-    raw_blocks.clear()
+    policies = [_policy([0.5, 0.3, 0.1, -np.inf], seq_rates=[0.3, 0.6, 0.8, 1.0], jitter=1e-5, seed=8)]
+    # a wide jitter, under every score kind
+    for kind in SCORE_KINDS:
+        spec = ScoreSpec(kind=kind, jitter_u=0.05, seed=8)
+        thresholds = _mid_thresholds(bank, spec, [0.7, 0.5, 0.3])
+        policies.append(_policy(thresholds, [0.3, 0.6, 0.8, 1.0], kind=kind, jitter=0.05, seed=8))
+    for policy in policies:
+        scored.clear()
+        predicted.clear()
+        res = classify_batch(bank, policy)
+        assert np.array_equal(res.exits, _route_dense(bank, policy)[0])
+        assert np.sum(res.exits == m) > 0
+        assert scored == reaching(res.exits, 0, n)
+        assert sum(len(c[1]) for c in scored) == int(np.minimum(res.exits, m - 1).sum()) < n * (m - 1)
+        # argmax only for the rows that leave, once per head that some row leaves at
+        assert predicted == [c for c in np.bincount(res.exits, minlength=m + 1)[1:] if c]
+        # one-row windows score the same rows, each at its position 0 in the window
+        scored.clear()
+        assert [r[0] for r in iter_classify(bank, policy)] == res.exits.tolist()
+        assert scored == [c for i in range(n) for c in reaching(res.exits, i, i + 1)]
+    scored.clear()
     first = _policy(np.full(m, -np.inf), seq_rates=[1.0] * m)
     classify_batch(bank, first)
-    assert [len(b) for b in raw_blocks] == [n]  # nobody survives head 1: the walk stops there
-
-    # a jitter wide enough that every head has rows in its band
-    u = 0.05
-    wide = _policy([0.5, 0.3, 0.1, -np.inf], seq_rates=[0.3, 0.6, 0.8, 1.0], jitter=u, seed=8)
-    raw_blocks.clear()
-    jittered.clear()
-    res = classify_batch(bank, wide)
-    assert np.array_equal(res.exits, _route_dense(bank, wide)[0])
-    margin = 2 * u + 2**-48 * (1 + u)
-    for head in range(m - 1):
-        alive = np.flatnonzero(res.exits > head)
-        # exactly the rows alive after heads 1..l-1
-        assert raw_blocks[head].tobytes() == bank.heads[head].probs[alive].tobytes()
-        raw = score_matrix(bank.heads[head].probs[alive], wide.score_kind)
-        near = alive[np.abs(raw - wide.thresholds[head]) <= margin]
-        assert near.size > 0
-        assert jittered[head] == (head, near.tolist(), (TEST_KEY_BASE + near).tolist())
-    assert len(jittered) == m - 1
-    # one-row windows hash every row they score, with the same keys as before;
-    # the row is its position in the window
-    raw_blocks.clear()
-    jittered.clear()
-    assert [r[0] for r in iter_classify(bank, wide)] == res.exits.tolist()
-    assert raw_blocks == []
-    assert jittered == [
-        (head, [0], [TEST_KEY_BASE + i])
-        for i in range(n)
-        for head in range(min(res.exits[i], m - 1))
-    ]
+    assert [len(c[1]) for c in scored] == [n]  # nobody survives head 1: the walk stops there
 
 
 @pytest.fixture(scope="module")
@@ -365,8 +348,8 @@ def large_default_data():
 
 @pytest.mark.parametrize("kind", SCORE_KINDS)
 def test_large_bank_routes_as_first_exceed(large_default_data, monkeypatch, kind):
-    # on a default-law batch large enough that raw scores land in the jitter
-    # band of a threshold, routing still takes the cached scores' exits
+    # on a default-law batch large enough that scores land within a jitter
+    # width of a threshold, routing still takes the cached scores' exits
     data, allocation = large_default_data
     spec = ScoreSpec(kind=kind, seed=7)
     policy = build_policy(data.calib_bank, allocation, spec)
@@ -383,10 +366,7 @@ def test_large_bank_routes_as_first_exceed(large_default_data, monkeypatch, kind
     scores = score_bank(data.test_bank, TEST_KEY_BASE, spec)
     assert np.array_equal(res.exits, first_exceed(scores, policy.thresholds) + 1)
     scored = int(np.minimum(res.exits, data.test_bank.num_heads - 1).sum())
-    if kind == "neg_entropy":
-        assert sum(hashed) == scored  # no band: every scored row is hashed
-    else:
-        assert 0 < sum(hashed) < scored // 1000  # the exact pass ran, on few rows
+    assert sum(hashed) == scored  # every row a head scores is hashed, once
 
 
 @pytest.mark.parametrize("kind", SCORE_KINDS)
