@@ -14,7 +14,10 @@ under the small logit noise, making per-head risks exactly binomial.
 
 All draws are counter-based on (seed, split, purpose, instance, head,
 class), so generation is order-independent and each split is an
-independent stream from the same law.
+independent stream from the same law.  Labels and the shared latent are
+drawn once per split, then each head is drawn on its own: its keys name
+the head, so the order heads are drawn in changes no value, and a split's
+transient memory is one head's (n, K) arrays on top of the banks returned.
 """
 
 from __future__ import annotations
@@ -123,56 +126,33 @@ def _split(spec: SynthSpec, split: int, n: int) -> tuple[HeadBank, np.ndarray]:
     from scipy.special import ndtr, softmax
 
     k = spec.num_classes
-    m = spec.num_heads
     seed = spec.seed
     i = np.arange(n, dtype=np.uint64)
-    heads = np.arange(m, dtype=np.uint64)
+    rows = np.arange(n)
     classes = np.arange(k, dtype=np.uint64)
 
     u_label = rng.uniform(seed, SYNTH_DOMAIN, split, _TAG_LABEL, i, 0, 0)
     labels = np.minimum((u_label * k).astype(np.int64), k - 1)
+    shared = _COUPLING * rng.normal(seed, SYNTH_DOMAIN, split, _TAG_SHARED, i, 0, 0)
 
-    shared = rng.normal(seed, SYNTH_DOMAIN, split, _TAG_SHARED, i, 0, 0)
-    idio = rng.normal(
-        seed, SYNTH_DOMAIN, split, _TAG_HEAD_NOISE, i[:, None], heads[None, :], 0
-    )
-    mix = _COUPLING * shared[:, None] + np.sqrt(1.0 - _COUPLING**2) * idio
-    difficulty = ndtr(mix)  # (n, m), uniform marginals, shared structure
+    slices = []
+    for head, (acc, budget) in enumerate(zip(spec.head_accuracies, spec.head_budgets)):
+        idio = rng.normal(seed, SYNTH_DOMAIN, split, _TAG_HEAD_NOISE, i, head, 0)
+        # uniform marginal, shared structure
+        difficulty = ndtr(shared + np.sqrt(1.0 - _COUPLING**2) * idio)
 
-    accs = np.asarray(spec.head_accuracies)
-    correct = difficulty <= accs[None, :]
+        u_wrong = rng.uniform(seed, SYNTH_DOMAIN, split, _TAG_WRONG, i, head, 0)
+        wrong = np.minimum((u_wrong * (k - 1)).astype(np.int64), k - 2)
+        wrong += wrong >= labels
+        predicted = np.where(difficulty <= acc, labels, wrong)
 
-    u_wrong = rng.uniform(
-        seed, SYNTH_DOMAIN, split, _TAG_WRONG, i[:, None], heads[None, :], 0
-    )
-    wrong = np.minimum((u_wrong * (k - 1)).astype(np.int64), k - 2)
-    wrong += wrong >= labels[:, None]
-    predicted = np.where(correct, labels[:, None], wrong)
-
-    margin = _MARGIN_FLOOR + spec.confidence_sharpness * (1.0 - difficulty)
-    noise = rng.normal(
-        seed,
-        SYNTH_DOMAIN,
-        split,
-        _TAG_LOGIT,
-        i[:, None, None],
-        heads[None, :, None],
-        classes[None, None, :],
-    )
-    logits = _LOGIT_NOISE * noise
-    np.put_along_axis(
-        logits,
-        predicted[:, :, None],
-        np.take_along_axis(logits, predicted[:, :, None], axis=2) + margin[:, :, None],
-        axis=2,
-    )
-    probs = softmax(logits, axis=2)
-
-    slices = tuple(
-        HeadSlice(probs=probs[:, head, :], budget_gflops=spec.head_budgets[head])
-        for head in range(m)
-    )
-    return HeadBank(heads=slices), labels
+        logits = _LOGIT_NOISE * rng.normal(
+            seed, SYNTH_DOMAIN, split, _TAG_LOGIT, i[:, None], head, classes[None, :]
+        )
+        margin = _MARGIN_FLOOR + spec.confidence_sharpness * (1.0 - difficulty)
+        logits[rows, predicted] += margin
+        slices.append(HeadSlice(probs=softmax(logits, axis=1), budget_gflops=budget))
+    return HeadBank(heads=tuple(slices)), labels
 
 
 def generate(spec: SynthSpec) -> SynthData:

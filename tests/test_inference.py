@@ -416,9 +416,10 @@ def _assert_windows_route_as_cached_scores(bank, policy, windows):
 
 @pytest.mark.parametrize("kind", SCORE_KINDS)
 def test_offset_windows_across_block_edges_route_as_cached_scores(rng, kind):
-    # windows that start past row 0 and straddle block edges, and two offset
-    # windows on either side of the raw pass's cut-off; the jitter is wide
-    # enough that every head re-scores many band rows, keyed by bank row
+    # windows that start past row 0 and straddle scoring-block edges, and two
+    # offset windows on either side of `_NARROW`, below which `score_rows`
+    # hashes keys in Python ints; the jitter is wide enough that many rows of
+    # every head score within it of their threshold, keyed by bank row
     n = 2 * BLOCK + 100
     bank = random_bank(rng, n=n, m=3, k=4, budgets=[1.0, 2.0, 4.0])
     spec = ScoreSpec(kind=kind, jitter_u=0.05, seed=9)
@@ -436,7 +437,8 @@ def test_offset_windows_across_block_edges_route_as_cached_scores(rng, kind):
 def test_heads_where_no_row_or_a_whole_block_leaves(rng, kind):
     # no row leaves head 1 (threshold +inf), so head 2 gathers every row; its
     # second block is one-hot, scores at least 1 - u by either kind and leaves
-    # whole; the jitter width u puts many rows of heads 2 and 3 in the band
+    # whole; the jitter width u puts many rows of heads 2 and 3 within u of
+    # their thresholds, where the jitter decides them
     n, k = 3 * BLOCK, 5
     bank = random_bank(rng, n=n, m=4, k=k, budgets=[1.0, 2.0, 3.0, 4.0])
     heads = list(bank.heads)
@@ -456,8 +458,9 @@ def test_heads_where_no_row_or_a_whole_block_leaves(rng, kind):
 
 @pytest.mark.parametrize("kind", ["max_prob", "breaking_ties"])
 def test_first_head_band_rows_route_as_cached_scores(rng, kind):
-    # rows of the first head's contiguous blocks share one raw score, and the
-    # threshold sits half a jitter width above it, so only jitter decides them
+    # rows spread over the first head's scoring blocks share one probability
+    # row, so one unjittered score, and the threshold sits half a jitter width
+    # above it, so only jitter decides them
     n, u = BLOCK + 500, 1e-5
     bank = random_bank(rng, n=n, m=3, k=4, budgets=[1.0, 2.0, 4.0])
     heads = list(bank.heads)
