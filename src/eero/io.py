@@ -15,29 +15,29 @@ back to a `csv`-module row loop, which accepts exactly the same files
 and reports the first fault with its file, row and column.  A file that
 is not UTF-8 or whose gzip stream is damaged is a ParseError naming it.
 
-Parsed tables are cached, in the manner of `__pycache__`: each CSV is
-read once as bytes, and a `.eero_cache/<file name>.table` entry beside
-it holds the SHA-256 of those bytes and the (ids, values) table parsed
-from them.  An entry is used only when that digest, its format version
-and its own CRC-32 all match, so an edit is seen whatever the file's
-size and mtime; anything else is parsed again and the entry replaced.
-Every check on the table (id order, label range, class count, ids
-across heads) runs on cached tables too, a file that fails to parse is
-never cached, a directory that cannot be written is simply not cached
-in, and deleting `.eero_cache/` is always safe.  `write_dataset` seeds
-the entry of each CSV it writes from the table it wrote, so the first
-read after it parses nothing.
-
-`load_manifest` hashes its CSVs on two threads, the caller and one
-helper, each claiming whole files in manifest order and streaming them
-through a fixed chunk buffer; the caller hashes whenever the file it
-needs next is still being hashed, and a process that may use one CPU
-only hashes on the caller.  On a cache hit no file's bytes are held at
-all; on a miss the reader reads the file itself and stores the entry
-under the digest of the bytes it parsed, and a file with no entry is
-hashed by its reader alone.  Outputs and errors are those
-of reading one file at a time: a file whose hashing fails is read
-again, and its error raised, on its turn.
+Parsed tables are cached, in the manner of `__pycache__`: a
+`.eero_cache/<file name>.table` entry beside each CSV holds the
+(ids, values) table parsed from it, the SHA-256 of the bytes it was
+parsed from, and the file's status as those bytes were read: device,
+inode, size, and mtime and ctime in nanoseconds.  As git's index does,
+a load uses an entry without opening the CSV when `os.stat` of the
+file equals that status and the stored ctime is older than the entry's
+own mtime.  An entry written in the clock tick of its file's last
+change is "racy" (a later change in that tick keeps the status), and
+its status is not trusted.  Any other load reads and hashes the file:
+a matching digest keeps the table and rewrites the entry with the
+file's fresh status, and anything else is parsed again and the entry
+replaced.  So an edit is seen unless it keeps the file's device, inode,
+size, mtime and ctime; restoring the mtime with `os.utime` moves the
+ctime, which an unprivileged user cannot set.  An entry is used only
+when its format version and its own CRC-32 match too.  Every check on
+the table (id order, label range, class count, ids across heads) runs
+on cached tables too, a file that fails to parse is never cached, a
+directory that cannot be written is simply not cached in (its files
+are hashed on every load), and deleting `.eero_cache/` is always safe.
+`write_dataset` seeds the entry of each CSV it writes from the table it
+wrote and the status of the file it placed, so the first read after it
+parses nothing and hashes only a racy entry's file.
 
 All writers are deterministic (stable field order, floats rendered with
 17 significant digits, which round-trips IEEE doubles exactly) and
@@ -54,12 +54,11 @@ import json
 import math
 import os
 import struct
-import threading
 import warnings
 import zlib
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from io import BytesIO, TextIOWrapper
 from itertools import islice
 from pathlib import Path
@@ -145,11 +144,12 @@ def dumps_canonical(obj) -> str:
     return _render(obj) + "\n"
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
+def atomic_write_bytes(path, data: bytes) -> os.stat_result:
     """Write via a temp file in the same directory, then rename over.
 
     The temp file is created as `open()` creates one, mode 0o666 less the
-    umask, so the written file gets the usual mode.
+    umask, so the written file gets the usual mode.  Returns the written
+    file's status as of the write, before the rename.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -158,11 +158,14 @@ def atomic_write_bytes(path, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+            fh.flush()
+            written = os.fstat(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return written
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -221,50 +224,54 @@ def as_dataset(data) -> Dataset:
 _DAMAGED = (UnicodeDecodeError, EOFError, zlib.error, gzip.BadGzipFile)
 
 CACHE_DIR = ".eero_cache"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 _CACHE_MAGIC = b"EEROCSV\n"
 # magic, format version, value dtype, rows, columns, SHA-256 of the source
-# bytes: 64 bytes, so the arrays that follow stay 8-byte aligned
-_CACHE_HEAD = struct.Struct("<8sI4sQQ32s")
-# bytes a hashing thread reads and hashes at a time
-_HASH_CHUNK = 1 << 18
+# bytes, and the source's device, inode, size, mtime and ctime as those bytes
+# were read: 104 bytes, so the arrays that follow stay 8-byte aligned
+_CACHE_HEAD = struct.Struct("<8sI4sQQ32s3Q2q")
 
 
-def _entry_path(path: Path) -> Path:
-    """Where the parse cache keeps the entry of the CSV at `path`."""
-    return path.parent / CACHE_DIR / (path.name + ".table")
+def _status(st: os.stat_result) -> tuple[int, int, int, int, int]:
+    """The part of a file's status that a cache entry stores and compares."""
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
 
 
 class _CsvSource:
-    """One CSV file: its bytes, read at most once, their cache key, its parse cache entry.
+    """One CSV file: its bytes, read at most once, their SHA-256, its parse cache entry.
 
     The entry lives in `CACHE_DIR` beside the file, one per file name.  It
-    holds the format version, the SHA-256 of the file's bytes (gzip
-    compressed or not), the parsed (ids, values) table and a CRC-32 of all
-    of that.  `cached` returns the table only when every one of those
-    matches, so a stale, foreign, truncated or corrupt entry reads as a
-    miss.  `store` replaces the entry atomically and skips it silently
-    when the directory cannot be written.
+    holds the format version, the parsed (ids, values) table, the SHA-256
+    of the bytes it was parsed from (gzip compressed or not), the file's
+    status as those bytes were read, and a CRC-32 of all of that.
+    `cached` returns the table of an intact entry without reading the file
+    when the file's status is the stored one and the stored ctime is older
+    than the entry's own mtime.  Otherwise it reads and hashes the file,
+    and a matching digest rewrites the entry with the fresh status; a
+    stale, foreign, truncated or corrupt entry reads as a miss.  `store`
+    replaces the entry atomically and skips it silently when the directory
+    cannot be written.
     """
 
-    def __init__(self, path, raw: bytes | None = None, key: bytes | None = None):
-        """`raw` is the file's bytes when the caller has them.
-
-        `key` is the SHA-256 the file had when the caller hashed it.  The
-        bytes are then read only when a reader needs them, and an entry
-        is stored under the digest of the bytes read, not under `key`.
-        """
+    def __init__(self, path, raw: bytes | None = None, status: tuple | None = None):
+        """`raw` is the file's bytes when the caller has them, and `status` their file's."""
         self.path = Path(path)
+        self.entry = self.path.parent / CACHE_DIR / (self.path.name + ".table")
         self._raw = raw
-        self._key_is_of_raw = key is None
-        self.key = hashlib.sha256(self.raw).digest() if key is None else key
-        self.entry = _entry_path(self.path)
+        self.status = status
 
     @property
     def raw(self) -> bytes:
         if self._raw is None:
-            self._raw = self.path.read_bytes()
+            with open(self.path, "rb") as fh:
+                # taken before the read, so that a write during it leaves a status that differs
+                self.status = _status(os.fstat(fh.fileno()))
+                self._raw = fh.read()
         return self._raw
+
+    @cached_property
+    def key(self) -> bytes:
+        return hashlib.sha256(self.raw).digest()
 
     @contextmanager
     def open(self):
@@ -284,41 +291,52 @@ class _CsvSource:
             raise ParseError(f"unreadable file: {e}", file=str(self.path)) from None
 
     def cached(self, value_type) -> tuple[np.ndarray, np.ndarray] | None:
-        """The cached (ids, values) of these bytes, or None."""
+        """The cached (ids, values) of the file's bytes, or None."""
         try:
             with open(self.entry, "rb") as fh:
+                entry = os.fstat(fh.fileno())
                 # read straight into a writable buffer: arrays as a parse returns, one copy
-                buf = bytearray(os.fstat(fh.fileno()).st_size)
+                buf = bytearray(entry.st_size)
                 if fh.readinto(buf) != len(buf):
                     return None  # the file shrank while being read
+            now = _status(os.stat(self.path))
         except OSError:
-            return None
+            return None  # a missing file is reported by its read
         dtype = np.dtype(value_type).newbyteorder("<")
         if len(buf) < _CACHE_HEAD.size + 4:
             return None
-        magic, version, kind, rows, cols, key = _CACHE_HEAD.unpack_from(buf)
+        magic, version, kind, rows, cols, key, *status = _CACHE_HEAD.unpack_from(buf)
         body = _CACHE_HEAD.size + 8 * rows * (1 + cols)
         if (
-            (magic, version, kind, key)
-            != (_CACHE_MAGIC, _CACHE_VERSION, dtype.str.encode().ljust(4, b"\0"), self.key)
+            (magic, version, kind)
+            != (_CACHE_MAGIC, _CACHE_VERSION, dtype.str.encode().ljust(4, b"\0"))
             or len(buf) != body + 4
             or zlib.crc32(memoryview(buf)[:body]) != int.from_bytes(buf[body:], "little")
         ):
             return None
         ids = np.frombuffer(buf, "<i8", rows, _CACHE_HEAD.size)
         values = np.frombuffer(buf, dtype, rows * cols, _CACHE_HEAD.size + 8 * rows)
-        return (
+        table = (
             ids.astype(np.int64, copy=False),
             values.reshape(rows, cols).astype(value_type, copy=False),
         )
+        # a ctime in the tick the entry was written could hide a change made in that tick
+        if tuple(status) == now and now[-1] < entry.st_mtime_ns:
+            return table
+        if key != self.key:
+            return None
+        self.store(*table)  # the same table under the file's fresh status
+        return table
 
     def store(self, ids: np.ndarray, values: np.ndarray) -> None:
-        """Cache a parsed table under these bytes' key; an OSError skips it."""
+        """Cache a parsed table under these bytes' key and status; an OSError skips it."""
         dtype = values.dtype.newbyteorder("<")
         rows, cols = values.shape
-        key = self.key if self._key_is_of_raw else hashlib.sha256(self.raw).digest()
+        key = self.key  # reads the bytes, and so their status, if nothing has yet
         body = b"".join((
-            _CACHE_HEAD.pack(_CACHE_MAGIC, _CACHE_VERSION, dtype.str.encode(), rows, cols, key),
+            _CACHE_HEAD.pack(
+                _CACHE_MAGIC, _CACHE_VERSION, dtype.str.encode(), rows, cols, key, *self.status
+            ),
             ids.astype("<i8").tobytes(),
             values.astype(dtype).tobytes(),
         ))
@@ -462,17 +480,16 @@ def _parse_label(cells: list[str], num_classes: int) -> int:
     return lab - 1
 
 
-def read_probs_csv(path, source: _CsvSource | None = None) -> tuple[np.ndarray, np.ndarray]:
+def read_probs_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse one head's probability rows; returns (ids, probs).
 
     Enforces the exact header, rectangular float rows and strictly
     increasing instance ids.  Raises ParseError with file/row/column
     context on the first violation.  The table comes from the parse
     cache when it holds these bytes; the id check runs either way, and
-    only a table that passes it is cached.  `source` is the file as
-    already read, when the caller has it.
+    only a table that passes it is cached.
     """
-    src = _CsvSource(path) if source is None else source
+    src = _CsvSource(path)
     table = src.cached(np.float64)
     fresh = table is None
     if fresh:
@@ -491,17 +508,14 @@ def read_probs_csv(path, source: _CsvSource | None = None) -> tuple[np.ndarray, 
     return table
 
 
-def read_labels_csv(
-    path, num_classes: int, source: _CsvSource | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def read_labels_csv(path, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """Parse labels; returns (ids, labels) with labels shifted to 0-based.
 
     The parse cache holds the labels as written, so the range check
     against `num_classes` runs on every read; a label outside it is
-    reported by the row loop with its row and column.  `source` is the
-    file as already read, when the caller has it.
+    reported by the row loop with its row and column.
     """
-    src = _CsvSource(path) if source is None else source
+    src = _CsvSource(path)
     table = src.cached(np.int64)
     fresh = table is None
     if fresh:
@@ -520,112 +534,6 @@ def read_labels_csv(
     return ids, labels
 
 
-def _digest(path: Path, entry: Path, buffer: bytearray) -> bytes | None:
-    """SHA-256 of the file at `path`, read through `buffer`; None if `entry` does not exist.
-
-    A key is only ever compared with the file's cache entry, so a file
-    without one is left for its reader, which hashes the bytes it parses.
-    """
-    if not entry.exists():
-        return None
-    sha = hashlib.sha256()
-    view = memoryview(buffer)
-    with open(path, "rb", buffering=0) as fh:
-        while size := fh.readinto(buffer):
-            sha.update(view[:size])
-    return sha.digest()
-
-
-_PENDING = object()  # the key of a file that a thread is hashing or will hash
-
-
-class _Hasher:
-    """Each of a list of CSVs as a `_CsvSource` keyed by its SHA-256, hashed by two threads.
-
-    The caller and one helper thread claim whole files in list order and
-    hash each through a chunk buffer, so no file's bytes are held for its
-    key; SHA-256 and unbuffered reads release the GIL.  The caller
-    allocated both buffers, so nothing large lands in a second thread's
-    malloc arena.  `take` waits for the next file's key, and while the
-    helper is still hashing that file the caller hashes the next
-    unclaimed one.  A process that may run on one CPU starts no helper,
-    and the same loop hashes each file as it is taken.  A file whose
-    hashing raises, whatever the exception, gets no key, like a file with
-    no cache entry: it is taken as None, and its reader reads it on its
-    turn and meets the error there, after every file before it.  `close`
-    stops the helper.
-    """
-
-    def __init__(self, paths):
-        self._paths = list(paths)
-        # built on the calling thread: pathlib interns path parts, and when an
-        # intern grows the interpreter's table of interned strings (about 2 MB
-        # here), the new table lands in the malloc arena of the thread that grew it
-        self._entries = [_entry_path(path) for path in self._paths]
-        self._keys = [_PENDING] * len(self._paths)
-        self._claimed = 0  # files claimed by a thread: a prefix of the list
-        self._taken = 0
-        self._changed = threading.Condition(threading.Lock())
-        self._buffer = bytearray(_HASH_CHUNK)
-        self._helper = None
-        # the affinity mask, where the OS has one, says how many CPUs this process may use
-        affinity = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
-        if len(affinity(0)) > 1:
-            buffer = bytearray(_HASH_CHUNK)
-            self._helper = threading.Thread(target=self._hash_each, args=(buffer,), daemon=True)
-            self._helper.start()
-
-    def _claim(self) -> int | None:
-        """The first unclaimed file's index, now claimed; call it holding `_changed`."""
-        if self._claimed == len(self._paths):
-            return None
-        self._claimed += 1
-        return self._claimed - 1
-
-    def _hash(self, i: int, buffer: bytearray) -> None:
-        key = None
-        try:
-            key = _digest(self._paths[i], self._entries[i], buffer)
-        except Exception:
-            pass  # the file's reader meets the error again, on the file's turn
-        finally:  # even on an exception that propagates, so that no one waits on file i
-            with self._changed:
-                self._keys[i] = key
-                self._changed.notify_all()
-
-    def _hash_each(self, buffer: bytearray) -> None:
-        while True:
-            with self._changed:
-                i = self._claim()
-            if i is None:
-                return
-            self._hash(i, buffer)
-
-    def _key(self, i: int) -> bytes | None:
-        """File i's key; until it is known, this thread hashes unclaimed files."""
-        while True:
-            with self._changed:
-                if self._keys[i] is not _PENDING:
-                    return self._keys[i]
-                j = self._claim()
-                if j is None:  # the helper is hashing file i
-                    self._changed.wait()
-                    continue
-            self._hash(j, self._buffer)
-
-    def take(self) -> tuple[Path, _CsvSource | None]:
-        """The next file's path and source; the source is None if the file has no key."""
-        path, key = self._paths[self._taken], self._key(self._taken)
-        self._taken += 1
-        return path, None if key is None else _CsvSource(path, key=key)
-
-    def close(self) -> None:
-        with self._changed:
-            self._claimed = len(self._paths)  # the helper claims no further file
-        if self._helper is not None:
-            self._helper.join()
-
-
 # ---------------------------------------------------------------------------
 # manifest
 
@@ -639,19 +547,14 @@ def load_manifest(path, splits=SPLIT_NAMES) -> Dataset:
     split that the manifest does not declare is absent from the result.
     """
     path, k, entries = _read_manifest(path)
-    wanted = {name: entry for name, entry in entries.items() if name in splits}
-    files = []  # every CSV in the order _read_split takes them
-    for heads, labels_csv in wanted.values():
-        files += [path.parent / probs_csv for probs_csv, _, _ in heads]
-        files += [path.parent / labels_csv] if labels_csv else []
-    with closing(_Hasher(files)) as sources:
-        return Dataset(
-            num_classes=k,
-            splits={
-                name: _read_split(path, name, heads, labels_csv, k, sources.take)
-                for name, (heads, labels_csv) in wanted.items()
-            },
-        )
+    return Dataset(
+        num_classes=k,
+        splits={
+            name: _read_split(path, name, heads, labels_csv, k)
+            for name, (heads, labels_csv) in entries.items()
+            if name in splits
+        },
+    )
 
 
 def split_size(path, name: str) -> int | None:
@@ -750,16 +653,12 @@ def _split_entry(entry, name: str, path) -> tuple[list, str | None]:
     return heads, labels_csv
 
 
-def _read_split(path, name: str, heads: list, labels_csv: str | None, k: int, take) -> Split:
-    """Read one split's CSVs, named relative to the manifest at `path`.
-
-    `take()` gives each file's path and `_CsvSource`, or None for its
-    reader to read it: heads in order, then the labels.
-    """
+def _read_split(path, name: str, heads: list, labels_csv: str | None, k: int) -> Split:
+    """Read one split's CSVs, named relative to the manifest at `path`."""
     slices = []
     split_ids: np.ndarray | None = None
     for probs_csv, budget, risk in heads:
-        ids, probs = read_probs_csv(*take())
+        ids, probs = read_probs_csv(path.parent / probs_csv)
         if probs.shape[1] != k:
             raise ParseError(
                 f"{probs_csv} has {probs.shape[1]} classes, manifest declares {k}",
@@ -774,8 +673,7 @@ def _read_split(path, name: str, heads: list, labels_csv: str | None, k: int, ta
         slices.append(HeadSlice(probs=probs, budget_gflops=budget, risk=risk))
     labels = None
     if labels_csv:
-        csv_path, source = take()
-        lab_ids, labels = read_labels_csv(csv_path, k, source)
+        lab_ids, labels = read_labels_csv(path.parent / labels_csv, k)
         if not np.array_equal(lab_ids, split_ids):
             raise ParseError(
                 f"label ids of split {name!r} do not match its probs ids", file=str(path)
@@ -854,7 +752,9 @@ def _write_table_csv(path, header: str, ids: np.ndarray, values: np.ndarray) -> 
     `%.17g` a float as `format(v, ".17g")` does.  17 significant digits
     round-trip every float64, so the (ids, values) in hand are the table
     a read of the written bytes parses, and the entry is stored under
-    those bytes' digest without reading them back.  Ids of a non-integer
+    those bytes' digest and the status of the file they were written to,
+    without reading them back; a read that follows parses nothing, and
+    hashes only a racy entry's file.  Ids of a non-integer
     dtype are written as `%d` renders them but not cached, since they are
     not that table.
     """
@@ -862,9 +762,23 @@ def _write_table_csv(path, header: str, ids: np.ndarray, values: np.ndarray) -> 
     fmt = "%d," + ",".join([cell] * values.shape[1])
     lines = [header, *(fmt % (i, *row) for i, row in zip(ids.tolist(), values.tolist()))]
     raw = ("\n".join(lines) + "\n").encode("utf-8")
-    atomic_write_bytes(path, raw)
+    written = _status(atomic_write_bytes(path, raw))
     if ids.dtype.kind == "i":
-        _CsvSource(path, raw).store(ids, values)
+        _CsvSource(path, raw, _placed(path, written)).store(ids, values)
+
+
+def _placed(path, written: tuple) -> tuple:
+    """The status of a file written with status `written`, after the rename that placed it.
+
+    A rename moves the file's ctime.  The path's status counts only when
+    it shows the written file (device, inode, size and mtime); otherwise
+    `written` stands, and the first read of the file hashes it.
+    """
+    try:
+        now = _status(os.stat(path))
+    except OSError:
+        return written
+    return now if now[:4] == written[:4] else written
 
 
 # ---------------------------------------------------------------------------

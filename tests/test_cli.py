@@ -816,19 +816,16 @@ def test_commands_that_read_train_fail_on_its_corrupt_file(dataset, tmp_path, ar
     assert not out.exists()
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize(
     "corrupt, missing, reported",
     [(1, 2, "test_head_1.csv, row 2"), (2, 1, "No such file or directory")],
     ids=["corrupt_then_missing", "missing_then_corrupt"],
 )
-def test_the_first_bad_file_is_reported_though_the_next_is_read_ahead(
-    dataset, tmp_path, monkeypatch, cpus, corrupt, missing, reported
+def test_the_first_bad_file_in_manifest_order_is_reported(
+    dataset, tmp_path, corrupt, missing, reported
 ):
-    # load_manifest reads each file's bytes one file ahead (hashing them on a
-    # helper thread when it may use more than one CPU); the error is the one
-    # a load of one file at a time meets first
-    monkeypatch.setattr(eio.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    # load_manifest reads the files one at a time in manifest order: the
+    # error is the one it meets first, and the file after it is not named
     bad = tmp_path / "bad"
     shutil.copytree(dataset, bad)
     (bad / f"test_head_{corrupt}.csv").write_text("instance_id,p_1,p_2,p_3,p_4\n0,oops\n")

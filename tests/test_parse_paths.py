@@ -10,13 +10,14 @@ that: every public read here runs twice, cold and then warm, and the warm
 read must return the same bits without parsing, or fail alike.
 """
 
+import builtins
 import gzip
 import hashlib
+import io
 import json
 import math
 import os
 import shutil
-import sys
 import threading
 import time
 import warnings
@@ -373,8 +374,15 @@ def _with_crc(body):
     return body + zlib.crc32(body).to_bytes(4, "little")
 
 
+def _other_size(body):
+    """An entry's bytes with the stored size of its source one larger."""
+    size = int.from_bytes(body[80:88], "little")
+    return body[:80] + (size + 1).to_bytes(8, "little") + body[88:]
+
+
 # name -> entry bytes -> damaged entry bytes; the "_crc" kinds fix up the
-# CRC-32, so only the field named is wrong
+# CRC-32, so only the field named is wrong; an entry whose source status
+# alone is wrong ("other_status_crc") is kept by its digest and rewritten
 ENTRY_DAMAGE = {
     "payload_byte": lambda b: b[:-12] + bytes([b[-12] ^ 1]) + b[-11:],
     "truncated": lambda b: b[:-1],
@@ -384,7 +392,8 @@ ENTRY_DAMAGE = {
     "foreign_magic_crc": lambda b: _with_crc(b"NOTEERO\n" + b[8:-4]),
     "foreign_version_crc": lambda b: _with_crc(b[:8] + (99).to_bytes(4, "little") + b[12:-4]),
     "labels_kind_crc": lambda b: _with_crc(b[:12] + b"<i8\0" + b[16:-4]),
-    "other_source_crc": lambda b: _with_crc(b[:32] + bytes(32) + b[64:-4]),
+    "other_source_crc": lambda b: _with_crc(_other_size(b[:32] + bytes(32) + b[64:-4])),
+    "other_status_crc": lambda b: _with_crc(_other_size(b[:-4])),
     "more_rows_crc": lambda b: _with_crc(b[:16] + (3).to_bytes(8, "little") + b[24:-4]),
 }
 
@@ -564,7 +573,7 @@ def test_write_dataset_with_an_unwritable_cache_dir_writes_no_entries(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# load_manifest reads and hashes one file ahead
+# what a load reads and hashes
 
 
 def _written(out):
@@ -575,145 +584,109 @@ def _written(out):
     )), out)
 
 
-def _cpus(monkeypatch, n):
-    """Let io see `n` CPUs in this process's affinity mask."""
-    monkeypatch.setattr(eio.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+class _Hashes:
+    """Stands in for `hashlib`: records the digest of each SHA-256 taken."""
+
+    def __init__(self):
+        self.digests = []
+
+    def sha256(self, data):
+        sha = hashlib.sha256(data)
+        self.digests.append(sha.digest())
+        return sha
 
 
-class _Hashing:
-    """Stands in for `hashlib`: records the thread and digest of each file hashed.
+def _names(data):
+    """{SHA-256 of the bytes: file name} of each CSV in `data`."""
+    names = {hashlib.sha256(f.read_bytes()).digest(): f.name for f in data.glob("*.csv")}
+    assert len(names) == 11  # three heads per split and the train and test labels
+    return names
 
-    A thread is "caller" when it is `caller` (by default the thread that
-    made this), else "helper".  With `fail_on` ("caller" or "helper"), the
-    first update on that thread raises MemoryError; with `wait`, the other
-    thread's first update waits until it has, so that both threads hash a
-    file.  With `slow`, each update on the helper after its first file
-    sleeps that long first, and the caller hashes nothing until the helper
-    has begun a file.
+
+def _past_the_ctimes(data, probe):
+    """Return once a file written now gets an mtime later than each CSV's ctime in `data`.
+
+    An entry written in the clock tick of its file's last status change is
+    racy and hashed on each load, so a test that counts hashes starts later.
     """
-
-    def __init__(self, fail_on=None, wait=False, slow=0.0):
-        self.hashed = []
-        self.caller = threading.get_ident()
-        self.fail_on, self.wait, self.slow = fail_on, wait, slow
-        self.failed = threading.Event()
-        self.helping = threading.Event()
-
-    def thread(self):
-        return "caller" if threading.get_ident() == self.caller else "helper"
-
-    def sha256(self, *data):
-        return _Sha256(self, data)
+    newest = max(f.stat().st_ctime_ns for f in data.glob("*.csv"))
+    probe.touch()
+    while probe.stat().st_mtime_ns <= newest:
+        time.sleep(0.001)
+        probe.touch()
 
 
-class _Sha256:
-    def __init__(self, hashing, data):
-        self._hashing = hashing
-        self._sha = hashlib.sha256()
-        for chunk in data:
-            self.update(chunk)
-
-    def update(self, data):
-        hashing = self._hashing
-        if hashing.slow and hashing.thread() == "helper":
-            hashing.helping.set()
-            if any(thread == "helper" for thread, _ in hashing.hashed):
-                time.sleep(hashing.slow)
-        elif hashing.slow:
-            assert hashing.helping.wait(10)
-        if hashing.fail_on is not None and not hashing.failed.is_set():
-            if hashing.thread() == hashing.fail_on:
-                hashing.failed.set()
-                raise MemoryError("injected")
-            if hashing.wait:
-                assert hashing.failed.wait(10)
-        self._sha.update(data)
-
-    def digest(self):
-        digest = self._sha.digest()
-        self._hashing.hashed.append((self._hashing.thread(), digest))
-        return digest
+def test_write_dataset_stores_the_status_of_each_placed_file(tmp_path):
+    # taken after the rename that moved the file's ctime, so a load can trust it
+    data = _written(tmp_path / "data").parent
+    for csv_path in data.glob("*.csv"):
+        stored = eio._CACHE_HEAD.unpack_from(_entry(csv_path).read_bytes())[6:]
+        assert tuple(stored) == eio._status(csv_path.stat())
 
 
-@pytest.mark.parametrize("cached", [False, True], ids=["cold", "warm"])
-def test_the_helper_hashes_and_changes_no_bit(tmp_path, monkeypatch, cached):
+def test_a_warm_load_hashes_nothing_and_opens_no_csv(tmp_path, monkeypatch):
     manifest = _written(tmp_path / "data")
-    # 11 files, three heads per split and the train and test labels
-    names = {hashlib.sha256(f.read_bytes()).digest(): f.name for f in manifest.parent.glob("*.csv")}
-    assert len(names) == 11
-    hashing = _Hashing()
-    hashed = hashing.hashed
-    monkeypatch.setattr(eio, "hashlib", hashing)
-    loads = {}
-    for cpus in (1, 2):
-        _cpus(monkeypatch, cpus)
-        if not cached:
-            shutil.rmtree(manifest.parent / eio.CACHE_DIR, ignore_errors=True)
-        hashed.clear()
-        loads[cpus] = _arrays(eio.load_manifest(manifest))
-        # either thread may hash a file, and each file is hashed once: by the
-        # caller or the helper when it has an entry, else by its reader
-        assert sorted(names[digest] for _, digest in hashed) == sorted(names.values())
-        if cpus == 1:
-            assert {thread for thread, _ in hashed} == {"caller"}
-    _assert_bitwise(loads[1], loads[2])
-    assert len(loads[1]) == len(loads[2]) == 14  # and an id array per split
+    _past_the_ctimes(manifest.parent, tmp_path / "probe")
+    refreshed = _arrays(eio.load_manifest(manifest))
+    hashes = _Hashes()
+    monkeypatch.setattr(eio, "hashlib", hashes)
+    opened = []
+    real_open = builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(os.fsdecode(file) if isinstance(file, (str, bytes, os.PathLike)) else file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(io, "open", recording_open)
+    with _no_parsing():
+        warm = _arrays(eio.load_manifest(manifest))
+    monkeypatch.undo()
+    assert hashes.digests == []
+    assert [f for f in opened if str(f).endswith(".csv")] == []
+    assert sum(str(f).endswith(".csv.table") for f in opened) == 11  # the patch sees the opens
+    _assert_bitwise(warm, refreshed)
 
 
-def test_concurrent_loads_under_fast_switching_hash_each_file_once(tmp_path, monkeypatch):
-    # four loads at a time on two CPUs, each with its helper, switching threads
-    # every microsecond: a claim lost or made twice hashes a file twice or never
-    _cpus(monkeypatch, 2)
+def test_a_racy_entry_is_hashed_once_and_refreshed(tmp_path, monkeypatch):
+    manifest = _written(tmp_path / "data")
+    data = manifest.parent
+    names = _names(data)
+    _past_the_ctimes(data, tmp_path / "probe")
+    refreshed = _arrays(eio.load_manifest(manifest))
+    # an entry whose mtime is its file's ctime: written in the tick of the
+    # file's last change, so its status cannot vouch for the bytes
+    target = data / "calib_head_2.csv"
+    ctime = target.stat().st_ctime_ns
+    os.utime(_entry(target), ns=(ctime, ctime))
+    hashes = _Hashes()
+    monkeypatch.setattr(eio, "hashlib", hashes)
+    for hashed in (["calib_head_2.csv"], []):
+        hashes.digests.clear()
+        with _no_parsing():
+            _assert_bitwise(_arrays(eio.load_manifest(manifest)), refreshed)
+        assert [names[d] for d in hashes.digests] == hashed
+        assert _entry(target).stat().st_mtime_ns > ctime
+
+
+def test_a_copied_dataset_hashes_each_file_once(tmp_path, monkeypatch):
+    # new inodes: every entry's stored status is another file's
     manifest = _written(tmp_path / "data")
     reference = _arrays(eio.load_manifest(manifest))
-    hashing = _Hashing()
-    monkeypatch.setattr(eio, "hashlib", hashing)
-    loads, rounds = [], 5
-
-    def load():
-        for _ in range(rounds):
-            loads.append(_arrays(eio.load_manifest(manifest)))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        loaders = [threading.Thread(target=load, daemon=True) for _ in range(4)]
-        for loader in loaders:
-            loader.start()
-        for loader in loaders:
-            loader.join(60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(loader.is_alive() for loader in loaders)
-    assert len(loads) == 4 * rounds
-    for arrays in loads:
-        _assert_bitwise(arrays, reference)
-    assert len(hashing.hashed) == 11 * 4 * rounds
-
-
-@pytest.mark.parametrize("cached", [False, True], ids=["cold", "warm"])
-def test_the_helper_interns_no_string(tmp_path, monkeypatch, cached):
-    # pathlib interns path parts; an intern on the helper that grows the
-    # interpreter's interned-string table would leave the grown table, about
-    # 2 MB in a CLI session, in the helper's malloc arena
-    _cpus(monkeypatch, 2)
-    manifest = _written(tmp_path / "data")
-    if not cached:
-        shutil.rmtree(manifest.parent / eio.CACHE_DIR)
-    interned_on = set()
-    real = sys.intern
-
-    def intern(text):
-        interned_on.add(threading.current_thread() is threading.main_thread())
-        return real(text)
-
-    monkeypatch.setattr(sys, "intern", intern)
-    eio.load_manifest(manifest)
-    assert False not in interned_on
+    copy = tmp_path / "copy"
+    shutil.copytree(manifest.parent, copy)
+    names = _names(copy)
+    _past_the_ctimes(copy, tmp_path / "probe")
+    hashes = _Hashes()
+    monkeypatch.setattr(eio, "hashlib", hashes)
+    for hashed in (sorted(names.values()), []):
+        hashes.digests.clear()
+        with _no_parsing():
+            _assert_bitwise(_arrays(eio.load_manifest(copy / eio.MANIFEST_NAME)), reference)
+        assert sorted(names[d] for d in hashes.digests) == hashed
 
 
 def test_an_edited_file_and_a_stale_entry_are_parsed_again(tmp_path, monkeypatch):
-    _cpus(monkeypatch, 2)
     manifest = _written(tmp_path / "data")
     data = manifest.parent
     before = eio.load_manifest(manifest)
@@ -754,49 +727,23 @@ def test_an_edited_file_and_a_stale_entry_are_parsed_again(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize(
-    "fault",
-    [None, "corrupt", "missing", "unsorted_labels", "nul_name", "surrogate_name",
-     "caller_raises", "helper_raises", "corrupt_while_hashing"],
+    "fault", [None, "corrupt", "missing", "unsorted_labels", "nul_name", "surrogate_name"]
 )
 def test_a_load_leaves_no_thread_behind(tmp_path, monkeypatch, cpus, fault):
-    _cpus(monkeypatch, cpus)
+    # however many CPUs the process may use, a load starts no thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     manifest = _written(tmp_path / "data")
     data = manifest.parent
-    if fault in ("caller_raises", "helper_raises"):
-        # hashing a file raises MemoryError on that thread: its reader reads
-        # and hashes it on its turn, and the load returns the usual bits
-        clean = _arrays(eio.load_manifest(manifest))
-        thread = fault.split("_")[0]
-        hashing = _Hashing(fail_on=thread, wait=cpus > 1)
-        monkeypatch.setattr(eio, "hashlib", hashing)
-        loaded = []
-
-        def load():  # on a thread of its own, so that a load that waits forever fails
-            hashing.caller = threading.get_ident()
-            loaded.append(_arrays(eio.load_manifest(manifest)))
-
-        before = threading.active_count()
-        loader = threading.Thread(target=load, daemon=True)
-        loader.start()
-        loader.join(30)
-        assert not loader.is_alive(), "the load waits on a file that no thread hashes"
-        assert threading.active_count() == before
-        _assert_bitwise(loaded[0], clean)
-        # with one CPU there is no helper to fail
-        assert hashing.failed.is_set() == (cpus > 1 or thread == "caller")
-        return
     if fault in ("nul_name", "surrogate_name"):  # the first file's name: nothing may be read
         doc = json.loads(manifest.read_text())
         bad = "train_head_1.csv\x00" if fault == "nul_name" else "\ud800.csv"
         doc["splits"]["train"]["heads"][0]["probs_csv"] = bad
         manifest.write_text(json.dumps(doc))
-    elif fault in ("corrupt", "corrupt_while_hashing"):  # the first file
-        if fault == "corrupt_while_hashing" and cpus > 1:  # the helper is still hashing
-            monkeypatch.setattr(eio, "hashlib", _Hashing(slow=0.2))
+    elif fault == "corrupt":  # the first file
         (data / "train_head_1.csv").write_text("instance_id,p_1,p_2,p_3\n0,oops\n")
     elif fault == "missing":
         (data / "calib_head_2.csv").unlink()
-    elif fault == "unsorted_labels":  # the last file: nothing is left to hash
+    elif fault == "unsorted_labels":  # the last file
         (data / "test_labels.csv").write_text("instance_id,label\n1,1\n0,2\n")
     before = threading.active_count()
     if fault is None:
