@@ -39,10 +39,15 @@ are hashed on every load), and deleting `.eero_cache/` is always safe.
 wrote and the status of the file it placed, so the first read after it
 parses nothing and hashes only a racy entry's file.
 
-All writers are deterministic (stable field order, floats rendered with
-17 significant digits, which round-trips IEEE doubles exactly) and
-atomic (temp file then rename), so partially written files never
-replace good ones and byte-identical reruns are byte-identical on disk.
+All writers are deterministic and atomic (temp file then rename), so
+partially written files never replace good ones and reruns are
+byte-identical on disk.  Documents are strict JSON from the `json`
+encoder, in stable field order: floats in Python's shortest round-trip
+form, which reads back to the same float64 bits, and `null` in place
+of the two infinities a policy can hold (an exit threshold of -inf, the
+unbounded multiplier of a budget no larger than the cheapest head).
+Result CSVs write floats in that form too; dataset CSVs write them with
+17 significant digits, which round-trips IEEE doubles exactly.
 """
 
 from __future__ import annotations
@@ -89,59 +94,32 @@ _INT64 = np.iinfo(np.int64)
 # canonical rendering
 
 
-def format_float(x: float) -> str:
-    """17-significant-digit decimal form; round-trips float64 exactly."""
-    x = float(x)
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    s = format(x, ".17g")
-    if "." not in s and "e" not in s:  # "g" writes a lowercase exponent
-        s += ".0"
-    return s
-
-
-def _render_each(values, render) -> list[str]:
-    """`render` of each float of `values`, flattened, called once per distinct value.
+def _repr_each(values) -> list[str]:
+    """`repr` of each float of `values`, flattened, called once per distinct value.
 
     Values are keyed by their bits, so -0.0 and 0.0 are rendered apart.
     """
     bits = np.ascontiguousarray(values, dtype=np.float64).ravel().view(np.uint64)
     keys, which = np.unique(bits, return_inverse=True)
-    texts = [render(v) for v in keys.view(np.float64).tolist()]
+    texts = [repr(v) for v in keys.view(np.float64).tolist()]
     return list(map(texts.__getitem__, which.tolist()))
 
 
-def _render(obj) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
-    if isinstance(obj, np.ndarray):
-        if obj.ndim == 1 and obj.dtype.kind == "f":
-            return "[" + ", ".join(_render_each(obj, format_float)) + "]"
-        if obj.ndim == 1 and obj.dtype.kind in "iu":
-            # one join over Python scalars, not one _render call per element
-            return "[" + ", ".join(map(str, obj.tolist())) + "]"
-        return _render(obj.tolist())
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_render(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = (f"{json.dumps(str(k))}: {_render(v)}" for k, v in obj.items())
-        return "{" + ", ".join(items) + "}"
+def _plain(obj):
+    """A numpy array or scalar as the Python values it holds, for `json`."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON: insertion-ordered keys, 17-digit floats."""
-    return _render(obj) + "\n"
+    """Strict JSON, keys in insertion order; a NaN or an infinity raises ValueError."""
+    return json.dumps(obj, default=_plain, allow_nan=False) + "\n"
+
+
+def _or_null(x: float) -> float | None:
+    """`x`, or None (JSON `null`) when it is infinite."""
+    return None if math.isinf(x) else x
 
 
 def atomic_write_bytes(path, data: bytes) -> os.stat_result:
@@ -799,7 +777,8 @@ def compute_risks(bank: HeadBank, labels: np.ndarray | None) -> np.ndarray:
 def allocation_to_dict(result: AllocationResult) -> dict:
     return {
         "epsilons": result.epsilons,
-        "multiplier": result.multiplier,
+        # infinite for a budget no larger than the cheapest head
+        "multiplier": _or_null(result.multiplier),
         "expected_budget": result.expected_budget,
         "kl_to_prior": result.kl_to_prior,
         "saturated": result.saturated,
@@ -816,7 +795,8 @@ def policy_to_dict(
         "jitter_u": policy.jitter_u,
         "seed": policy.seed,
         "seq_rates": policy.seq_rates,
-        "thresholds": policy.thresholds,
+        # -inf: classify every instance that reaches the head
+        "thresholds": [_or_null(t) for t in policy.thresholds.tolist()],
         "calibration_size": policy.calibration_size,
     }
     if budget is not None:
@@ -830,12 +810,15 @@ def policy_to_dict(
 
 
 def policy_from_dict(doc: dict) -> ExitPolicy:
+    thresholds = doc["thresholds"]
+    if isinstance(thresholds, list):  # null, or the -Infinity token of older documents, is -inf
+        thresholds = [-math.inf if t is None else t for t in thresholds]
     policy = ExitPolicy(
         score_kind=doc["score_kind"],
         jitter_u=float(doc["jitter_u"]),
         seed=doc["seed"],
         seq_rates=np.asarray(doc["seq_rates"], dtype=np.float64),
-        thresholds=np.asarray(doc["thresholds"], dtype=np.float64),
+        thresholds=np.asarray(thresholds, dtype=np.float64),
         calibration_size=doc["calibration_size"],
     )
     # the pinned scoring configuration must itself be valid
@@ -938,7 +921,7 @@ def write_per_instance_csv(path, result: BatchResult, labels=None, instance_ids=
         result.exits.tolist(),
         result.predictions.tolist(),
         # costs take one value per head: each is rendered once
-        _render_each(result.per_instance_cost, "%.17g".__mod__),
+        _repr_each(result.per_instance_cost),
     ]
     if labels is not None:
         header += ",correct"
@@ -958,7 +941,7 @@ def write_sweep_csv(path, rows) -> None:
     lines = ["budget,accuracy,consumed,within_budget,source"]
     # budgets repeat on every row of their group and head rows in every group:
     # each distinct value is rendered once
-    texts = _render_each([row[:3] for row in rows], format_float)
+    texts = _repr_each([row[:3] for row in rows])
     for i, (budget, _, consumed, source) in enumerate(rows):
         fits = "true" if within_budget(consumed, budget) else "false"
         lines.append(",".join((*texts[3 * i : 3 * i + 3], fits, source)))

@@ -137,7 +137,7 @@ def test_infer_mismatched_policy_exit_5(dataset, tmp_path):
         "seed": 0,
         "calibration_size": 10,
         "seq_rates": [0.5, 1.0],
-        "thresholds": [0.5, "-Infinity"],
+        "thresholds": [0.5, None],
     }
     p = tmp_path / "p.json"
     p.write_text(json.dumps(policy_doc))
@@ -154,8 +154,10 @@ def test_infer_mismatched_policy_exit_5(dataset, tmp_path):
         ("seq_rates", lambda v: [1.5] + v[1:]),  # rates must be non-decreasing in [0, 1]
         ("thresholds", lambda v: v[:1]),  # one threshold for three heads
         ("score_kind", lambda v: "softmax_margin"),
+        # an object whose keys read as numbers is not a list of thresholds
+        ("thresholds", lambda v: {str(i): 0 for i in range(len(v))}),
     ],
-    ids=["bad_seq_rates", "short_thresholds", "unknown_score_kind"],
+    ids=["bad_seq_rates", "short_thresholds", "unknown_score_kind", "thresholds_object"],
 )
 def test_infer_malformed_policy_exit_3(dataset, tmp_path, capsys, field, value):
     policy = tmp_path / "policy.json"
@@ -297,7 +299,7 @@ def test_sweep_oracle_spending_decimal_budget_is_within(tmp_path):
     ])
     assert rc == 0
     oracle = [ln.split(",") for ln in out.read_text().splitlines() if ln.endswith(",oracle")]
-    assert oracle == [["6.7999999999999998", "1.0", "6.8000000000000007", "true", "oracle"]]
+    assert oracle == [["6.8", "1.0", "6.800000000000001", "true", "oracle"]]
 
 
 def test_sweep_rows_share_the_oracle_budget_rule(tmp_path):
@@ -317,7 +319,7 @@ def test_sweep_rows_share_the_oracle_budget_rule(tmp_path):
         "sweep", "--data", str(tmp_path / "data"), "--budgets", "4.8", "--out", str(out),
     ]) == 0
     rows = {ln.rsplit(",", 1)[1]: ln.split(",") for ln in out.read_text().splitlines()[1:]}
-    assert rows["head_2"] == ["4.7999999999999998", "1.0", "4.8000000000000007", "true", "head_2"]
+    assert rows["head_2"] == ["4.8", "1.0", "4.800000000000001", "true", "head_2"]
     assert rows["head_1"][3] == "true"
 
 
@@ -637,34 +639,34 @@ def test_cached_labels_with_lowered_num_classes_exit_3(tmp_path, capsys):
 OUTPUT_RUNS = {"tiny": ("12", "8,12,16"), "default_seed_0": ("20000", "6000,20000,47000")}
 OUTPUT_DIGESTS = {
     "default_seed_0": {
-        "oracle.json": "2d2854275227219392d22bd97f48944e89950a449a9953c2129424a2a4091d06",
-        "breaking_ties/infer.json": "7aefabd6da57cbe4798f26b6df30cb2e141b6ef51857b5f99728ae84145d29a7",
-        "breaking_ties/per_instance.csv": "46b99be29ea815e6338d3372f9fb3f10afb2fa0deec0fc35b9605f9e7b255b0c",
-        "breaking_ties/policy.json": "aabda4d4415045bcc9ad837f6e60cefb199f5dd79b573568104ce8120e4bc3fd",
-        "breaking_ties/sweep.csv": "df3527aaf04eeb0619ee38739a06f1822475ccefb1f82369d72caf2442796247",
-        "max_prob/infer.json": "f392ec7ef8c32d9be78085358a3ca568f5d69fc2579c1e7ef60fbaefb75a1536",
-        "max_prob/per_instance.csv": "05147426ba2da193283f85fff7d3efde656be9d7770e6d10b39f222b89bac791",
-        "max_prob/policy.json": "d4b45c4b5d82a47c1090b8daf93c732608ded3471640e200fd835e4c1d7f964f",
-        "max_prob/sweep.csv": "cfad9e6e30ce7f258d770cecfe39b679f51185074059b52a2f134c980265f3e7",
-        "neg_entropy/infer.json": "025cd80352d4be39c2c643b70c98b8fed8f3dbc51ce9c25226a5bb9cc460fcab",
-        "neg_entropy/per_instance.csv": "c8cbad4a19b8fe6f200e9c3ca770271deb4fbc75a9885ae1067afb0a117352ab",
-        "neg_entropy/policy.json": "1094d52534b9801bac9cb0065ef699d27c48c721fff528fa044d215285da18fa",
-        "neg_entropy/sweep.csv": "1aa16a0b54eff5969d06aaa1ed53f428a9da9bf1f04677e3696ba31fff642f55",
+        "oracle.json": "8ca13032e149893bda389792014bda55f9f372105e3f130995c04949a74f74ae",
+        "breaking_ties/infer.json": "805a31f357e65af6d579b1875209674cb5a67d1f237a113f58c28eb3754cc742",
+        "breaking_ties/per_instance.csv": "c41fb30994677fb41a75e1f24e235ef37fa5dee4c3faf7173ef7bddb3fa67fda",
+        "breaking_ties/policy.json": "64a6660c423d70df6480d61bc645ef8b5714d7eb4b78dbcc75200f03e572f13e",
+        "breaking_ties/sweep.csv": "05133b246722639f87801ec0f9fe4ea5776e9d5b73b1826d686539de0bc9e837",
+        "max_prob/infer.json": "8682dc35652ef6d4316435603c10cabc2a4ae55d3bc1d138f69f351b98ddcef3",
+        "max_prob/per_instance.csv": "7d540c6d5f074362da623521623c2eddc5e44964194d030dde9b1b914dec69a4",
+        "max_prob/policy.json": "7955eaf39463b1b04cc68f1fb7e4ae006230400d28238bee5e1a56d584147c9a",
+        "max_prob/sweep.csv": "0302780d0d4dad5a58e1da25c5622bc4249417cd6820fe0a75bbc9a6087e3c91",
+        "neg_entropy/infer.json": "61df1412df269948cef0558c41d86cf839f1766fd5cbfd3c3e82e96a6633b4bc",
+        "neg_entropy/per_instance.csv": "32202dc8a75c8023d660a5efe931310fca04bc06c956ebdd1cac9f23491e0a6d",
+        "neg_entropy/policy.json": "6f0b0909895d81e147eeaf609b15d492f87b5d1626d31ae81294858223575f17",
+        "neg_entropy/sweep.csv": "c000ec986adaa2b40e61324f34444e26035e80f9f0b5f1fc45f869787ba0fb2e",
     },
     "tiny": {
         "oracle.json": "6e85a1917b925aeb32b2bfef66a7963681239fc69d63baa89955d4c6623d26a2",
         "breaking_ties/infer.json": "3fde03625ccb4aa45b9d540476713a34479b3a244b87cfb149f0c1d98efdd818",
-        "breaking_ties/per_instance.csv": "a21b30468a5414cc4f2f50e1e04deb516a5d3fc39778310d8bb1be30bf479617",
-        "breaking_ties/policy.json": "d0f56fd0f09de8afec44381762dd3d72e4dceb812300efba66c10a241882a35f",
-        "breaking_ties/sweep.csv": "a4ec2401426a2303a568f03ca7e9fede8748c70976f178c709876af2ec7d6912",
-        "max_prob/infer.json": "ff2ada4189b36d89290070e8047595937eb79d7cfe145f8e86831467dc220c88",
-        "max_prob/per_instance.csv": "176a438f5bc3057cbd6d6295bcca1ad26f32fff9d6f9dec0033adfde717856c1",
-        "max_prob/policy.json": "71f6a7795f77531f7adf755c526dd880542e34400a000eb9cd29ed52aee24081",
-        "max_prob/sweep.csv": "803a974ec16c2c03d5e01929eacf2b0227527da1dc63a18f40444cd1033b762a",
-        "neg_entropy/infer.json": "ff2ada4189b36d89290070e8047595937eb79d7cfe145f8e86831467dc220c88",
-        "neg_entropy/per_instance.csv": "176a438f5bc3057cbd6d6295bcca1ad26f32fff9d6f9dec0033adfde717856c1",
-        "neg_entropy/policy.json": "a9e2e0d49c2e8ec9ae4b89ca98c2f92a940c0b2cb0a10a8f26cca977830b5f4b",
-        "neg_entropy/sweep.csv": "803a974ec16c2c03d5e01929eacf2b0227527da1dc63a18f40444cd1033b762a",
+        "breaking_ties/per_instance.csv": "456c296022912dd93a7f0458aa98a4224ab937c51a44655cad27cd4002c159e4",
+        "breaking_ties/policy.json": "da550003cb3410aeb60a2f9a8da43a0ff40cc439ee703e6e3c531240d8b574eb",
+        "breaking_ties/sweep.csv": "77b565067a7748eb574713bd784a7ca54490eab106b9cf362eee985b5736fb0f",
+        "max_prob/infer.json": "1404914fff7d71bfd3d838e03376845810ed7ed07c7b72d7cb17b917ca373eac",
+        "max_prob/per_instance.csv": "7763d19fca0879c0e9dc60d0a780bd685de2fdf5a11efbd6ee7c3f22c7629994",
+        "max_prob/policy.json": "3333e1e85ad7cf254618bd7c9d5cd4600dce0be2473339c8c60fd73dfe22f6d7",
+        "max_prob/sweep.csv": "74a71bcd75876b8d28ea2d8aced58d9c28e394902816dcf6f4462d7ae7489416",
+        "neg_entropy/infer.json": "1404914fff7d71bfd3d838e03376845810ed7ed07c7b72d7cb17b917ca373eac",
+        "neg_entropy/per_instance.csv": "7763d19fca0879c0e9dc60d0a780bd685de2fdf5a11efbd6ee7c3f22c7629994",
+        "neg_entropy/policy.json": "87476445b6c046343d634930b05d39c9e9935e6d7adf24d6f8026c21ddf87091",
+        "neg_entropy/sweep.csv": "74a71bcd75876b8d28ea2d8aced58d9c28e394902816dcf6f4462d7ae7489416",
     },
 }
 
@@ -718,6 +720,40 @@ def test_cli_outputs_keep_their_bytes(tmp_path, name):
         for f in ("policy.json", "infer.json", "per_instance.csv", "sweep.csv"):
             got[f"{kind}/{f}"] = hashlib.sha256((out / f).read_bytes()).hexdigest()
     assert got == OUTPUT_DIGESTS[name]
+
+
+# `calibrate --budget 12 --seed 0` on sample_data/tiny, as policies were
+# written before documents became strict JSON: 17 significant digits, and a
+# -Infinity token for the last head's threshold
+OLD_TINY_POLICY = (
+    '{"score_kind": "breaking_ties", "jitter_u": 1.0000000000000001e-05, "seed": 0, '
+    '"seq_rates": [0.70412414523193156, 1.0], "thresholds": [0.050005568907808107, -Infinity], '
+    '"calibration_size": 6, "budget_spec": {"total_budget": 12.0, "batch_size": 6}, '
+    '"allocation": {"epsilons": [0.5, 0.5], "multiplier": 0.11173605223326116, '
+    '"expected_budget": 2.0, "kl_to_prior": 0.14384103622589042, "saturated": true}}\n'
+)
+
+
+def test_a_policy_in_the_old_format_infers_the_same_bytes(tmp_path):
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(OLD_TINY_POLICY)
+    rc, err = _run_quiet(["calibrate", "--data", str(TINY), "--budget", "12", "--seed", "0",
+                          "--out", str(new)])
+    assert rc == 0, err
+    # the re-written policy holds the same values, with null for -inf
+    assert json.loads(new.read_text()) == {
+        **json.loads(OLD_TINY_POLICY), "thresholds": [0.050005568907808107, None]
+    }
+    for policy in (old, new):
+        rc, err = _run_quiet(["infer", "--data", str(TINY), "--policy", str(policy),
+                              "--out", str(tmp_path / f"{policy.stem}_infer.json"),
+                              "--per-instance", str(tmp_path / f"{policy.stem}_rows.csv")])
+        assert rc == 0, err
+    for f in ("infer.json", "rows.csv"):
+        assert (tmp_path / f"old_{f}").read_bytes() == (tmp_path / f"new_{f}").read_bytes()
+    assert hashlib.sha256((tmp_path / "new_infer.json").read_bytes()).hexdigest() == (
+        OUTPUT_DIGESTS["tiny"]["breaking_ties/infer.json"]
+    )
 
 
 # run in a fresh interpreter: imports eero, runs every command but synth on

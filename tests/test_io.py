@@ -1,5 +1,7 @@
 """Manifest/CSV ingestion, canonical JSON, and lossless round trips."""
 
+import csv
+import dataclasses
 import gzip
 import hashlib
 import json
@@ -14,9 +16,10 @@ from hypothesis import strategies as st
 from eero import io as eio
 from eero.allocation import AllocationResult
 from eero.calibration import build_policy
-from eero.domain import BudgetSpec, within_budget
+from eero.domain import BudgetSpec, HeadBank, within_budget
 from eero.errors import LabelLengthMismatch, MissingLabels, ParseError
 from eero.inference import classify_batch, measure_budget
+from eero.oracle import OracleInstance, build_correctness, oracle_exact
 from eero.scoring import ScoreSpec
 from eero.synth import default_spec, generate, SynthSpec
 from conftest import make_bank
@@ -32,25 +35,32 @@ def tiny_synth(seed=0):
     )
 
 
-def test_format_float_round_trips():
-    cases = [0.1, 1.0, -2.5, 1e-17, 3.141592653589793, 1e300, -0.0]
-    for x in cases:
-        s = eio.format_float(x)
-        assert float(s) == x
-    assert eio.format_float(1.0) == "1.0"
-    assert eio.format_float(float("inf")) == "Infinity"
-    assert eio.format_float(float("-inf")) == "-Infinity"
-    assert eio.format_float(float("nan")) == "NaN"
+def _reject(constant):
+    raise ValueError(f"{constant} is not standard JSON")
+
+
+def _strict_loads(text):
+    """`json.loads` refusing the NaN and Infinity tokens, as RFC 8259 readers do."""
+    return json.loads(text, parse_constant=_reject)
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
 
 
 def test_canonical_json_stable_and_ordered():
-    doc = {"b": 1, "a": [1.5, float("inf")], "c": {"y": True, "x": None}}
+    doc = {"b": 1, "a": [1.5, 0.1, -0.0], "c": {"y": True, "x": None}, "d": np.float64(1e-05)}
     s1 = eio.dumps_canonical(doc)
     s2 = eio.dumps_canonical(doc)
     assert s1 == s2
     assert s1.endswith("\n")
     assert s1.index('"b"') < s1.index('"a"')  # insertion order kept
-    assert "Infinity" in s1
+    # the shortest text that reads back to each float
+    assert s1 == '{"b": 1, "a": [1.5, 0.1, -0.0], "c": {"y": true, "x": null}, "d": 1e-05}\n'
+    # strict JSON has no token for a NaN or an infinity
+    for bad in (math.inf, -math.inf, math.nan, np.array([1.0, -np.inf])):
+        with pytest.raises(ValueError):
+            eio.dumps_canonical({"a": bad})
 
 
 def test_atomic_write(tmp_path):
@@ -286,7 +296,9 @@ def test_policy_with_infinite_multiplier_round_trips(tmp_path):
     path = tmp_path / "policy.json"
     eio.save_policy(path, policy, alloc, BudgetSpec(total_budget=20.0, batch_size=20))
     _, doc = eio.load_policy(path)
-    assert doc["allocation"]["multiplier"] == float("inf")
+    # strict JSON has no infinity: an unbounded multiplier is written as null
+    assert doc["allocation"]["multiplier"] is None
+    assert "Infinity" not in path.read_text()
 
 
 def test_save_policy_deterministic_bytes(tmp_path):
@@ -356,13 +368,13 @@ def test_per_instance_csv(tmp_path):
 
 
 def _per_instance_reference(result, labels, instance_ids):
-    """The per-instance CSV rendered one numpy scalar at a time."""
+    """The per-instance CSV rendered one value at a time."""
     ids = np.arange(result.batch_size) if instance_ids is None else np.asarray(instance_ids)
     lines = ["instance_id,exit_head,prediction,cost" + ("" if labels is None else ",correct")]
     for i in range(result.batch_size):
         line = (
             f"{int(ids[i])},{int(result.exits[i])},{int(result.predictions[i])},"
-            f"{format(result.per_instance_cost[i], '.17g')}"
+            f"{float(result.per_instance_cost[i])!r}"
         )
         if labels is not None:
             line += f",{int(result.predictions[i] - 1 == labels[i])}"
@@ -373,7 +385,7 @@ def _per_instance_reference(result, labels, instance_ids):
 # SHA-256 of every file write_dataset(generate(default_spec(0))) writes, as
 # written one format() call per value; the parse cache entries are not pinned
 DEFAULT_DATASET_DIGESTS = {
-    "manifest.json": "69688a23c692c2a30365d9c86933e809b44ff11e46a270e3b3b4b2bd6fd4c06d",
+    "manifest.json": "b3b4f30156cee965ea876e39965b4eb5b879d470ae0900d262df7f476b19d18a",
     "calib_head_1.csv": "f25875b8c26e7a80ebee785e41bf8ead1682fc78f1f37908334ecbee4b3aa52f",
     "calib_head_2.csv": "2e63f87a4274853538765427600c3f9adfd1d4e1b8e1fb3b31fdd13e932c8a7e",
     "calib_head_3.csv": "2577f9bc32a238a012d8851b6090d6c7c6317ae601eff87ebfdc4465bfba77e9",
@@ -445,9 +457,9 @@ def test_table_rows_render_as_per_value_format(tmp_path, table):
 
 
 def test_array_rendering_equals_element_rendering():
-    # 1-d numeric arrays render with one join; lists render element by element
+    # numpy arrays and scalars are written as the Python values they hold
     arrays = [
-        np.array([0.1, -0.0, 1e300, 5e-324, np.inf, -np.inf, np.nan, 2.0, 1e16, 123456789.0]),
+        np.array([0.1, -0.0, 1e300, 5e-324, 2.0, 1e16, 123456789.0]),
         np.array([np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max]),
         np.array([0, np.iinfo(np.uint64).max], dtype=np.uint64),
         np.array([1.5, 0.1], dtype=np.float32),
@@ -456,28 +468,29 @@ def test_array_rendering_equals_element_rendering():
         np.arange(6.0).reshape(2, 3),
     ]
     for arr in arrays:
-        assert eio._render(arr) == eio._render(arr.tolist())
+        assert eio.dumps_canonical(arr) == eio.dumps_canonical(arr.tolist())
+        assert eio.dumps_canonical(list(arr.ravel())) == eio.dumps_canonical(arr.ravel().tolist())
 
 
-# repeated values, both zeros, NaNs with other payloads, infinities and subnormals
+# repeated values, both zeros, subnormals, the largest double and a float32 rounding
 RENDER_VALUES = st.sampled_from([
     0.0, -0.0, 1.0, -1.0, 0.1, 1e16, 1e17, 5e-324, -5e-324, 2.2250738585072014e-308,
-    math.inf, -math.inf, math.nan, -math.nan, float.fromhex("0x1.8p+1"), 123456789.0,
+    1.7976931348623157e308, float.fromhex("0x1.8p+1"), 123456789.0, 1e-05, 1 / 3,
 ])
 
 
 @settings(max_examples=100, deadline=None)
-@given(values=st.lists(RENDER_VALUES, max_size=40), payload=st.booleans(),
-       dtype=st.sampled_from([np.float64, np.float32]))
-def test_float_arrays_render_each_value_as_format_float_does(values, payload, dtype):
-    arr = np.array(values, dtype=np.float64)
-    if payload and arr.size:  # a NaN whose bits differ from numpy's default NaN
-        arr[0] = np.array([0x7FF0000000000123], dtype=np.uint64).view(np.float64)[0]
-    with np.errstate(invalid="ignore"):  # NaN to float32
-        arr = arr.astype(dtype)
-    expected = "[" + ", ".join(eio.format_float(v) for v in arr.tolist()) + "]"
-    assert eio._render(arr) == expected
-    assert eio._render(arr[::-1]) == "[" + ", ".join(eio.format_float(v) for v in arr[::-1].tolist()) + "]"
+@given(values=st.lists(RENDER_VALUES, max_size=40), dtype=st.sampled_from([np.float64, np.float32]))
+def test_float_arrays_read_back_their_bits(values, dtype):
+    with np.errstate(over="ignore"):
+        arr = np.array(values, dtype=np.float64).astype(dtype)
+    arr = arr[np.isfinite(arr)]  # the largest double overflows float32
+    for view in (arr, arr[::-1]):
+        back = _strict_loads(eio.dumps_canonical(view))
+        assert _bits(back) == _bits(view)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            eio.dumps_canonical(np.append(arr, bad))
 
 
 def test_sweep_csv_schema(tmp_path):
@@ -506,7 +519,7 @@ def test_sweep_csv_schema(tmp_path):
 
 def test_sweep_csv_renders_repeated_values_and_signed_zeros(tmp_path):
     # each distinct value is rendered once, keyed by its bits: repeats, both
-    # zeros and integral values still read as format_float writes each cell
+    # zeros and integral values still read as repr writes each cell
     rows = [
         (2.0, 0.5, 2.0, "eero"),
         (2.0, -0.0, 0.0, "oracle"),
@@ -519,7 +532,7 @@ def test_sweep_csv_renders_repeated_values_and_signed_zeros(tmp_path):
     eio.write_sweep_csv(path, rows)
     lines = path.read_text().splitlines()[1:]
     assert [line.split(",")[:3] for line in lines] == [
-        list(map(eio.format_float, row[:3])) for row in rows
+        list(map(repr, row[:3])) for row in rows
     ]
     assert lines[1].startswith("2.0,-0.0,0.0,") and lines[2].startswith("2.0,0.0,-0.0,")
     assert lines[4].split(",")[2] != lines[5].split(",")[2]  # 0.1 + 0.2 is not 0.3
@@ -534,3 +547,109 @@ def test_oracle_result_dict_marker():
     assert doc["mode"] == "at_most_budget"
     assert doc["budget"] == 4.0
     assert doc["accuracy"] == 0.5
+
+
+def _assert_reads_back(parsed, value):
+    """`parsed`, read from a written document, holds `value`'s types and float64 bits."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, dict):
+        assert list(parsed) == list(value)
+        for key in value:
+            _assert_reads_back(parsed[key], value[key])
+    elif isinstance(value, (list, tuple)):
+        assert len(parsed) == len(value)
+        for p, v in zip(parsed, value):
+            _assert_reads_back(p, v)
+    elif isinstance(value, float):
+        assert type(parsed) is float and _bits(parsed) == _bits(value)
+    else:
+        assert type(parsed) is type(value) and parsed == value
+
+
+def test_every_written_file_is_standard_and_reads_back_its_bits(tmp_path):
+    # every file eero writes is strict JSON (no NaN or Infinity token) or CSV,
+    # and holds the exact float64 bits of the values it was written from
+    data = generate(SynthSpec(
+        seed=4, num_classes=3, num_heads=3, head_accuracies=(0.5, 0.7, 0.9),
+        head_budgets=(0.1, 0.7, 1.3), confidence_sharpness=6.0, sizes=(40, 30, 20),
+    ))
+    ds = eio.as_dataset(data)
+    train = ds.splits["train"]
+    risky = tuple(dataclasses.replace(h, risk=r) for h, r in zip(train.bank.heads, (0.1 + 0.2, 1 / 3, 0.0)))
+    ds.splits["train"] = dataclasses.replace(train, bank=HeadBank(heads=risky))
+    manifest = eio.write_dataset(ds, tmp_path / "data")
+    doc = _strict_loads(manifest.read_text())
+    for name, split in ds.splits.items():
+        heads = doc["splits"][name]["heads"]
+        assert _bits([h["budget_gflops"] for h in heads]) == _bits(split.bank.budgets)
+        risks = [h.risk for h in split.bank.heads]
+        assert [h.get("risk") for h in heads] == risks
+        if name == "train":
+            assert _bits([h["risk"] for h in heads]) == _bits(risks)
+
+    spec = ScoreSpec(kind="neg_entropy", jitter_u=1e-5, seed=123)
+    budget = BudgetSpec(total_budget=0.7 * 20, batch_size=20)
+    allocations = {
+        "plan": AllocationResult(
+            epsilons=np.array([0.2, 0.3, 0.5]), multiplier=1 / 3, expected_budget=0.1 * 0.2 + 0.21 + 0.65,
+            kl_to_prior=0.07, saturated=True,
+        ),
+        # a point budget: the cheapest head alone, at an unbounded multiplier
+        "point": AllocationResult(
+            epsilons=np.array([1.0, 0.0, 0.0]), multiplier=np.inf, expected_budget=0.1,
+            kl_to_prior=0.3, saturated=True,
+        ),
+        # every instance that reaches head 2 exits there: its threshold is -inf
+        "head_2_takes_all": AllocationResult(
+            epsilons=np.array([0.6, 0.4, 0.0]), multiplier=0.0, expected_budget=0.34,
+            kl_to_prior=0.0, saturated=False,
+        ),
+    }
+    for name, alloc in allocations.items():
+        policy = build_policy(data.calib_bank, alloc, spec)
+        path = tmp_path / f"{name}.json"
+        eio.save_policy(path, policy, alloc, budget)
+        doc = _strict_loads(path.read_text())
+        _assert_reads_back(doc, eio.policy_to_dict(policy, alloc, budget))
+        # an infinite threshold or multiplier is written as null
+        infinite = np.isinf(policy.thresholds)
+        assert [t is None for t in doc["thresholds"]] == infinite.tolist()
+        assert _bits([t for t in doc["thresholds"] if t is not None]) == _bits(policy.thresholds[~infinite])
+        assert (doc["allocation"]["multiplier"] is None) == math.isinf(alloc.multiplier)
+        loaded, _ = eio.load_policy(path)
+        assert _bits(loaded.thresholds) == _bits(policy.thresholds)
+        assert _bits(loaded.seq_rates) == _bits(policy.seq_rates)
+        assert loaded.jitter_u == policy.jitter_u
+    assert doc["thresholds"][1] is None and doc["thresholds"][2] is None
+    assert math.isinf(allocations["point"].multiplier)
+
+    policy = build_policy(data.calib_bank, allocations["plan"], spec)
+    result = classify_batch(data.test_bank, policy, labels=data.test_labels)
+    infer_doc = eio.batch_result_to_dict(result, measure_budget(result, budget))
+    eio.write_json_result(tmp_path / "infer.json", infer_doc)
+    _assert_reads_back(_strict_loads((tmp_path / "infer.json").read_text()), infer_doc)
+
+    eio.write_per_instance_csv(tmp_path / "per.csv", result, labels=data.test_labels)
+    with open(tmp_path / "per.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [int(row[1]) for row in rows] == result.exits.tolist()
+    assert _bits([float(row[3]) for row in rows]) == _bits(result.per_instance_cost)
+
+    instance = OracleInstance(
+        correctness=build_correctness(data.test_bank, data.test_labels),
+        costs=data.test_bank.budgets, budget=0.7 * 20,
+    )
+    oracle_doc = eio.oracle_result_to_dict(oracle_exact(instance), instance.budget)
+    eio.write_json_result(tmp_path / "oracle.json", oracle_doc)
+    _assert_reads_back(_strict_loads((tmp_path / "oracle.json").read_text()), oracle_doc)
+
+    sweep = [
+        (0.1 + 0.2, 1 / 3, -0.0, "eero"),
+        (0.1 + 0.2, 2 / 3, 5e-324, "oracle"),
+        (1e16, 0.0, 1.7976931348623157e308, "head_1"),
+    ]
+    eio.write_sweep_csv(tmp_path / "sweep.csv", sweep)
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert _bits([list(map(float, row[:3])) for row in rows]) == _bits([row[:3] for row in sweep])
