@@ -305,7 +305,8 @@ class ExitPolicy:
         thr = np.asarray(self.thresholds, dtype=np.float64)
         if seq.ndim != 1 or thr.shape != seq.shape or seq.size < 1:
             raise ShapeMismatch("seq_rates and thresholds must be equal-length vectors")
-        if np.any(np.diff(seq) < 0.0) or seq.min() < 0.0 or seq.max() > 1.0:
+        # written so that a NaN rate fails it
+        if not (np.all(np.diff(seq) >= 0.0) and seq.min() >= 0.0 and seq.max() <= 1.0):
             raise InvalidSpec("sequential rates must be non-decreasing within [0, 1]")
         if seq[-1] != 1.0:
             raise InvalidSpec("the final sequential rate must be exactly 1")

@@ -3,8 +3,9 @@
 A dataset on disk is a JSON manifest naming, per split (train, calib,
 test), one probability CSV per head with its cumulative budget and an
 optional precomputed risk, plus optional label CSVs.  Probability CSVs
-carry a `instance_id,p_1,...,p_K` header and rows sorted by instance
-id; gzip-compressed files are detected by magic bytes and read
+carry a `instance_id,p_1,...,p_K` header and label CSVs an
+`instance_id,label` header; in both, instance ids strictly increase
+row by row.  gzip-compressed files are detected by magic bytes and read
 transparently.  Labels are 1-based on disk and 0-based in memory.
 
 `load_manifest` checks the whole manifest document first, then reads
@@ -36,8 +37,9 @@ on cached tables too, a file that fails to parse is never cached, a
 directory that cannot be written is simply not cached in (its files
 are hashed on every load), and deleting `.eero_cache/` is always safe.
 `write_dataset` seeds the entry of each CSV it writes from the table it
-wrote and the status of the file it placed, so the first read after it
-parses nothing and hashes only a racy entry's file.
+wrote: it reads the file back as a load does, and stores the entry under
+the status of that read when it returned the bytes written.  So the
+first read after it parses nothing and hashes only a racy entry's file.
 
 All writers are deterministic and atomic (temp file then rename), so
 partially written files never replace good ones and reruns are
@@ -45,7 +47,8 @@ byte-identical on disk.  Documents are strict JSON from the `json`
 encoder, in stable field order: floats in Python's shortest round-trip
 form, which reads back to the same float64 bits, and `null` in place
 of the two infinities a policy can hold (an exit threshold of -inf, the
-unbounded multiplier of a budget no larger than the cheapest head).
+unbounded multiplier of a budget no larger than the cheapest head) and
+of an `infer` result's allowance when it overflows to infinity.
 Result CSVs write floats in that form too; dataset CSVs write them with
 17 significant digits, which round-trips IEEE doubles exactly.
 """
@@ -61,11 +64,10 @@ import os
 import struct
 import warnings
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property, partial
 from io import BytesIO, TextIOWrapper
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -122,12 +124,11 @@ def _or_null(x: float) -> float | None:
     return None if math.isinf(x) else x
 
 
-def atomic_write_bytes(path, data: bytes) -> os.stat_result:
+def atomic_write_bytes(path, data: bytes) -> None:
     """Write via a temp file in the same directory, then rename over.
 
     The temp file is created as `open()` creates one, mode 0o666 less the
-    umask, so the written file gets the usual mode.  Returns the written
-    file's status as of the write, before the rename.
+    umask, so the written file gets the usual mode.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -136,14 +137,11 @@ def atomic_write_bytes(path, data: bytes) -> os.stat_result:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
-            fh.flush()
-            written = os.fstat(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return written
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -231,21 +229,16 @@ class _CsvSource:
     cannot be written.
     """
 
-    def __init__(self, path, raw: bytes | None = None, status: tuple | None = None):
-        """`raw` is the file's bytes when the caller has them, and `status` their file's."""
+    def __init__(self, path):
         self.path = Path(path)
         self.entry = self.path.parent / CACHE_DIR / (self.path.name + ".table")
-        self._raw = raw
-        self.status = status
 
-    @property
+    @cached_property
     def raw(self) -> bytes:
-        if self._raw is None:
-            with open(self.path, "rb") as fh:
-                # taken before the read, so that a write during it leaves a status that differs
-                self.status = _status(os.fstat(fh.fileno()))
-                self._raw = fh.read()
-        return self._raw
+        with open(self.path, "rb") as fh:
+            # taken before the read, so that a write during it leaves a status that differs
+            self.status = _status(os.fstat(fh.fileno()))
+            return fh.read()
 
     @cached_property
     def key(self) -> bytes:
@@ -329,9 +322,9 @@ def _read_rows(src: _CsvSource, header_ok, header_text: str, parse_row) -> tuple
 
     Checks the header with `header_ok`, skips blank lines, and requires
     every row to have the header's width and an integer instance id in
-    column 1.  `parse_row(cells)` returns the row's value; it reports a
-    bad cell by raising ParseError with `col` set, and the row and file
-    are added here.
+    column 1, larger than the row before's.  `parse_row(cells)` returns
+    the row's values; it reports a bad cell by raising ParseError with
+    `col` set, and the row and file are added here.
     """
     path = src.path
     ids: list[int] = []
@@ -369,6 +362,10 @@ def _read_rows(src: _CsvSource, header_ok, header_text: str, parse_row) -> tuple
                     row=rownum,
                     col=1,
                 )
+            if len(ids) > 1 and ids[-1] <= ids[-2]:
+                raise ParseError(
+                    "instance ids must be strictly increasing", file=str(path), row=rownum
+                )
             try:
                 rows.append(parse_row(cells))
             except ParseError as e:
@@ -376,18 +373,6 @@ def _read_rows(src: _CsvSource, header_ok, header_text: str, parse_row) -> tuple
     if not rows:
         raise ParseError("no data rows", file=str(path), row=1)
     return np.asarray(ids, dtype=np.int64), rows
-
-
-def _row_number(src: _CsvSource, index: int) -> int:
-    """The row number `_read_rows` gives the data row at 0-based `index`.
-
-    Blank lines count as rows but hold no data, so a table's index alone
-    does not give the row; this reads the bytes again to find it.
-    """
-    with src.open() as fh:
-        rows = enumerate(csv.reader(fh), start=1)
-        next(rows)  # the header
-        return next(islice((n for n, cells in rows if cells), index, None))
 
 
 def _load_table(src: _CsvSource, header_ok, value_type) -> tuple[np.ndarray, np.ndarray] | None:
@@ -426,6 +411,33 @@ def _load_table(src: _CsvSource, header_ok, value_type) -> tuple[np.ndarray, np.
     return np.ascontiguousarray(table["id"]), np.ascontiguousarray(table["values"])
 
 
+def _read_table(
+    path, header_ok, header_text: str, value_type, parse_row, values_ok
+) -> tuple[np.ndarray, np.ndarray]:
+    """The checked (ids, values) table of one CSV, as its parse cache stores it.
+
+    The cache entry, or else `np.loadtxt`, only vouches for a table: it
+    is returned when its ids strictly increase and `values_ok(values)`
+    holds.  Anything else goes to the row loop, which reports the first
+    fault with its file, row and column; a table the row loop returns is
+    cached.
+    """
+    src = _CsvSource(path)
+    table = src.cached(value_type)
+    fresh = table is None
+    if fresh:
+        table = _load_table(src, header_ok, value_type)
+    # compared, not subtracted: a difference of int64 ids can overflow
+    if table is not None and np.all(table[0][1:] > table[0][:-1]) and values_ok(table[1]):
+        if fresh:
+            src.store(*table)
+        return table
+    ids, rows = _read_rows(src, header_ok, header_text, parse_row)
+    table = ids, np.asarray(rows, dtype=value_type)
+    src.store(*table)
+    return table
+
+
 def _probs_header_ok(header: list[str]) -> bool:
     return (
         len(header) >= 2
@@ -448,14 +460,14 @@ def _labels_header_ok(header: list[str]) -> bool:
     return header == ["instance_id", "label"]
 
 
-def _parse_label(cells: list[str], num_classes: int) -> int:
+def _parse_label(cells: list[str], num_classes: int) -> list[int]:
     try:
         lab = int(cells[1])
     except ValueError:
         raise ParseError(f"label {cells[1]!r} is not an integer", col=2) from None
     if not (1 <= lab <= num_classes):
         raise ParseError(f"label {lab} outside 1..{num_classes}", col=2)
-    return lab - 1
+    return [lab]
 
 
 def read_probs_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -463,53 +475,27 @@ def read_probs_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
     Enforces the exact header, rectangular float rows and strictly
     increasing instance ids.  Raises ParseError with file/row/column
-    context on the first violation.  The table comes from the parse
-    cache when it holds these bytes; the id check runs either way, and
-    only a table that passes it is cached.
+    context on the first violation.
     """
-    src = _CsvSource(path)
-    table = src.cached(np.float64)
-    fresh = table is None
-    if fresh:
-        table = _load_table(src, _probs_header_ok, np.float64)
-    if table is None:
-        ids, rows = _read_rows(src, _probs_header_ok, "instance_id,p_1,...,p_K", _parse_probs)
-        table = ids, np.asarray(rows, dtype=np.float64)
-    ids = table[0]
-    # compared, not subtracted: a difference of int64 ids can overflow
-    unsorted = np.flatnonzero(ids[1:] <= ids[:-1])
-    if unsorted.size:
-        row = _row_number(src, int(unsorted[0]) + 1)
-        raise ParseError("instance ids must be strictly increasing", file=str(path), row=row)
-    if fresh:
-        src.store(*table)
-    return table
+    return _read_table(
+        path, _probs_header_ok, "instance_id,p_1,...,p_K", np.float64, _parse_probs,
+        lambda probs: True,
+    )
 
 
 def read_labels_csv(path, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """Parse labels; returns (ids, labels) with labels shifted to 0-based.
 
-    The parse cache holds the labels as written, so the range check
-    against `num_classes` runs on every read; a label outside it is
-    reported by the row loop with its row and column.
+    Enforces what `read_probs_csv` does, with one integer label in
+    1..`num_classes` per row.  The parse cache holds the labels as
+    written, so the range check runs on every read.
     """
-    src = _CsvSource(path)
-    table = src.cached(np.int64)
-    fresh = table is None
-    if fresh:
-        table = _load_table(src, _labels_header_ok, np.int64)
-    if table is not None:
-        ids, labels = table[0], table[1][:, 0]
-        if 1 <= labels.min() and labels.max() <= num_classes:
-            if fresh:
-                src.store(*table)
-            return ids, labels - 1
-    ids, labels = _read_rows(
-        src, _labels_header_ok, "instance_id,label", partial(_parse_label, num_classes=num_classes)
+    ids, labels = _read_table(
+        path, _labels_header_ok, "instance_id,label", np.int64,
+        partial(_parse_label, num_classes=num_classes),
+        lambda labels: 1 <= labels.min() and labels.max() <= num_classes,
     )
-    labels = np.asarray(labels, dtype=np.int64)
-    src.store(ids, labels[:, None] + 1)
-    return ids, labels
+    return ids, labels[:, 0] - 1
 
 
 # ---------------------------------------------------------------------------
@@ -729,10 +715,10 @@ def _write_table_csv(path, header: str, ids: np.ndarray, values: np.ndarray) -> 
     Each row is one `%` operation: `%d` renders an int as `str` does and
     `%.17g` a float as `format(v, ".17g")` does.  17 significant digits
     round-trip every float64, so the (ids, values) in hand are the table
-    a read of the written bytes parses, and the entry is stored under
-    those bytes' digest and the status of the file they were written to,
-    without reading them back; a read that follows parses nothing, and
-    hashes only a racy entry's file.  Ids of a non-integer
+    a read of the written bytes parses.  The file is read back, as a load
+    reads it, and the entry is stored under the status of that read only
+    when it returned the bytes written; a read that follows parses
+    nothing, and hashes only a racy entry's file.  Ids of a non-integer
     dtype are written as `%d` renders them but not cached, since they are
     not that table.
     """
@@ -740,23 +726,12 @@ def _write_table_csv(path, header: str, ids: np.ndarray, values: np.ndarray) -> 
     fmt = "%d," + ",".join([cell] * values.shape[1])
     lines = [header, *(fmt % (i, *row) for i, row in zip(ids.tolist(), values.tolist()))]
     raw = ("\n".join(lines) + "\n").encode("utf-8")
-    written = _status(atomic_write_bytes(path, raw))
+    atomic_write_bytes(path, raw)
     if ids.dtype.kind == "i":
-        _CsvSource(path, raw, _placed(path, written)).store(ids, values)
-
-
-def _placed(path, written: tuple) -> tuple:
-    """The status of a file written with status `written`, after the rename that placed it.
-
-    A rename moves the file's ctime.  The path's status counts only when
-    it shows the written file (device, inode, size and mtime); otherwise
-    `written` stands, and the first read of the file hashes it.
-    """
-    try:
-        now = _status(os.stat(path))
-    except OSError:
-        return written
-    return now if now[:4] == written[:4] else written
+        src = _CsvSource(path)
+        with suppress(OSError):  # a file removed since has nothing to cache
+            if src.raw == raw:  # else replaced since: its first load parses it
+                src.store(ids, values)
 
 
 # ---------------------------------------------------------------------------
@@ -809,17 +784,28 @@ def policy_to_dict(
     return doc
 
 
+def _numbers(values, what: str) -> np.ndarray:
+    """A JSON list of numbers as float64."""
+    # a JSON number is an int or a float; a bool is neither here
+    if not (isinstance(values, list) and all(type(v) in (int, float) for v in values)):
+        raise ValueError(f"{what} must be a list of numbers")
+    return np.asarray(values, dtype=np.float64)
+
+
 def policy_from_dict(doc: dict) -> ExitPolicy:
     thresholds = doc["thresholds"]
     if isinstance(thresholds, list):  # null, or the -Infinity token of older documents, is -inf
         thresholds = [-math.inf if t is None else t for t in thresholds]
+    size = doc["calibration_size"]
+    if type(size) not in (int, float):  # a float is checked to be integral below
+        raise ValueError(f"calibration_size must be an integer, got {size!r}")
     policy = ExitPolicy(
         score_kind=doc["score_kind"],
         jitter_u=float(doc["jitter_u"]),
         seed=doc["seed"],
-        seq_rates=np.asarray(doc["seq_rates"], dtype=np.float64),
-        thresholds=np.asarray(thresholds, dtype=np.float64),
-        calibration_size=doc["calibration_size"],
+        seq_rates=_numbers(doc["seq_rates"], "seq_rates"),
+        thresholds=_numbers(thresholds, "thresholds"),
+        calibration_size=size,
     )
     # the pinned scoring configuration must itself be valid
     ScoreSpec(kind=policy.score_kind, jitter_u=policy.jitter_u, seed=policy.seed)
@@ -884,7 +870,8 @@ def batch_result_to_dict(
     if report is not None:
         doc["budget_report"] = {
             "consumed_budget": report.consumed_budget,
-            "allowed_budget": report.allowed_budget,
+            # infinite when the policy's allowance overflows over this batch
+            "allowed_budget": _or_null(report.allowed_budget),
             "utilization": report.utilization,
             "within_budget": report.within_budget,
         }

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import eero
@@ -156,8 +156,20 @@ def test_infer_mismatched_policy_exit_5(dataset, tmp_path):
         ("score_kind", lambda v: "softmax_margin"),
         # an object whose keys read as numbers is not a list of thresholds
         ("thresholds", lambda v: {str(i): 0 for i in range(len(v))}),
+        # only JSON numbers are rates and thresholds, and only a threshold may be null
+        ("seq_rates", lambda v: [None] + v[1:]),
+        ("seq_rates", lambda v: [math.nan] + v[1:]),
+        ("seq_rates", lambda v: ["0.5"] + v[1:]),
+        ("seq_rates", lambda v: v[:-1] + [True]),
+        ("thresholds", lambda v: ["0.5"] + v[1:]),
+        ("calibration_size", lambda v: True),
+        ("calibration_size", lambda v: str(v)),
     ],
-    ids=["bad_seq_rates", "short_thresholds", "unknown_score_kind", "thresholds_object"],
+    ids=[
+        "bad_seq_rates", "short_thresholds", "unknown_score_kind", "thresholds_object",
+        "seq_rates_null", "seq_rates_nan", "seq_rates_string", "seq_rates_true",
+        "thresholds_string", "calibration_size_true", "calibration_size_string",
+    ],
 )
 def test_infer_malformed_policy_exit_3(dataset, tmp_path, capsys, field, value):
     policy = tmp_path / "policy.json"
@@ -177,6 +189,26 @@ def test_infer_malformed_policy_exit_3(dataset, tmp_path, capsys, field, value):
     assert err.startswith("error: not a policy document") and err.count("\n") == 1
     assert str(policy) in err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_unsorted_test_labels_exit_3_naming_the_file(dataset, tmp_path, capsys):
+    # every CSV's ids strictly increase, label files included: `calibrate`,
+    # which counts the test labels for its default batch, and `infer` report
+    # the label file and the row of the fault
+    policy = tmp_path / "policy.json"
+    assert main(["calibrate", "--data", str(dataset), "--budget", "800", "--out", str(policy)]) == 0
+    labels = dataset / "test_labels.csv"
+    lines = labels.read_text().split("\n")
+    lines[1], lines[2] = lines[2], lines[1]
+    labels.write_text("\n".join(lines))
+    for argv in (["calibrate", "--budget", "800"], ["infer", "--policy", str(policy)]):
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        rc = main(argv[:1] + ["--data", str(dataset), "--out", str(out)] + argv[1:])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == f"error: instance ids must be strictly increasing [{labels}, row 3]\n"
+        assert not out.exists()
 
 
 def test_oracle_exit_codes(dataset, tmp_path):
@@ -936,6 +968,11 @@ def _run_quiet(argv):
     budget=NUMBERS, beta=NUMBERS, jitter=NUMBERS, batch=INTS, seed=INTS,
     score=st.sampled_from(["max_prob", "breaking_ties", "neg_entropy"]),
     oracle_budget=NUMBERS, sweep_budgets=BUDGETS,
+)
+# the policy's allowance over infer's 6-instance batch overflows to inf
+@example(
+    budget="1e308", beta="1", jitter="0", batch=1, seed=0, score="max_prob",
+    oracle_budget="12", sweep_budgets="12",
 )
 def test_fuzz_numeric_flags_end_in_documented_exit_codes(
     tmp_path, budget, beta, jitter, batch, seed, score, oracle_budget, sweep_budgets

@@ -393,6 +393,8 @@ _VALID = {
         (BatchResult, dict(exits=np.array([0, 2, 1]))),
         (BatchResult, dict(consumed_budget=9.0)),
         (BatchResult, dict(accuracy=1.5)),
+        (ExitPolicy, dict(seq_rates=np.array([np.nan, 1.0]))),
+        (ExitPolicy, dict(seq_rates=np.array([0.2, np.nan, 1.0]), thresholds=np.zeros(3))),
     ],
 )
 def test_value_type_invariants_raise_invalid_spec(cls, bad):

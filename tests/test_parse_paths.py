@@ -1,9 +1,10 @@
 """The two CSV parse paths agree: np.loadtxt when it can vouch, else the row loop.
 
-`io._load_table` may only accept a file that `io._read_rows` accepts, and
-must then return the same ids and the same bits.  Every other file falls
-back to the row loop, so the public readers raise the row loop's
-ParseError with its message, row and column.
+A table from `io._load_table` that the readers take (ids strictly
+increasing, values passing the kind's check) must come from a file that
+`io._read_rows` accepts, with the same ids and the same bits.  Every
+other file falls back to the row loop, so the public readers raise the
+row loop's ParseError with its message, row and column.
 
 The parse cache (`io.CACHE_DIR` beside each file) must not change any of
 that: every public read here runs twice, cold and then warm, and the warm
@@ -160,20 +161,28 @@ CASES = {
     ),
     "unsorted_ids": (
         (f"{PH}\n1,0.25,0.75\n0,0.5,0.5\n", _err("instance ids must be strictly increasing", 3)),
-        (f"{LH}\n1,1\n0,3\n", LOADS),  # label ids are checked against the probs ids instead
+        (f"{LH}\n1,1\n0,3\n", _err("instance ids must be strictly increasing", 3)),
     ),
     # ids 5 then 3 with blank lines between: the fault is the row of the 3, as
     # the row loop counts rows, whichever path parsed the file
     "unsorted_ids_after_blank_lines": (
         (f"{PH}\n5,0.25,0.75\n\n\n\n3,0.5,0.5\n", _err("instance ids must be strictly increasing", 6)),
-        (f"{LH}\n5,1\n\n\n\n3,3\n", LOADS),
+        (f"{LH}\n5,1\n\n\n\n3,3\n", _err("instance ids must be strictly increasing", 6)),
     ),
     "unsorted_ids_after_blank_lines_row_loop": (
         (
             f'{PH}\r\n\r\n5,"0.25",0.75\r\n\r\n7,0.5,0.5\r\n\r\n7,0.5,0.5\r\n',
             _err("instance ids must be strictly increasing", 7),
         ),
-        (f'{LH}\r\n\r\n5,"1"\r\n\r\n3,3\r\n', FALLS_BACK),
+        (f'{LH}\r\n\r\n5,"1"\r\n\r\n3,3\r\n', _err("instance ids must be strictly increasing", 5)),
+    ),
+    # the first fault in row order: the unsorted id of row 3 before the bad cell of row 4
+    "unsorted_ids_before_a_bad_cell": (
+        (
+            f"{PH}\n1,0.25,0.75\n0,0.5,0.5\n2,x,0.5\n",
+            _err("instance ids must be strictly increasing", 3),
+        ),
+        (f"{LH}\n1,1\n0,3\n2,x\n", _err("instance ids must be strictly increasing", 3)),
     ),
     "label_zero": (
         (f"{PH}\n0,0.25,0.75\n", LOADS),
@@ -185,18 +194,20 @@ CASES = {
     ),
 }
 
-# per kind: (header check, fast value type, row-loop row parser, public reader,
-# fast values -> the row loop's values, or None where the reader falls back)
+# per kind: (header check, value type, row-loop row parser, public reader,
+# the reader's check on a table's values, a table as cached -> as the reader returns it)
 KINDS = {
     "probs": (
-        eio._probs_header_ok, np.float64, eio._parse_probs, eio.read_probs_csv, lambda v: v,
+        eio._probs_header_ok, np.float64, eio._parse_probs, eio.read_probs_csv,
+        lambda v: True, lambda table: table,
     ),
     "labels": (
         eio._labels_header_ok,
         np.int64,
         partial(eio._parse_label, num_classes=K),
         partial(eio.read_labels_csv, num_classes=K),
-        lambda v: v[:, 0] - 1 if 1 <= v.min() and v.max() <= K else None,
+        lambda v: 1 <= v.min() and v.max() <= K,  # labels as written, 1-based
+        lambda table: (table[0], table[1][:, 0] - 1),
     ),
 }
 
@@ -209,16 +220,23 @@ def _write(tmp_path, text, compressed, name="file.csv"):
 
 
 def _slow(path, kind):
-    header_ok, _, parse_row, _, _ = KINDS[kind]
+    """The row loop's table, as the parse cache stores it."""
+    header_ok, value_type, parse_row = KINDS[kind][:3]
     ids, rows = eio._read_rows(eio._CsvSource(path), header_ok, "", parse_row)
-    return ids, np.asarray(rows, dtype=np.float64 if kind == "probs" else np.int64)
+    return ids, np.asarray(rows, dtype=value_type)
 
 
 def _fast(path, kind):
-    header_ok, value_type, _, _, to_slow = KINDS[kind]
+    """np.loadtxt's table when the reader takes it, else None."""
+    header_ok, value_type, _, _, values_ok, _ = KINDS[kind]
     table = eio._load_table(eio._CsvSource(path), header_ok, value_type)
-    values = None if table is None else to_slow(table[1])
-    return None if values is None else (table[0], values)
+    if table is None or not (np.all(table[0][1:] > table[0][:-1]) and values_ok(table[1])):
+        return None
+    return table
+
+
+def _public(kind, table):
+    return KINDS[kind][5](table)
 
 
 def _assert_bitwise(a, b):
@@ -288,7 +306,9 @@ def test_fast_path_matches_row_loop_or_falls_back(tmp_path, case, kind, compress
                 assert fast is None
             if fast is not None:
                 _assert_bitwise(fast, slow)
-            _assert_bitwise(_read_cold_then_warm(read, path), slow)
+            _assert_bitwise(_read_cold_then_warm(read, path), _public(kind, slow))
+            # the entry holds the row loop's table, whichever path parsed the file
+            _assert_bitwise(eio._CsvSource(path).cached(KINDS[kind][1]), slow)
         else:
             message, row, col = outcome
             with pytest.raises(ParseError) as e:
@@ -321,7 +341,7 @@ def test_truncating_integer_parse_falls_back(tmp_path, kind, monkeypatch):
     text = CASES["plain"][0 if kind == "probs" else 1][0]
     path = _write(tmp_path, text, False)
     assert _fast(path, kind) is None
-    _assert_bitwise(KINDS[kind][3](path), _slow(path, kind))
+    _assert_bitwise(KINDS[kind][3](path), _public(kind, _slow(path, kind)))
 
 
 CELL = st.text(alphabet="0123456789+-.eEinfaINFx_ #\"\t", max_size=6)
@@ -476,12 +496,18 @@ def test_id_order_holds_across_the_whole_int64_range(tmp_path):
 
 def test_id_order_row_is_the_same_on_a_cache_hit(tmp_path):
     # an entry holding the table of bytes that fail the id check, which a read
-    # never stores itself: the row still comes from the bytes
-    path = _write(tmp_path, f"{PH}\n5,0.25,0.75\n\n\n\n3,0.5,0.5\n", False)
-    eio._CsvSource(path).store(*_slow(path, "probs"))
-    with _no_parsing(), pytest.raises(ParseError) as e:
-        eio.read_probs_csv(path)
-    assert str(e.value) == f"instance ids must be strictly increasing [{path}, row 6]"
+    # never stores itself: the entry cannot vouch for it, so the row loop
+    # reports the fault, with the row it counts in the bytes
+    for kind, text, values in (
+        ("probs", f"{PH}\n5,0.25,0.75\n\n\n\n3,0.5,0.5\n", [[0.25, 0.75], [0.5, 0.5]]),
+        ("labels", f"{LH}\n5,1\n\n\n\n3,3\n", [[1], [3]]),
+    ):
+        path = _write(tmp_path, text, False, name=f"{kind}.csv")
+        eio._CsvSource(path).store(np.array([5, 3]), np.array(values, dtype=KINDS[kind][1]))
+        for _ in range(2):
+            with pytest.raises(ParseError) as e:
+                KINDS[kind][3](path)
+            assert str(e.value) == f"instance ids must be strictly increasing [{path}, row 6]"
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +596,56 @@ def test_write_dataset_with_an_unwritable_cache_dir_writes_no_entries(tmp_path):
     for name, split in eio.as_dataset(data).splits.items():
         heads = zip(loaded.split(name).bank.heads, split.bank.heads)
         _assert_bitwise(*zip(*((a.probs, b.probs) for a, b in heads)))
+
+
+def test_a_csv_replaced_right_after_its_write_is_not_seeded(tmp_path, monkeypatch):
+    # another valid table, of the same size, lands on one CSV right after the
+    # rename that placed it: the read-back returns other bytes than were
+    # written, so no entry may vouch for the table written
+    data = generate(SynthSpec(
+        seed=3, num_classes=3, num_heads=2, head_accuracies=(0.6, 0.8),
+        head_budgets=(1.0, 2.0), confidence_sharpness=6.0, sizes=(10, 10, 10),
+    ))
+    out = tmp_path / "data"
+    target = out / "calib_head_2.csv"
+    real = eio.atomic_write_bytes
+
+    def replacing(path, raw):
+        real(path, raw)
+        if path == target:  # swap the first row's two leading probabilities
+            header, row, rest = raw.decode().split("\n", 2)
+            cells = row.split(",")
+            cells[1], cells[2] = cells[2], cells[1]
+            path.write_text("\n".join([header, ",".join(cells), rest]))
+
+    monkeypatch.setattr(eio, "atomic_write_bytes", replacing)
+    manifest = eio.write_dataset(data, out)
+    monkeypatch.undo()
+    csvs = sorted(p.name for p in out.glob("*.csv"))
+    assert sorted(os.listdir(out / eio.CACHE_DIR)) == [f"{c}.table" for c in csvs if c != target.name]
+    expected = eio.as_dataset(data).split("calib").bank.heads[1].probs.copy()
+    expected[0, [0, 1]] = expected[0, [1, 0]]
+    assert not np.array_equal(expected, eio.as_dataset(data).split("calib").bank.heads[1].probs)
+    for _ in range(2):  # parsed, then from the entry that load stored
+        loaded = eio.load_manifest(manifest).split("calib").bank.heads[1].probs
+        _assert_bitwise([loaded], [expected])
+
+
+def test_an_unsorted_label_csv_is_reported_at_its_own_row(tmp_path):
+    manifest = _written(tmp_path / "data")
+    labels = manifest.parent / "test_labels.csv"
+    lines = labels.read_text().split("\n")
+    lines[1], lines[2] = lines[2], lines[1]  # the ids of data rows 1 and 2
+    labels.write_text("\n".join(lines))
+    # warm (the other files' seeded entries, and the labels' stale one), then
+    # cold; a file that fails is never cached
+    for cold in (False, False, True):
+        if cold:
+            shutil.rmtree(manifest.parent / eio.CACHE_DIR)
+        with pytest.raises(ParseError) as e:
+            eio.load_manifest(manifest)
+        assert str(e.value) == f"instance ids must be strictly increasing [{labels}, row 3]"
+        assert eio._CsvSource(labels).cached(np.int64) is None
 
 
 # ---------------------------------------------------------------------------
